@@ -7,9 +7,9 @@ twice as large.
 """
 
 from multibump.gluing import ground_state
-from multibump.grid import GridSpec, write_field_csv
+from multibump.grid import GridSpec, operator_bottom_eigenvalue, write_field_csv
 from multibump.model import Nonlinearity, Potential, energy
-from multibump.spectra import classify, spectrum_bottom
+from multibump.spectra import classify
 
 V = Potential.cosine(0.5)
 f = Nonlinearity(4.0)
@@ -22,7 +22,7 @@ grid = GridSpec(16, 1024)
 point = ground_state(grid, alpha, V, f, center=0.5)
 print(f"\nbox [-16, 16), M = 1024:")
 print(f"  multiplier lambda      = {point.lam:.12f}")
-print(f"  spectrum bottom        = {spectrum_bottom(V, grid):.12f}  (lambda sits below)")
+print(f"  spectrum bottom        = {operator_bottom_eigenvalue(V, grid):.12f}  (lambda sits below)")
 print(f"  strong residual (sup)  = {point.l2_residual_norm:.3e}")
 print(f"  mass defect            = {point.constraint_violation:.3e}")
 print(f"  energy                 = {energy(point.u, V, f):.12f}")

@@ -31,29 +31,63 @@ from . import semiclassical as sc
 from . import spectra as sp
 from . import stationary as st
 from .errors import (
+    AssumptionViolationError,
     ConfigError,
     ContinuationNeededError,
+    CriticalExponentError,
+    DegenerateSuperpositionError,
     FitRejectedError,
     FlowStalledError,
     GluingFailedError,
+    GridMismatchError,
     IntegratorFaultError,
+    InvalidFieldError,
     LinearSolverError,
     MassRangeError,
+    MisalignedTranslationError,
     MultibumpError,
     NoInstabilityDetected,
+    NotFreelyNondegenerateError,
+    PositivityViolationError,
     PreconditionError,
+    SingularOperatorError,
 )
 
 __all__ = ["RunConfig", "main"]
 
-_PRECONDITION_ERRORS = (PreconditionError, MassRangeError, NoInstabilityDetected)
-_SOLVER_ERRORS = (
-    FlowStalledError,
-    GluingFailedError,
-    LinearSolverError,
-    ContinuationNeededError,
-    IntegratorFaultError,
-    FitRejectedError,
+# exit code and message prefix of every package error
+_EXIT_CODES = (
+    ((ConfigError,), 2, "configuration error"),
+    (
+        (
+            PreconditionError,
+            MassRangeError,
+            NoInstabilityDetected,
+            InvalidFieldError,
+            GridMismatchError,
+            MisalignedTranslationError,
+            SingularOperatorError,
+            AssumptionViolationError,
+            NotFreelyNondegenerateError,
+            PositivityViolationError,
+            CriticalExponentError,
+        ),
+        3,
+        "precondition failure",
+    ),
+    (
+        (
+            FlowStalledError,
+            GluingFailedError,
+            LinearSolverError,
+            ContinuationNeededError,
+            IntegratorFaultError,
+            FitRejectedError,
+            DegenerateSuperpositionError,
+        ),
+        4,
+        "solver failure",
+    ),
 )
 
 _SCHEMA = {
@@ -127,6 +161,11 @@ class RunConfig:
         kind = self.data.get("potential", {}).get("kind", "constant")
         if kind not in ("constant", "cosine", "tabulated"):
             raise ConfigError(f"unknown potential kind {kind!r}")
+        try:
+            for n in self.data.get("bumps", {}).get("n_list", [None]):
+                self.bump_configs(None if n is None else int(n))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid bumps section: {exc}") from exc
 
     # -- constructors -------------------------------------------------------
 
@@ -149,6 +188,16 @@ class RunConfig:
     def mass(self) -> float:
         return float(self.data.get("mass", 1.0))
 
+    def bump_configs(self, n: int | None = None) -> list:
+        """Glue configurations: the explicit offsets, else n bumps per separation."""
+        bumps = self.data.get("bumps", {})
+        if "separations" not in bumps and "offsets" in bumps:
+            offsets = tuple(bumps["offsets"])
+            return [gl.BumpConfig(len(offsets), offsets)]
+        n = int(bumps.get("n", 2)) if n is None else n
+        separations = bumps.get("separations", [8, 12, 16])
+        return [gl.BumpConfig(n, _symmetric_offsets(n, int(d))) for d in separations]
+
     def solver(self) -> dict:
         s = dict(self.data.get("solver", {}))
         s.setdefault("flow_tol", 1e-6)
@@ -166,7 +215,6 @@ def _metadata(config: RunConfig) -> dict:
     return {
         "config_hash": config.hash(),
         "version": __version__,
-        "threads": int(os.environ.get("OMP_NUM_THREADS", "0")) or os.cpu_count(),
     }
 
 
@@ -266,20 +314,7 @@ def _glue_row(ubar, cfg, alpha, V, f, newton_tol):
 
 
 def cmd_glue(config: RunConfig, out: Path, jobs: int = 1) -> int:
-    bumps = config.data.get("bumps", {})
-    n = int(bumps.get("n", 2))
-    separations = bumps.get("separations")
-    if separations is None:
-        if "offsets" in bumps:
-            offsets = tuple(int(a) for a in bumps["offsets"])
-            separations = [gl.BumpConfig(len(offsets), offsets).separation]
-            configs = [gl.BumpConfig(len(offsets), offsets)]
-        else:
-            separations = [8, 12, 16]
-            configs = [gl.BumpConfig(n, _symmetric_offsets(n, int(d))) for d in separations]
-    else:
-        configs = [gl.BumpConfig(n, _symmetric_offsets(n, int(d))) for d in separations]
-
+    configs = config.bump_configs()
     alpha = config.mass()
     ubar, V, f = _base_point(config, alpha / configs[0].n, out)
     newton_tol = config.solver()["newton_tol"]
@@ -319,11 +354,19 @@ def cmd_glue(config: RunConfig, out: Path, jobs: int = 1) -> int:
     return 0 if n_ok >= 1 else 4
 
 
+def _read_field(field_file: str) -> gr.Field:
+    """Field from a binary (.bin) or CSV file; unreadable input is an invalid field."""
+    path = Path(field_file)
+    try:
+        return gr.read_field_binary(path) if path.suffix == ".bin" else gr.read_field_csv(path)
+    except (OSError, ValueError, IndexError) as exc:
+        raise InvalidFieldError(f"cannot read field {path}: {exc}") from exc
+
+
 def cmd_spectrum(config: RunConfig, out: Path, field_file: str,
                  residual_tol: float = 1e-6) -> int:
     V, f = config.potential(), config.nonlinearity()
-    path = Path(field_file)
-    u = gr.read_field_binary(path) if path.suffix == ".bin" else gr.read_field_csv(path)
+    u = _read_field(field_file)
     lam = st.lagrange_multiplier(u, V, f)
     res = md.l2_residual(u, lam, V, f)
     res_norm = float(np.max(np.abs(res.values)))
@@ -338,11 +381,10 @@ def cmd_spectrum(config: RunConfig, out: Path, field_file: str,
         out / "spectrum.json",
         {**report.to_dict(), "lambda": lam, "residual": res_norm, **_metadata(config)},
     )
-    eigenvalues = np.linalg.eigvalsh(sp.linearized_matrix(u, lam, V, f))
     _write_csv(
         out / "spectrum_eigenvalues.csv",
         ["index", "value"],
-        [[i, float(v)] for i, v in enumerate(eigenvalues)],
+        [[i, float(v)] for i, v in enumerate(report.eigenvalues)],
     )
     return 0
 
@@ -350,8 +392,7 @@ def cmd_spectrum(config: RunConfig, out: Path, field_file: str,
 def cmd_evolve(config: RunConfig, out: Path, field_file: str,
                snapshot_stride: int = 0) -> int:
     V, f = config.potential(), config.nonlinearity()
-    path = Path(field_file)
-    phi = gr.read_field_binary(path) if path.suffix == ".bin" else gr.read_field_csv(path)
+    phi = _read_field(field_file)
     lam = st.lagrange_multiplier(phi, V, f)
     dyn = config.data.get("dynamics", {})
     dt = float(dyn.get("dt", 1e-3))
@@ -545,15 +586,13 @@ def main(argv=None) -> int:
         if args.command == "semiclassical":
             return cmd_semiclassical(config, out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return 3
-    except _SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 4
+    except MultibumpError as exc:
+        for kinds, code, label in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                message = str(exc).replace("\n", " ")
+                print(f"{label}: {message}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

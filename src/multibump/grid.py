@@ -407,10 +407,22 @@ def write_field_binary(u: Field, path) -> None:
 
 
 def read_field_binary(path) -> Field:
+    """Field written by write_field_binary.
+
+    Raises InvalidFieldError when the header's M is not a positive multiple
+    of 2L (unit translations would not be grid shifts) or the file holds
+    fewer than M values.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _BINARY_MAGIC:
             raise ValueError(f"not a field binary (magic {magic!r})")
-        L, M = np.fromfile(fh, dtype="<i8", count=2)
-        vals = np.fromfile(fh, dtype="<f8", count=int(M))
-    return Field(GridSpec(int(L), int(M)), vals)
+        header, data = fh.read(16), fh.read()
+    if len(header) < 16:
+        raise InvalidFieldError("field binary header is truncated")
+    L, M = (int(n) for n in np.frombuffer(header, dtype="<i8"))
+    if L <= 0 or M <= 0 or M % (2 * L) != 0:
+        raise InvalidFieldError(f"header M = {M} is not a positive multiple of 2L = {2 * L}")
+    if len(data) < 8 * M:
+        raise InvalidFieldError(f"field binary holds {len(data) // 8} of its M = {M} values")
+    return Field(GridSpec(L, M), np.frombuffer(data, dtype="<f8", count=M))

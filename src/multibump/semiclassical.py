@@ -157,6 +157,17 @@ class EpsilonFamily:
     V: Potential
     p: float
     members: list = field(default_factory=list)
+    _linearizations: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def linearization(self, member: FamilyMember) -> sp.Linearization:
+        """L at a member (multiplier 0 in the rescaled frame), built once and
+        shared by the pairing and Morse tables; held while the family is."""
+        lin = self._linearizations.get(member.eps)
+        if lin is None:
+            Veps = scaled_potential(self.V, member.eps)
+            lin = sp.Linearization.assemble(member.point.u, 0.0, Veps, Nonlinearity(self.p))
+            self._linearizations[member.eps] = lin
+        return lin
 
     @property
     def eps_values(self) -> np.ndarray:
@@ -291,13 +302,11 @@ def z_eps_check(family: EpsilonFamily) -> list[dict]:
 
     if not family.members:
         raise PreconditionError("family is empty")
-    f = Nonlinearity(family.p)
     limit = criterion_value(family.p, grid=family.members[0].point.u.grid)
     rows = []
     for m in family.members:
-        Veps = scaled_potential(family.V, m.eps)
         try:
-            z = sp.z_vector(m.point.u, 0.0, Veps, f)
+            z = family.linearization(m).z
             pairing = gr.inner_l2(z, m.point.u)
             flagged = False
         except NotFreelyNondegenerateError:
@@ -352,14 +361,11 @@ def morse_check(family: EpsilonFamily, m_V: int) -> list[dict]:
     counts are provisional (a near-zero eigenvalue inside the threshold)
     are flagged instead of trusted.
     """
-    f = Nonlinearity(family.p)
     supercritical = family.p > MASS_CRITICAL_P
     rows = []
     for m in family.members:
-        Veps = scaled_potential(family.V, m.eps)
-        L = sp.linearized_matrix(m.point.u, 0.0, Veps, f)
-        free = sp.free_morse_index(L)
-        constrained = sp.constrained_morse_index(L, m.point.u)
+        lin = family.linearization(m)
+        free, constrained = lin.free, lin.constrained
         rows.append(
             {
                 "eps": m.eps,

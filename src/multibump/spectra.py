@@ -11,14 +11,15 @@ and counting on the tangent space of the mass sphere gives the
 constrained Morse index.  The sign of (z, u)_2 with L z = u decides which
 of the two indices the constraint sees and classifies nondegeneracy.
 
-Eigenvalue counts use dense symmetric eigensolves; counts must be exact,
-not sampled.  Near-zero eigenvalues (within the threshold tau0) are
-reported and make counts provisional rather than silently counted.
+Counts are exact, from one dense eigensolve of L per critical point and
+the inertia of the bordered matrix [[L - s, u], [u^T, 0]].  Near-zero
+eigenvalues (within tau0) are reported and make counts provisional.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -35,18 +36,15 @@ from .stationary import ConstrainedCriticalPoint
 
 __all__ = [
     "MorseCount",
+    "Linearization",
     "SpectralReport",
     "InstabilityResult",
     "linearized_matrix",
-    "free_morse_index",
-    "constrained_morse_index",
     "z_vector",
     "classify",
     "z_translate_check",
     "ZTranslateReport",
     "instability_eigenvalue",
-    "spectrum_bottom",
-    "zero_threshold",
 ]
 
 TAU0_RELATIVE = 1e-6  # zero threshold as a fraction of the spectral radius
@@ -55,32 +53,22 @@ TAU0_RELATIVE = 1e-6  # zero threshold as a fraction of the spectral radius
 _dense_neglap_cache: dict = {}
 
 
-def dense_neg_laplacian(grid: GridSpec) -> np.ndarray:
-    """Dense symmetric matrix of the spectral -d^2/dx^2 (circulant)."""
-    key = (grid.L, grid.M)
-    hit = _dense_neglap_cache.get(key)
-    if hit is None:
-        k2 = grid.wavenumbers**2
-        column = np.fft.irfft(k2, n=grid.M)
-        hit = scipy.linalg.circulant(column)
-        hit = 0.5 * (hit + hit.T)
-        hit.setflags(write=False)
-        _dense_neglap_cache[key] = hit
-    return hit
+def _dense_operator(grid: GridSpec, V, lam: float, weight: np.ndarray) -> np.ndarray:
+    """Dense symmetric discretization of -Lap + V - lambda - weight."""
+    neglap = _dense_neglap_cache.get((grid.L, grid.M))
+    if neglap is None:  # spectral -d^2/dx^2 is circulant
+        neglap = scipy.linalg.circulant(np.fft.irfft(grid.wavenumbers**2, n=grid.M))
+        neglap = 0.5 * (neglap + neglap.T)
+        neglap.setflags(write=False)
+        _dense_neglap_cache[(grid.L, grid.M)] = neglap
+    mat = neglap.copy()
+    mat.flat[:: grid.M + 1] += gr.potential_samples(V, grid) - lam - weight
+    return mat
 
 
 def linearized_matrix(u: Field, lam: float, V, f) -> np.ndarray:
     """Dense symmetric discretization of -Lap + V - lambda - f'(u)."""
-    vs = gr.potential_samples(V, u.grid)
-    mat = dense_neg_laplacian(u.grid).copy()
-    idx = np.arange(u.grid.M)
-    mat[idx, idx] += vs - lam - f.fprime(u.values)
-    return mat
-
-
-def zero_threshold(eigenvalues: np.ndarray) -> float:
-    """tau0 = 1e-6 times the spectral radius of the operator."""
-    return TAU0_RELATIVE * float(np.max(np.abs(eigenvalues)))
+    return _dense_operator(u.grid, V, lam, f.fprime(u.values))
 
 
 @dataclass(frozen=True)
@@ -99,9 +87,6 @@ class MorseCount:
     def provisional(self) -> bool:
         return len(self.near_zero) > 0
 
-    def __int__(self) -> int:
-        return self.count
-
 
 def _count_below_threshold(eigenvalues: np.ndarray, tau0: float) -> MorseCount:
     near = tuple(float(v) for v in eigenvalues[np.abs(eigenvalues) <= tau0])
@@ -109,52 +94,107 @@ def _count_below_threshold(eigenvalues: np.ndarray, tau0: float) -> MorseCount:
     return MorseCount(count=count, near_zero=near, tau0=tau0)
 
 
-def free_morse_index(L: np.ndarray) -> MorseCount:
-    """Negative directions of the quadratic form over the whole space."""
-    eigenvalues = np.linalg.eigvalsh(L)
-    return _count_below_threshold(eigenvalues, zero_threshold(eigenvalues))
+# -- tangent space of the mass sphere ------------------------------------------
+# The reflector H = I - 2 v v^T maps e_0 onto the line of u, so Q = H[:, 1:]
+# is an orthonormal basis of its complement.  Q is never formed: with
+# q = A v - (v^T A v) v, H A H = A - 2 (v q^T + q v^T) (Golub & Van Loan 5.1).
 
 
-def _tangent_basis(u_vals: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of u (Householder completion)."""
+def _householder_vector(u_vals: np.ndarray) -> np.ndarray:
+    """Unit v such that (I - 2 v v^T) e_0 is parallel to u."""
     w = u_vals / np.linalg.norm(u_vals)
     v = w.copy()
     v[0] += np.copysign(1.0, w[0] if w[0] != 0 else 1.0)
-    v /= np.linalg.norm(v)
-    H = np.eye(len(w)) - 2.0 * np.outer(v, v)
-    return H[:, 1:]
+    return v / np.linalg.norm(v)
 
 
-def constrained_morse_index(L: np.ndarray, u: Field) -> MorseCount:
-    """Negative directions of the form restricted to {v : (v, u)_2 = 0}.
+def _tangent_block(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Q^T A Q for symmetric A, by the rank-2 update of A (exactly symmetric)."""
+    q = A @ v
+    q -= (v @ q) * v
+    update = np.outer(v[1:], q[1:])
+    update = update + update.T
+    update *= -2.0
+    update += A[1:, 1:]
+    return update
 
-    The u-direction is removed by explicit orthogonal projection (basis
-    completion), never by penalty shifts.
+
+def _reflect(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H x; Q y is H applied to (0, y), Q^T x is (H x)[1:]."""
+    return x - 2.0 * (v @ x) * v
+
+
+class Linearization:
+    """Symmetric L and constraint direction u, with one eigensolve of L.
+
+    The zero threshold tau0 (used for both counts), the gap and the free
+    count are set at construction; z = L^{-1} u and the constrained count
+    are computed on first use.
     """
-    Q = _tangent_basis(u.values)
-    reduced = Q.T @ L @ Q
-    reduced = 0.5 * (reduced + reduced.T)
-    eigenvalues = np.linalg.eigvalsh(reduced)
-    return _count_below_threshold(eigenvalues, zero_threshold(eigenvalues))
+
+    def __init__(self, L: np.ndarray, u: Field):
+        self.L, self.u = L, u
+        self.eigenvalues = np.linalg.eigvalsh(L)
+        self.tau0 = TAU0_RELATIVE * float(np.max(np.abs(self.eigenvalues)))
+        self.gap = float(np.min(np.abs(self.eigenvalues)))
+        self.free = _count_below_threshold(self.eigenvalues, self.tau0)
+
+    @classmethod
+    def assemble(cls, u: Field, lam: float, V, f) -> "Linearization":
+        return cls(linearized_matrix(u, lam, V, f), u)
+
+    @cached_property
+    def _solution(self) -> np.ndarray:
+        return np.linalg.solve(self.L, self.u.values)
+
+    @cached_property
+    def z(self) -> Field:
+        """Solution of L z = u, defined whenever L has no near-zero eigenvalue."""
+        if self.gap <= self.tau0:
+            raise NotFreelyNondegenerateError(
+                f"spectral gap {self.gap:.3e} is below tau0 = {self.tau0:.3e}"
+            )
+        u = self.u.values
+        residual = np.max(np.abs(self.L @ self._solution - u))
+        if residual > 1e-10 * max(1.0, np.max(np.abs(u))):
+            raise NotFreelyNondegenerateError(f"z-solve residual {residual:.3e}")
+        return Field(self.u.grid, self._solution)
+
+    def count_below(self, s: float) -> int:
+        """Constrained eigenvalues below s, for s not an eigenvalue of L.
+
+        Haynsworth inertia additivity on [[L - s, u], [u^T, 0]] gives
+        #constrained below s = #free below s - 1 + [u^T (L - s)^{-1} u > 0].
+        """
+        u = self.u.values
+        shifted = self.L.copy()  # released, with its LU factors, on return
+        shifted.flat[:: len(u) + 1] -= s
+        pairing = u @ np.linalg.solve(shifted, u)
+        return int(np.count_nonzero(self.eigenvalues < s)) - 1 + int(pairing > 0)
+
+    @cached_property
+    def constrained(self) -> MorseCount:
+        """Constrained count below -tau0, with near-zero eigenvalues reported.
+
+        With no free eigenvalue in [-tau0, tau0], s -> u^T (L - s)^{-1} u
+        increases across the band and vanishes at the constrained
+        eigenvalues in it: its sign at 0, that of (z, u)_2, gives the count
+        and one shifted solve at the far end shows the band empty.  Else the
+        projected eigensolve runs and reports the near-zero values.
+        """
+        tau0 = self.tau0
+        if self.gap > tau0:
+            positive = bool(self.u.values @ self._solution > 0)
+            count = self.free.count - 1 + positive
+            if count == self.count_below(-tau0 if positive else tau0):
+                return MorseCount(count=count, near_zero=(), tau0=tau0)
+        tangent = _tangent_block(self.L, _householder_vector(self.u.values))
+        return _count_below_threshold(np.linalg.eigvalsh(tangent), tau0)
 
 
-def z_vector(u: Field, lam: float, V, f, operator: np.ndarray | None = None,
-             gap: float | None = None, tau0: float | None = None) -> Field:
+def z_vector(u: Field, lam: float, V, f) -> Field:
     """Solve L z = u, defined whenever L has no near-zero eigenvalue."""
-    L = linearized_matrix(u, lam, V, f) if operator is None else operator
-    if gap is None or tau0 is None:
-        eigenvalues = np.linalg.eigvalsh(L)
-        gap = float(np.min(np.abs(eigenvalues)))
-        tau0 = zero_threshold(eigenvalues)
-    if gap <= tau0:
-        raise NotFreelyNondegenerateError(
-            f"spectral gap {gap:.3e} is below tau0 = {tau0:.3e}"
-        )
-    z = np.linalg.solve(L, u.values)
-    residual = np.max(np.abs(L @ z - u.values))
-    if residual > 1e-10 * max(1.0, np.max(np.abs(u.values))):
-        raise NotFreelyNondegenerateError(f"z-solve residual {residual:.3e}")
-    return Field(u.grid, z)
+    return Linearization.assemble(u, lam, V, f).z
 
 
 @dataclass(frozen=True)
@@ -165,6 +205,7 @@ class SpectralReport:
     the constrained index sits one below the free index),
     'fully_nondegenerate_pos' ((z,u)_2 > 0, indices agree) or
     'degenerate' (gap or |(z,u)_2| below tau0; counts provisional).
+    eigenvalues, the spectrum of L, is not serialized.
     """
 
     m: int
@@ -175,64 +216,44 @@ class SpectralReport:
     eigenvalues_near_zero: tuple = ()
     tau0: float = 0.0
     provisional: bool = False
+    eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.provisional or self.classification == "degenerate":
             return
-        if self.m_f not in (self.m, self.m + 1):
-            raise ValueError(
-                f"free index {self.m_f} must be m or m+1 for m = {self.m}"
-            )
-        if self.classification == "fully_nondegenerate_pos":
-            if not (self.z_dot_u > 0 and self.m_f == self.m):
-                raise ValueError(
-                    f"positive pairing requires m_f == m, got ({self.m}, {self.m_f}), "
-                    f"(z,u)_2 = {self.z_dot_u:.3e}"
-                )
-        elif self.classification == "fully_nondegenerate_neg":
-            if not (self.z_dot_u < 0 and self.m_f == self.m + 1):
-                raise ValueError(
-                    f"negative pairing requires m_f == m+1, got ({self.m}, {self.m_f}), "
-                    f"(z,u)_2 = {self.z_dot_u:.3e}"
-                )
-        else:
+        rules = {  # sign of (z,u)_2 and free index of each nondegenerate class
+            "fully_nondegenerate_pos": (1.0, self.m),
+            "fully_nondegenerate_neg": (-1.0, self.m + 1),
+        }
+        if self.classification not in rules:
             raise ValueError(f"unknown classification {self.classification!r}")
+        sign, m_f = rules[self.classification]
+        if not (np.sign(self.z_dot_u) == sign and self.m_f == m_f):
+            raise ValueError(
+                f"{self.classification} requires m_f == {m_f} and (z,u)_2 of sign {sign:+.0f}, "
+                f"got ({self.m}, {self.m_f}), (z,u)_2 = {self.z_dot_u:.3e}"
+            )
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "m_f": self.m_f,
-            "z_dot_u": self.z_dot_u,
-            "spectral_gap": self.spectral_gap,
-            "classification": self.classification,
-            "eigenvalues_near_zero": list(self.eigenvalues_near_zero),
-            "tau0": self.tau0,
-            "provisional": self.provisional,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "eigenvalues"}
+        out["eigenvalues_near_zero"] = list(self.eigenvalues_near_zero)
+        return out
 
 
 def classify(u: Field, lam: float, V, f) -> SpectralReport:
     """Assemble the linearization; report indices, (z,u)_2 and the class."""
-    L = linearized_matrix(u, lam, V, f)
-    eigenvalues = np.linalg.eigvalsh(L)
-    tau0 = zero_threshold(eigenvalues)
-    gap = float(np.min(np.abs(eigenvalues)))
-    free = _count_below_threshold(eigenvalues, tau0)
-    constrained = constrained_morse_index(L, u)
-    provisional = free.provisional or constrained.provisional
+    lin = Linearization.assemble(u, lam, V, f)
+    tau0, gap = lin.tau0, lin.gap
+    z_dot = gr.inner_l2(lin.z, u) if gap > tau0 else np.nan
 
-    z_dot = np.nan
-    if gap > tau0:
-        z = z_vector(u, lam, V, f, operator=L, gap=gap, tau0=tau0)
-        z_dot = gr.inner_l2(z, u)
-
-    if gap <= tau0 or not np.isfinite(z_dot) or abs(z_dot) <= tau0:
+    if not abs(z_dot) > tau0:  # also when z_dot is nan
         classification = "degenerate"
     elif z_dot > 0:
         classification = "fully_nondegenerate_pos"
     else:
         classification = "fully_nondegenerate_neg"
 
+    free, constrained = lin.free, lin.constrained
     return SpectralReport(
         m=constrained.count,
         m_f=free.count,
@@ -241,7 +262,8 @@ def classify(u: Field, lam: float, V, f) -> SpectralReport:
         classification=classification,
         eigenvalues_near_zero=free.near_zero + constrained.near_zero,
         tau0=tau0,
-        provisional=provisional,
+        provisional=free.provisional or constrained.provisional,
+        eigenvalues=lin.eigenvalues,
     )
 
 
@@ -286,18 +308,6 @@ def z_translate_check(ubar: ConstrainedCriticalPoint,
     )
 
 
-# -- spectrum bottom -----------------------------------------------------------
-
-
-def spectrum_bottom(V, grid: GridSpec) -> float:
-    """Smallest eigenvalue of the discrete periodic -Lap + V on the box.
-
-    Approximates the bottom of the essential spectrum of the full-line
-    operator at this truncation.
-    """
-    return gr.operator_bottom_eigenvalue(V, grid)
-
-
 # -- linearized Schrodinger flow: unstable eigenvalue --------------------------
 
 
@@ -336,22 +346,16 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f,
     grid = u.grid
     if np.min(u.values) <= 0.0:
         raise PreconditionError("instability construction needs a positive wave")
-    bottom = spectrum_bottom(V, grid)
+    bottom = gr.operator_bottom_eigenvalue(V, grid)
     if not lam < bottom:
         raise PreconditionError(
             f"multiplier {lam:.6g} must lie below the spectrum bottom {bottom:.6g}"
         )
 
-    L1 = linearized_matrix(u, lam, V, f)
-    eig1 = np.linalg.eigvalsh(L1)
-    tau0 = zero_threshold(eig1)
-    m = constrained_morse_index(L1, u)
+    lin = Linearization.assemble(u, lam, V, f)
 
     # comparison operator with the ratio f(phi)/phi taken as |phi|^(p-2)
-    vs = gr.potential_samples(V, grid)
-    L2 = dense_neg_laplacian(grid).copy()
-    idx = np.arange(grid.M)
-    L2[idx, idx] += vs - lam - np.abs(u.values) ** (f.p - 2.0)
+    L2 = _dense_operator(grid, V, lam, np.abs(u.values) ** (f.p - 2.0))
 
     kernel_residual = float(np.max(np.abs(L2 @ u.values)))
     if kernel_residual > kernel_check_tol:
@@ -360,24 +364,21 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f,
             f"(residual {kernel_residual:.3e})"
         )
 
-    Q = _tangent_basis(u.values)
-    L2t = Q.T @ L2 @ Q
-    L2t = 0.5 * (L2t + L2t.T)
+    hv = _householder_vector(u.values)
+    L2t = _tangent_block(L2, hv)
     eig2 = np.linalg.eigvalsh(L2t)
     # at multibump points the antisymmetric partner of the kernel sits
     # exponentially close to zero but strictly above it; only a roundoff
     # band below zero counts as a violation
-    pos_tol = 1e4 * np.finfo(float).eps * float(np.max(np.abs(eig1)))
+    pos_tol = 1e4 * np.finfo(float).eps * float(np.max(np.abs(lin.eigenvalues)))
     if eig2[0] <= pos_tol:
         raise PositivityViolationError(
             f"comparison operator has eigenvalue {eig2[0]:.3e} on the tangent space"
         )
 
-    L1t = Q.T @ L1 @ Q
-    L1t = 0.5 * (L1t + L1t.T)
     # quotient (L1 v, v) / (L2^{-1} v, v) via the Cholesky congruence
     C = np.linalg.cholesky(L2t)
-    S = C.T @ L1t @ C
+    S = C.T @ _tangent_block(lin.L, hv) @ C
     S = 0.5 * (S + S.T)
     vals, vecs = np.linalg.eigh(S)
     mu = float(vals[0])
@@ -390,30 +391,25 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f,
             f"quotient minimum {mu:.3e} is not below the resolution floor "
             f"{-mu_floor:.3e}", mu=mu
         )
-    if m.count < 1:
+    m = lin.count_below(-lin.tau0)
+    if m < 1:
         raise PreconditionError(
             f"quotient minimum {mu:.3e} is negative but the constrained Morse "
-            f"index is {m.count}; counts are inconsistent"
+            f"index is {m}; counts are inconsistent"
         )
     rho = float(np.sqrt(-mu))
 
-    y = C @ vecs[:, 0]
-    v_vals = Q @ y
+    v_vals = _reflect(hv, np.concatenate(([0.0], C @ vecs[:, 0])))
     v_vals /= np.sqrt(grid.h) * np.linalg.norm(v_vals)
     v = Field(grid, v_vals)
 
-    l2inv_v = Q @ np.linalg.solve(L2t, Q.T @ v_vals)
+    l2inv_v = np.concatenate(([0.0], np.linalg.solve(L2t, _reflect(hv, v_vals)[1:])))
+    l2inv_v = _reflect(hv, l2inv_v)
     alpha = gr.inner_l2(u, u)
-    beta = float(grid.h * np.dot(L1 @ v_vals, u.values)) / alpha
+    beta = float(grid.h * np.dot(lin.L @ v_vals, u.values)) / alpha
     w2 = Field(grid, -rho * l2inv_v + (beta / rho) * u.values)
 
     r_top = np.max(np.abs(-(L2 @ w2.values) - rho * v.values))
-    r_bot = np.max(np.abs(L1 @ v.values - rho * w2.values))
-    return InstabilityResult(
-        rho=rho,
-        mu=mu,
-        v=v,
-        beta=beta,
-        second_component=w2,
-        eigen_residual=float(max(r_top, r_bot)),
-    )
+    r_bot = np.max(np.abs(lin.L @ v.values - rho * w2.values))
+    return InstabilityResult(rho=rho, mu=mu, v=v, beta=beta, second_component=w2,
+                             eigen_residual=float(max(r_top, r_bot)))

@@ -32,6 +32,19 @@ class ZeroNonlinearity:
         return np.zeros_like(density)
 
 
+@pytest.fixture
+def eigensolve_sizes(monkeypatch):
+    """Orders of the matrices passed to np.linalg.eigvalsh and eigh."""
+    sizes = []
+    for name in ("eigvalsh", "eigh"):
+        def counted(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            sizes.append(len(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return sizes
+
+
 @pytest.fixture(scope="session")
 def zero_f():
     return ZeroNonlinearity()

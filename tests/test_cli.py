@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from multibump import cli, errors
 from multibump.cli import RunConfig, main
 from multibump.errors import ConfigError
 
@@ -87,6 +88,15 @@ class TestGroundstate:
         assert "config_hash" in payload and "version" in payload
         spectrum = json.loads((out / "groundstate_spectrum.json").read_text())
         assert spectrum["m"] == 0 and spectrum["m_f"] == 1
+
+    def test_artifacts_do_not_depend_on_thread_count(self, groundstate_run, monkeypatch):
+        tmp, cfg, _ = groundstate_run
+        for threads in ("1", "7"):
+            monkeypatch.setenv("OMP_NUM_THREADS", threads)
+            assert main(["--config", cfg, "--out", str(tmp / f"threads{threads}"),
+                         "groundstate"]) == 0
+        assert ((tmp / "threads1" / "groundstate.json").read_bytes()
+                == (tmp / "threads7" / "groundstate.json").read_bytes())
 
     def test_determinism(self, groundstate_run):
         tmp, cfg, out = groundstate_run
@@ -249,3 +259,80 @@ class TestSemiclassicalCommand:
         assert payload["eps"] == pytest.approx(0.2, abs=1e-8)
         # subcritical branch at a potential minimum: index n(m_V + 1) - 1
         assert payload["m"] == 1 and payload["m_f"] == 2
+
+
+def _error_classes(base=errors.MultibumpError):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", sorted(_error_classes(), key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_every_package_error_maps_to_a_code(self, error, tmp_path, capsys, monkeypatch):
+        def fail(config, out):
+            raise error("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_groundstate", fail)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "groundstate"])
+        assert rc in (2, 3, 4)
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_no_instability_message(self, tmp_path, capsys, monkeypatch):
+        def fail(config, out):
+            raise errors.NoInstabilityDetected(
+                "quotient minimum -7.296e-07 is not below the resolution floor -2.268e-06"
+            )
+
+        monkeypatch.setattr(cli, "cmd_groundstate", fail)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "groundstate"]) == 3
+        assert capsys.readouterr().err.startswith("precondition failure: quotient minimum ")
+
+    @pytest.mark.parametrize(
+        "bumps",
+        [
+            {"n": 2, "offsets": [3, 3]},
+            {"n": 2, "offsets": [0.5, 4]},
+            {"n": 0},
+            {"n": 2, "separations": [0]},
+            {"n_list": ["two"]},
+        ],
+    )
+    def test_invalid_bumps_exit_2(self, bumps, tmp_path, capsys):
+        data = dict(BASE_CONFIG)
+        data["bumps"] = bumps
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "glue"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def _truncated(path, source):
+    path.write_bytes(source.read_bytes()[:500])
+
+
+def _misaligned(path, source):
+    # L = 7 with M = 64: unit translations would not be grid shifts
+    path.write_bytes(b"MBF1" + np.array([7, 64], dtype="<i8").tobytes()
+                     + np.ones(64).astype("<f8").tobytes())
+
+
+def _garbage(path, source):
+    path.write_bytes(b"nonsense")
+
+
+class TestBadFieldFiles:
+    @pytest.mark.parametrize("command", ["spectrum", "evolve"])
+    @pytest.mark.parametrize("make", [_truncated, _misaligned, _garbage, None],
+                             ids=["truncated", "misaligned", "garbage", "missing"])
+    def test_exit_3_without_traceback(self, groundstate_run, tmp_path, capsys, command, make):
+        _, cfg, out = groundstate_run
+        field = tmp_path / "field.bin"
+        if make is not None:
+            make(field, out / "groundstate_field.bin")
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"), command, str(field)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failure: ") and err.count("\n") == 1

@@ -245,6 +245,20 @@ class TestSerialization:
         assert back.grid == soliton24.grid
         assert np.array_equal(back.values, soliton24.values)
 
+    def test_binary_rejects_misaligned_header(self, tmp_path):
+        path = tmp_path / "misaligned.bin"
+        path.write_bytes(b"MBF1" + np.array([7, 64], dtype="<i8").tobytes()
+                         + np.zeros(64).astype("<f8").tobytes())
+        with pytest.raises(InvalidFieldError):
+            read_field_binary(path)
+
+    def test_binary_rejects_truncated_values(self, soliton24, tmp_path):
+        path = tmp_path / "field.bin"
+        write_field_binary(soliton24, path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(InvalidFieldError):
+            read_field_binary(path)
+
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"nonsense")

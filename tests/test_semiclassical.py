@@ -154,6 +154,13 @@ class TestMorseCheck:
             assert row["m_f"] == 2
             assert row["m"] == 1
 
+    def test_tables_share_one_eigensolve_per_member(self, grid_semi, vmin_well,
+                                                    eigensolve_sizes):
+        family = continue_family(grid_semi, [0.2, 0.1], vmin_well, 4.0)
+        z_eps_check(family)
+        morse_check(family, m_V=0)
+        assert eigensolve_sizes == [grid_semi.M] * len(family.members)
+
 
 class TestSelectMassEpsilon:
     def test_matches_target_mass(self, family_min_p4):

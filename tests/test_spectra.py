@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from multibump.errors import (
     NoInstabilityDetected,
@@ -10,16 +12,22 @@ from multibump.errors import (
     PreconditionError,
 )
 from multibump.gluing import BumpConfig
-from multibump.grid import Field, GridSpec, inner_l2, resolvent_solve
+from multibump.grid import (
+    Field,
+    GridSpec,
+    inner_l2,
+    operator_bottom_eigenvalue,
+    resolvent_solve,
+)
 from multibump.model import Potential, hessian_form
 from multibump.spectra import (
+    Linearization,
     SpectralReport,
+    _householder_vector,
+    _tangent_block,
     classify,
-    constrained_morse_index,
-    free_morse_index,
     instability_eigenvalue,
     linearized_matrix,
-    spectrum_bottom,
     z_translate_check,
     z_vector,
 )
@@ -41,7 +49,7 @@ class TestLinearizedMatrix:
         u = smooth_field(grid24, seed=4)
         L = linearized_matrix(u, 0.3, vcos, zero_f)
         low = scipy.linalg.eigh(L, subset_by_index=(0, 0), eigvals_only=True)[0]
-        assert low == pytest.approx(spectrum_bottom(vcos, grid24) - 0.3, abs=1e-8)
+        assert low == pytest.approx(operator_bottom_eigenvalue(vcos, grid24) - 0.3, abs=1e-8)
 
     def test_quadratic_form_matches_hessian(self, grid24, vcos, f4, smooth_field):
         u = smooth_field(grid24, seed=5)
@@ -53,30 +61,98 @@ class TestLinearizedMatrix:
             assert quad_form == pytest.approx(form(v, v), rel=1e-9, abs=1e-9)
 
 
+def _projected_eigenvalues(L, u_vals):
+    """Eigenvalues of L on the complement of u, from a dense orthonormal basis."""
+    Q = scipy.linalg.null_space(u_vals[None, :])
+    return np.linalg.eigvalsh(Q.T @ L @ Q)
+
+
 class TestMorseCounts:
     def test_soliton_free_count(self, soliton24, V1, f4):
-        L = linearized_matrix(soliton24, 0.0, V1, f4)
-        count = free_morse_index(L)
+        count = Linearization.assemble(soliton24, 0.0, V1, f4).free
         assert count.count == 1
         # the translation mode sits inside the zero threshold and is flagged
         assert count.provisional and len(count.near_zero) == 1
 
     def test_positive_operator_free_count(self, grid24, vcos, zero_f, smooth_field):
         u = smooth_field(grid24, seed=6)
-        L = linearized_matrix(u, -0.5, vcos, zero_f)
-        count = free_morse_index(L)
+        count = Linearization.assemble(u, -0.5, vcos, zero_f).free
         assert count.count == 0 and not count.provisional
 
     def test_local_min_counts(self, ubar, vcos, f4):
-        L = linearized_matrix(ubar.u, ubar.lam, vcos, f4)
-        assert constrained_morse_index(L, ubar.u).count == 0
-        assert free_morse_index(L).count == 1
+        lin = Linearization.assemble(ubar.u, ubar.lam, vcos, f4)
+        assert lin.constrained.count == 0
+        assert lin.free.count == 1
 
     def test_glued_counts(self, glued_two, glued_three, vcos, f4):
         for n, point in ((2, glued_two[12].point), (3, glued_three.point)):
-            L = linearized_matrix(point.u, point.lam, vcos, f4)
-            assert constrained_morse_index(L, point.u).count == n - 1
-            assert free_morse_index(L).count == n
+            lin = Linearization.assemble(point.u, point.lam, vcos, f4)
+            assert lin.constrained.count == n - 1
+            assert lin.free.count == n
+            # the projected eigensolve is the independent check
+            oracle = _projected_eigenvalues(lin.L, point.u.values)
+            assert np.count_nonzero(oracle < -lin.tau0) == n - 1
+
+
+class TestPairingCount:
+    """Bordered-matrix inertia count against the projected eigensolve."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), n_neg=hst.integers(0, 4),
+           positive=hst.booleans())
+    def test_matches_projected_eigensolve(self, seed, n_neg, positive):
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(1, 64)
+        spectrum = np.concatenate([
+            -rng.uniform(0.5, 5.0, n_neg), rng.uniform(0.5, 5.0, grid.M - n_neg),
+        ])
+        basis, _ = np.linalg.qr(rng.standard_normal((grid.M, grid.M)))
+        L = (basis * spectrum) @ basis.T
+        L = 0.5 * (L + L.T)
+        # (z, u) is the sum of c_i^2 / spectrum_i: weight on the negative
+        # modes sets its sign
+        c = rng.standard_normal(grid.M)
+        if positive:
+            c[:n_neg] *= 0.01
+        else:
+            c[:n_neg] = 30.0
+        u = Field(grid, basis @ c)
+        lin = Linearization(L, u)
+        assert np.sign(inner_l2(lin.z, u)) == (1 if positive or n_neg == 0 else -1)
+
+        oracle = _projected_eigenvalues(L, u.values)
+        assert lin.constrained.count == np.count_nonzero(oracle < -lin.tau0)
+        assert not lin.constrained.provisional
+        s = rng.uniform(-5.0, 5.0)
+        assert lin.count_below(s) == np.count_nonzero(oracle < s)
+
+    def test_constrained_eigenvalue_in_band_falls_back(self):
+        # compressing diag(-1, 1 + 2e-7) onto (1, -1)/sqrt(2) leaves 1e-7,
+        # inside [-tau0, tau0] although no free eigenvalue is
+        grid = GridSpec(1, 64)
+        L = np.diag(np.concatenate([[-1.0, 1.0 + 2e-7], np.arange(2.0, 64.0)]))
+        u = Field(grid, np.concatenate([[1.0, 1.0], np.zeros(62)]))
+        lin = Linearization(L, u)
+        assert not lin.free.provisional and lin.free.count == 1
+        count = lin.constrained
+        assert count.count == 0 and count.provisional
+        assert count.near_zero == pytest.approx((1e-7,), abs=1e-12)
+
+    def test_rank2_reduction_matches_dense_projection(self, smooth_field, vcos, f4):
+        grid = GridSpec(8, 256)
+        u = smooth_field(grid, seed=11)
+        L = linearized_matrix(u, 0.3, vcos, f4)
+        v = _householder_vector(u.values)
+        Q = (np.eye(grid.M) - 2.0 * np.outer(v, v))[:, 1:]
+        dense = np.linalg.eigvalsh(Q.T @ L @ Q)
+        reduced = np.linalg.eigvalsh(_tangent_block(L, v))
+        assert np.max(np.abs(reduced - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+    def test_classify_makes_one_eigensolve(self, glued_two, vcos, f4, eigensolve_sizes):
+        point = glued_two[16].point
+        report = classify(point.u, point.lam, vcos, f4)
+        assert eigensolve_sizes == [point.u.grid.M]
+        assert (report.m, report.m_f) == (1, 2)
 
 
 class TestZVector:
@@ -195,17 +271,17 @@ class TestInstability:
 
 class TestSpectrumBottom:
     def test_constant(self, grid24):
-        assert spectrum_bottom(Potential.const(0.7), grid24) == pytest.approx(
+        assert operator_bottom_eigenvalue(Potential.const(0.7), grid24) == pytest.approx(
             0.7, abs=1e-10
         )
 
     def test_cosine_band_window(self, grid24, vcos):
-        bottom = spectrum_bottom(vcos, grid24)
+        bottom = operator_bottom_eigenvalue(vcos, grid24)
         assert 0.5 < bottom < 1.5
 
     def test_resolution_independence(self, vcos):
         values = [
-            spectrum_bottom(vcos, GridSpec(16, M)) for M in (512, 1024, 2048)
+            operator_bottom_eigenvalue(vcos, GridSpec(16, M)) for M in (512, 1024, 2048)
         ]
         assert abs(values[1] - values[0]) < 1e-8
         assert abs(values[2] - values[1]) < 1e-8

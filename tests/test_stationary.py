@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from multibump.errors import FlowStalledError, PreconditionError
-from multibump.grid import Field, inner_l2, translate
-from multibump.spectra import spectrum_bottom
+from multibump.grid import Field, inner_l2, operator_bottom_eigenvalue, translate
 from multibump.stationary import (
     ConstrainedCriticalPoint,
     lagrange_multiplier,
@@ -72,7 +71,7 @@ class TestNormalizedFlow:
         point = normalized_flow(guess, 4.5, vcos, f4, tol=1e-6)
         assert point.constraint_violation < 1e-10
         # multiplier sits below the operator's spectrum bottom
-        assert point.lam < spectrum_bottom(vcos, grid24)
+        assert point.lam < operator_bottom_eigenvalue(vcos, grid24)
         # positivity of the minimizer
         assert point.u.values.min() > 0
 
