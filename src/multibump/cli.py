@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -313,31 +312,20 @@ def _glue_row(ubar, cfg, alpha, V, f, newton_tol):
     return result, report, sigma
 
 
-def cmd_glue(config: RunConfig, out: Path, jobs: int = 1) -> int:
+def cmd_glue(config: RunConfig, out: Path) -> int:
     configs = config.bump_configs()
     alpha = config.mass()
     ubar, V, f = _base_point(config, alpha / configs[0].n, out)
     newton_tol = config.solver()["newton_tol"]
 
-    def run_one(cfg):
-        try:
-            return cfg, _glue_row(ubar, cfg, alpha, V, f, newton_tol), None
-        except MultibumpError as exc:
-            return cfg, None, exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, configs))
-    else:
-        outcomes = [run_one(cfg) for cfg in configs]
-
     rows, n_ok = [], 0
-    for cfg, payload, exc in outcomes:
+    for cfg in configs:
         d = cfg.separation
-        if exc is not None:
+        try:
+            result, report, sigma = _glue_row(ubar, cfg, alpha, V, f, newton_tol)
+        except MultibumpError as exc:
             rows.append([d, -1, float("nan"), float("nan"), float("nan"), -1, -1, f"failed:{type(exc).__name__}"])
             continue
-        result, report, sigma = payload
         n_ok += 1
         rows.append([
             d, result.iterations, result.distance_h1, result.dlambda,
@@ -469,7 +457,7 @@ def cmd_semiclassical(config: RunConfig, out: Path) -> int:
         ["eps", "mass", "x_eps", "m", "m_f", "pairing", "rayleigh_ratio", "status"],
         rows,
     )
-    crit = sc.criterion_value(f.p, grid=grid)
+    crit = family.criterion
     _write_json(
         out / "semiclassical_criterion.json",
         {
@@ -520,7 +508,7 @@ def _semiclassical_end_to_end(config: RunConfig, out: Path, family, V, f) -> Non
     )
 
 
-def cmd_sweep(config: RunConfig, out: Path, jobs: int = 1) -> int:
+def cmd_sweep(config: RunConfig, out: Path) -> int:
     """Separation sweep over one or more bump counts (superset of glue)."""
     bumps = dict(config.data.get("bumps", {}))
     n_list = bumps.get("n_list", [bumps.get("n", 2)])
@@ -531,7 +519,7 @@ def cmd_sweep(config: RunConfig, out: Path, jobs: int = 1) -> int:
         sub_bumps.pop("n_list", None)
         sub_bumps["n"] = int(n)
         sub["bumps"] = sub_bumps
-        rc = cmd_glue(RunConfig(sub), out / f"n{n}", jobs=jobs)
+        rc = cmd_glue(RunConfig(sub), out / f"n{n}")
         status = min(status, rc)
     return status
 
@@ -540,8 +528,6 @@ def _add_common_flags(parser, suppress=False):
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--config", default=default, help="JSON run configuration")
     parser.add_argument("--out", default=default, help="output directory override")
-    parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS if suppress else 1,
-                        help="concurrent sweep jobs")
     parser.add_argument("--snapshot-stride", type=int,
                         default=argparse.SUPPRESS if suppress else 0,
                         help="steps between stored snapshots (evolve)")
@@ -576,9 +562,9 @@ def main(argv=None) -> int:
         if args.command == "groundstate":
             return cmd_groundstate(config, out)
         if args.command == "glue":
-            return cmd_glue(config, out, jobs=args.jobs)
+            return cmd_glue(config, out)
         if args.command == "sweep":
-            return cmd_sweep(config, out, jobs=args.jobs)
+            return cmd_sweep(config, out)
         if args.command == "spectrum":
             return cmd_spectrum(config, out, args.field_file)
         if args.command == "evolve":

@@ -125,17 +125,20 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
     """Strang split-step evolution from psi0 up to t_end.
 
     reference, when given as (phi, lambda), adds an orbit-distance trace.
-    Raises IntegratorFaultError if the relative particle-number drift ever
-    exceeds mass_drift_tol.
+    t_end must be a whole number of steps (to 1e-9 relative).  Raises
+    IntegratorFaultError if the relative particle-number drift ever exceeds
+    mass_drift_tol.
     """
     if dt <= 0 or dt > dt_cap:
         raise PreconditionError(f"time step must lie in (0, {dt_cap}], got {dt}")
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * abs(t_end):
+        raise PreconditionError(f"t_end = {t_end} is not a whole number of steps dt = {dt}")
     grid = psi0.grid
     vs = gr.potential_samples(V, grid)
     k = 2.0 * np.pi * np.fft.fftfreq(grid.M, d=grid.h)
     half_kinetic = np.exp(1j * k**2 * (0.5 * dt))
 
-    n_steps = int(round(t_end / dt))
     psi = psi0.values.copy()
     mass0 = psi0.mass
 

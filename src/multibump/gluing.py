@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.sparse.linalg import minres
 
 from . import grid as gr
 from . import model as md
@@ -131,48 +131,20 @@ def bordered_apply(pt: ExtendedPoint, V, f):
 # -- bordered linear solves ---------------------------------------------------
 
 
-def _bordered_matvec_factory(u_vals, weight, grid: GridSpec):
-    """Symmetric block operator [[ -Lap + weight , -u ], [ -u^T, 0 ]]."""
-    k2 = grid.wavenumbers**2
-    M = grid.M
-
-    def matvec(x):
-        v, mu = x[:M], x[M]
-        top = np.fft.irfft(k2 * np.fft.rfft(v), n=M) + weight * v - mu * u_vals
-        bottom = -np.dot(u_vals, v)
-        return np.concatenate([top, [bottom]])
-
-    return matvec
+def _jacobian(pt: ExtendedPoint, vs: np.ndarray, f) -> gr.FourierOperator:
+    """Strong-form second derivative of G at pt: -Lap + V - lambda - f'(u),
+    bordered by u."""
+    u = pt.u
+    return gr.FourierOperator(u.grid, vs - pt.lam - f.fprime(u.values), border=u.values)
 
 
-def _bordered_precond_factory(grid: GridSpec, c: float):
-    k2 = grid.wavenumbers**2
-    symbol = 1.0 / (k2 + c)
-    M = grid.M
-
-    def apply(x):
-        out = np.empty_like(x)
-        out[:M] = np.fft.irfft(symbol * np.fft.rfft(x[:M]), n=M)
-        out[M] = x[M]
-        return out
-
-    return apply
-
-
-def _solve_bordered(u_vals, weight, grid, rhs, rtol=1e-12, maxiter=3000):
+def _solve_bordered(op: gr.FourierOperator, rhs, rtol=1e-12, maxiter=3000):
     """MINRES on the symmetric bordered system with residual verification.
 
     Accepts at the roundoff floor of the spectral operator when the
     requested tolerance sits below it.
     """
-    M = grid.M
-    matvec = _bordered_matvec_factory(u_vals, weight, grid)
-    A = LinearOperator((M + 1, M + 1), matvec=matvec, dtype=float)
-    c = max(float(np.mean(weight)) + 1.0, 1.0)
-    Pre = LinearOperator(
-        (M + 1, M + 1), matvec=_bordered_precond_factory(grid, c), dtype=float
-    )
-    op_scale = float(grid.wavenumbers[-1] ** 2 + np.max(np.abs(weight)))
+    A, Pre = op.minres_system()
     scale = np.linalg.norm(rhs)
     if scale == 0.0:
         return np.zeros_like(rhs)
@@ -181,9 +153,9 @@ def _solve_bordered(u_vals, weight, grid, rhs, rtol=1e-12, maxiter=3000):
     for _ in range(4):
         dx, info = minres(A, r, rtol=rtol, maxiter=maxiter, M=Pre)
         x = x + dx
-        r = rhs - matvec(x)
-        floor = 100 * np.finfo(float).eps * op_scale * max(
-            np.linalg.norm(x), scale / op_scale
+        r = rhs - op.apply(x)
+        floor = 100 * np.finfo(float).eps * op.scale * max(
+            np.linalg.norm(x), scale / op.scale
         )
         if np.linalg.norm(r) <= max(10 * rtol * scale, floor):
             return x
@@ -199,15 +171,10 @@ def _solve_bordered(u_vals, weight, grid, rhs, rtol=1e-12, maxiter=3000):
 
 def _newton_step(pt: ExtendedPoint, alpha, V, f):
     """One undamped Newton step direction for grad G = 0."""
-    u, lam = pt.u, pt.lam
-    grid = u.grid
-    vs = gr.potential_samples(V, grid)
-    weight = vs - lam - f.fprime(u.values)
-    strong = md.l2_residual(u, lam, V, f)
-    rhs = np.concatenate(
-        [-strong.values, [0.5 * (gr.inner_l2(u, u) - alpha) / grid.h]]
-    )
-    sol = _solve_bordered(u.values, weight, grid, rhs)
+    u, grid = pt.u, pt.u.grid
+    strong = md.l2_residual(u, pt.lam, V, f)
+    rhs = np.append(-strong.values, 0.5 * (gr.inner_l2(u, u) - alpha) / grid.h)
+    sol = _solve_bordered(_jacobian(pt, gr.potential_samples(V, grid), f), rhs)
     return Field(grid, sol[: grid.M]), float(sol[grid.M])
 
 
@@ -332,13 +299,10 @@ def _solve_bordered_h(pt: ExtendedPoint, V, f, y_field: Field, y_scalar: float):
     T (v, mu) = y is reduced to the strong-form bordered system by
     applying -Lap + V to the field part of y.
     """
-    u, lam = pt.u, pt.lam
-    grid = u.grid
+    grid = pt.u.grid
     vs = gr.potential_samples(V, grid)
-    weight = vs - lam - f.fprime(u.values)
-    strong_rhs = gr._neg_laplacian_values(y_field.values, grid) + vs * y_field.values
-    rhs = np.concatenate([strong_rhs, [y_scalar / grid.h]])
-    sol = _solve_bordered(u.values, weight, grid, rhs)
+    strong_rhs = gr.FourierOperator(grid, vs).apply(y_field.values)
+    sol = _solve_bordered(_jacobian(pt, vs, f), np.append(strong_rhs, y_scalar / grid.h))
     return Field(grid, sol[: grid.M]), float(sol[grid.M])
 
 

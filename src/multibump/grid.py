@@ -35,6 +35,7 @@ __all__ = [
     "inner_h1v",
     "norm_l2",
     "norm_h1",
+    "FourierOperator",
     "resolvent_solve",
     "operator_bottom_eigenvalue",
     "potential_samples",
@@ -166,14 +167,9 @@ def potential_samples(V, grid: GridSpec) -> np.ndarray:
 # -- differential operators ------------------------------------------------
 
 
-def _neg_laplacian_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    k2 = grid.wavenumbers**2
-    return np.fft.irfft(k2 * np.fft.rfft(values), n=grid.M)
-
-
 def laplacian_apply(u: Field) -> Field:
     """Apply the (positive) operator -d^2/dx^2 in the Fourier basis."""
-    return Field(u.grid, _neg_laplacian_values(u.values, u.grid))
+    return Field(u.grid, FourierOperator(u.grid, 0.0).apply(u.values))
 
 
 def _derivative_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -220,14 +216,14 @@ def inner_h1v(u: Field, v: Field, V) -> float:
     _check_same_grid(u, v)
     vs = potential_samples(V, u.grid)
     _require_positive_bottom(vs, u.grid)
-    lhs = _neg_laplacian_values(u.values, u.grid) + vs * u.values
+    lhs = FourierOperator(u.grid, vs).apply(u.values)
     return float(u.grid.h * np.dot(lhs, v.values))
 
 
 def norm_h1(u: Field) -> float:
     """Standard H1 norm, sqrt(|u'|_2^2 + |u|_2^2)."""
     q = u.grid.h * (
-        np.dot(_neg_laplacian_values(u.values, u.grid), u.values)
+        np.dot(laplacian_apply(u).values, u.values)
         + np.dot(u.values, u.values)
     )
     return float(np.sqrt(max(q, 0.0)))
@@ -243,6 +239,117 @@ def norm_h2(u: Field) -> float:
         weights[-1] = 1.0
     spectrum = weights * (1.0 + k2 + k2**2) * np.abs(coeffs) ** 2
     return float(np.sqrt(u.grid.h * np.sum(spectrum) / u.grid.M))
+
+
+# -- the Fourier-preconditioned operator -Lap + diag(weight) -----------------
+
+
+class FourierOperator:
+    """-Lap + diag(weight) on a grid, or with border=u the symmetric block
+
+        [ -Lap + diag(weight)   -u ]
+        [        -u^T            0 ]
+
+    acting on (v, mu) stacked as one vector of length M + 1.  It carries the
+    Fourier-diagonal preconditioner (-Lap + c)^{-1} (identity on the border
+    row), the operator scale that sets the roundoff floor of its solves, the
+    preconditioned CG solve, and the (operator, preconditioner) pair for
+    MINRES.  Each solve fixes its own preconditioner constant c.
+    """
+
+    def __init__(self, grid: GridSpec, weight: np.ndarray | float,
+                 border: np.ndarray | None = None):
+        self.grid, self.weight, self.border = grid, weight, border
+        self.size = grid.M + (border is not None)
+        self._k2 = grid.wavenumbers**2
+
+    @property
+    def scale(self) -> float:
+        """Largest symbol plus largest weight: machine eps times this sets the
+        roundoff floor of a residual."""
+        return float(self._k2[-1] + np.max(np.abs(self.weight)))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The operator times x (M values, or M + 1 when bordered)."""
+        M, border = self.grid.M, self.border
+        v = x[:M]
+        top = np.fft.irfft(self._k2 * np.fft.rfft(v), n=M) + self.weight * v
+        if border is None:
+            return top
+        return np.concatenate([top - x[M] * border, [-np.dot(border, v)]])
+
+    def _preconditioner(self, c: float):
+        symbol = 1.0 / (self._k2 + c)
+        M, border = self.grid.M, self.border
+
+        def apply(x):
+            field = np.fft.irfft(symbol * np.fft.rfft(x[:M]), n=M)
+            return field if border is None else np.concatenate([field, x[M:]])
+
+        return apply
+
+    def minres_system(self) -> tuple[LinearOperator, LinearOperator]:
+        """(operator, preconditioner) for MINRES; c = max(mean weight + 1, 1)."""
+        c = max(float(np.mean(self.weight)) + 1.0, 1.0)
+        shape = (self.size, self.size)
+        return (LinearOperator(shape, matvec=self.apply, dtype=float),
+                LinearOperator(shape, matvec=self._preconditioner(c), dtype=float))
+
+    def cg(self, rhs: np.ndarray, tol: float = 1e-12, max_iter: int = 4000) -> np.ndarray:
+        """Preconditioned CG for an SPD operator, c = max(mean weight, 0.05),
+        so the preconditioned operator is a compact perturbation of the identity.
+
+        Terminates on the true residual in the sup norm; requests below the
+        roundoff floor of the spectral operator (machine eps times its scale)
+        are satisfied at that floor.
+        """
+        apply_pre = self._preconditioner(max(float(np.mean(self.weight)), 0.05))
+        op_scale = self.scale
+        scale = float(np.max(np.abs(rhs)))
+        if scale == 0.0:
+            return np.zeros_like(rhs)
+        target = tol * scale
+
+        z = np.zeros_like(rhs)
+        r = rhs.copy()
+        p = apply_pre(r)
+        zr = np.dot(r, p)
+        d = p.copy()
+        best_true = np.inf
+        for _ in range(max_iter):
+            Ad = self.apply(d)
+            dAd = np.dot(d, Ad)
+            if dAd <= 0.0:
+                raise LinearSolverError("CG direction of nonpositive curvature; operator not SPD")
+            alpha = zr / dAd
+            z = z + alpha * d
+            r = r - alpha * Ad
+            if np.max(np.abs(r)) < target:
+                true_r = rhs - self.apply(z)
+                true_norm = np.max(np.abs(true_r))
+                floor = 50 * np.finfo(float).eps * op_scale * max(
+                    float(np.max(np.abs(z))), scale / op_scale
+                )
+                if true_norm < max(target, floor):
+                    return z
+                if true_norm > 0.7 * best_true:
+                    # no longer improving: accept the roundoff-limited solution
+                    # unless it is clearly short of any reasonable tolerance
+                    if true_norm < 1e-9 * scale:
+                        return z
+                    raise LinearSolverError(
+                        f"CG stalled at residual {true_norm:.3e} (target {target:.3e})"
+                    )
+                best_true = min(best_true, true_norm)
+                r = true_r
+            pnew = apply_pre(r)
+            zr_new = np.dot(r, pnew)
+            beta = zr_new / zr
+            d = pnew + beta * d
+            zr = zr_new
+        raise LinearSolverError(
+            f"CG stalled at residual {np.max(np.abs(rhs - self.apply(z))):.3e}"
+        )
 
 
 # -- resolvent of -Lap + V - shift ------------------------------------------
@@ -264,11 +371,9 @@ def operator_bottom_eigenvalue(V, grid: GridSpec) -> float:
         return hit
 
     safe_shift = float(vs.min()) - 1.0
-
-    def apply_inverse(w):
-        return _pcg_solve(w, vs, safe_shift, grid, tol=1e-13)
-
-    op = LinearOperator((grid.M, grid.M), matvec=apply_inverse, dtype=float)
+    shifted = FourierOperator(grid, vs - safe_shift)
+    op = LinearOperator((grid.M, grid.M), matvec=lambda w: shifted.cg(w, tol=1e-13),
+                        dtype=float)
     rng = np.random.default_rng(0)
     v0 = np.ones(grid.M) + 1e-3 * rng.standard_normal(grid.M)
     vals = eigsh(op, k=1, which="LA", tol=1e-12, v0=v0, return_eigenvectors=False)
@@ -288,74 +393,6 @@ def _require_positive_bottom(vs: np.ndarray, grid: GridSpec) -> float:
     return bottom
 
 
-def _pcg_solve(rhs, vs, shift, grid, tol=1e-12, max_iter=4000):
-    """Preconditioned CG for (-Lap + V - shift) z = rhs.
-
-    The preconditioner is (-Lap + c)^{-1} applied in the Fourier basis,
-    with c chosen so the preconditioned operator is a compact perturbation
-    of the identity.  Terminates on the true residual in the sup norm;
-    requests below the roundoff floor of the spectral operator (machine
-    eps times the largest symbol value) are satisfied at that floor.
-    """
-    k2 = grid.wavenumbers**2
-    diag = vs - shift
-    c = max(float(np.mean(diag)), 0.05)
-    precond_symbol = 1.0 / (k2 + c)
-    op_scale = float(k2[-1] + np.max(np.abs(diag)))
-
-    def apply_op(z):
-        return np.fft.irfft(k2 * np.fft.rfft(z), n=grid.M) + diag * z
-
-    def apply_pre(r):
-        return np.fft.irfft(precond_symbol * np.fft.rfft(r), n=grid.M)
-
-    scale = float(np.max(np.abs(rhs)))
-    if scale == 0.0:
-        return np.zeros_like(rhs)
-    target = tol * scale
-
-    z = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = apply_pre(r)
-    zr = np.dot(r, p)
-    d = p.copy()
-    best_true = np.inf
-    for _ in range(max_iter):
-        Ad = apply_op(d)
-        dAd = np.dot(d, Ad)
-        if dAd <= 0.0:
-            raise LinearSolverError("CG direction of nonpositive curvature; operator not SPD")
-        alpha = zr / dAd
-        z = z + alpha * d
-        r = r - alpha * Ad
-        if np.max(np.abs(r)) < target:
-            true_r = rhs - apply_op(z)
-            true_norm = np.max(np.abs(true_r))
-            floor = 50 * np.finfo(float).eps * op_scale * max(
-                float(np.max(np.abs(z))), scale / op_scale
-            )
-            if true_norm < max(target, floor):
-                return z
-            if true_norm > 0.7 * best_true:
-                # no longer improving: accept the roundoff-limited solution
-                # unless it is clearly short of any reasonable tolerance
-                if true_norm < 1e-9 * scale:
-                    return z
-                raise LinearSolverError(
-                    f"CG stalled at residual {true_norm:.3e} (target {target:.3e})"
-                )
-            best_true = min(best_true, true_norm)
-            r = true_r
-        pnew = apply_pre(r)
-        zr_new = np.dot(r, pnew)
-        beta = zr_new / zr
-        d = pnew + beta * d
-        zr = zr_new
-    raise LinearSolverError(
-        f"CG stalled at residual {np.max(np.abs(rhs - apply_op(z))):.3e}"
-    )
-
-
 def resolvent_solve(g: Field, V, shift: float = 0.0, tol: float = 1e-13) -> Field:
     """Solve (-Lap + V - shift) z = g.
 
@@ -371,8 +408,7 @@ def resolvent_solve(g: Field, V, shift: float = 0.0, tol: float = 1e-13) -> Fiel
             f"shift {shift:.6g} is not below the spectrum bottom {bottom:.6g}",
             gap=gap,
         )
-    z = _pcg_solve(g.values, vs, shift, g.grid, tol=tol)
-    return Field(g.grid, z)
+    return Field(g.grid, FourierOperator(g.grid, vs - shift).cg(g.values, tol=tol))
 
 
 # -- serialization -----------------------------------------------------------
@@ -389,12 +425,21 @@ def write_field_csv(u: Field, path) -> None:
 
 
 def read_field_csv(path, grid: GridSpec | None = None) -> Field:
+    """Field written by write_field_csv; the grid is inferred from x unless given.
+
+    Raises InvalidFieldError when M is not a positive multiple of 2L or the
+    x column is not the grid's -L + h*i.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     x, vals = data[:, 0], data[:, 1]
     if grid is None:
         M = len(vals)
         L = round((x[1] - x[0]) * M / 2)
+        if L <= 0 or M % (2 * L) != 0:
+            raise InvalidFieldError(f"M = {M} is not a positive multiple of 2L = {2 * L}")
         grid = GridSpec(L, M)
+    if len(x) != grid.M or np.max(np.abs(x - grid.x)) > 1e-6 * grid.h:
+        raise InvalidFieldError(f"x column is not the grid -{grid.L} + {grid.h!r} i")
     return Field(grid, vals)
 
 

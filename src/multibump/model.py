@@ -185,9 +185,8 @@ def energy(u: Field, V, f: Nonlinearity) -> float:
 
 def l2_residual(u: Field, lam: float, V, f: Nonlinearity) -> Field:
     """Strong-form residual -u'' + V u - f(u) - lambda u."""
-    vs = gr.potential_samples(V, u.grid)
-    vals = gr.laplacian_apply(u).values + (vs - lam) * u.values - f.f(u.values)
-    return Field(u.grid, vals)
+    op = gr.FourierOperator(u.grid, gr.potential_samples(V, u.grid) - lam)
+    return Field(u.grid, op.apply(u.values) - f.f(u.values))
 
 
 def h1_gradient(u: Field, V, f: Nonlinearity) -> Field:
@@ -205,13 +204,13 @@ class HessianForm:
 
     def __init__(self, u: Field, lam: float, V, f: Nonlinearity):
         self.grid = u.grid
-        self.weight = gr.potential_samples(V, u.grid) - lam - f.fprime(u.values)
+        weight = gr.potential_samples(V, u.grid) - lam - f.fprime(u.values)
+        self.operator = gr.FourierOperator(u.grid, weight)
 
     def __call__(self, v: Field, w: Field) -> float:
         if v.grid != self.grid or w.grid != self.grid:
             raise PreconditionError("hessian form arguments live on a different grid")
-        lhs = gr._neg_laplacian_values(v.values, self.grid) + self.weight * v.values
-        return float(self.grid.h * np.dot(lhs, w.values))
+        return float(self.grid.h * np.dot(self.operator.apply(v.values), w.values))
 
 
 def hessian_form(u: Field, lam: float, V, f: Nonlinearity) -> HessianForm:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.sparse.linalg import minres
 
 from . import grid as gr
 from . import model as md
@@ -80,38 +80,21 @@ def _free_newton(grid: GridSpec, vs: np.ndarray, f: Nonlinearity, u0: np.ndarray
 
     Returns (solution values, iteration count).
     """
-    k2 = grid.wavenumbers**2
-    M = grid.M
-
-    def strong(u):
-        return np.fft.irfft(k2 * np.fft.rfft(u), n=M) + vs * u - f.f(u)
-
+    base = gr.FourierOperator(grid, vs)
     u = u0.copy()
-    res = strong(u)
+    res = base.apply(u) - f.f(u)
     res_norm = np.max(np.abs(res))
     for iteration in range(max_iter):
         if res_norm <= tol:
             return u, iteration
-        weight = vs - f.fprime(u)
-
-        def matvec(v, w=weight):
-            return np.fft.irfft(k2 * np.fft.rfft(v), n=M) + w * v
-
-        A = LinearOperator((M, M), matvec=matvec, dtype=float)
-        c = max(float(np.mean(weight)) + 1.0, 1.0)
-        symbol = 1.0 / (k2 + c)
-        Pre = LinearOperator(
-            (M, M),
-            matvec=lambda r, s=symbol: np.fft.irfft(s * np.fft.rfft(r), n=M),
-            dtype=float,
-        )
+        A, Pre = gr.FourierOperator(grid, vs - f.fprime(u)).minres_system()
         du, info = minres(A, -res, rtol=1e-13, maxiter=3000, M=Pre)
         if info != 0:
             raise LinearSolverError(f"Jacobian solve returned info = {info}")
         step = 1.0
         for _ in range(8):
             trial = u + step * du
-            trial_res = strong(trial)
+            trial_res = base.apply(trial) - f.f(trial)
             trial_norm = np.max(np.abs(trial_res))
             if trial_norm < res_norm:
                 break
@@ -158,6 +141,7 @@ class EpsilonFamily:
     p: float
     members: list = field(default_factory=list)
     _linearizations: dict = field(default_factory=dict, repr=False, compare=False)
+    _criterion: CriterionResult | None = field(default=None, repr=False, compare=False)
 
     def linearization(self, member: FamilyMember) -> sp.Linearization:
         """L at a member (multiplier 0 in the rescaled frame), built once and
@@ -168,6 +152,13 @@ class EpsilonFamily:
             lin = sp.Linearization.assemble(member.point.u, 0.0, Veps, Nonlinearity(self.p))
             self._linearizations[member.eps] = lin
         return lin
+
+    @property
+    def criterion(self) -> CriterionResult:
+        """Limit pairing criterion_value(p) on the members' grid, computed once."""
+        if self._criterion is None:
+            self._criterion = criterion_value(self.p, grid=self.members[0].point.u.grid)
+        return self._criterion
 
     @property
     def eps_values(self) -> np.ndarray:
@@ -302,7 +293,7 @@ def z_eps_check(family: EpsilonFamily) -> list[dict]:
 
     if not family.members:
         raise PreconditionError("family is empty")
-    limit = criterion_value(family.p, grid=family.members[0].point.u.grid)
+    limit = family.criterion
     rows = []
     for m in family.members:
         try:

@@ -8,6 +8,7 @@ import pytest
 from multibump import cli, errors
 from multibump.cli import RunConfig, main
 from multibump.errors import ConfigError
+from multibump.grid import Field, GridSpec, read_field_binary, write_field_csv
 
 BASE_CONFIG = {
     "grid": {"L": 16, "M": 1024},
@@ -182,6 +183,16 @@ class TestEvolveCommand:
         dists = [float(r.split(",")[3]) for r in rows]
         assert max(dists) < 1e-4
 
+    def test_partial_last_step_exits_3(self, groundstate_run, tmp_path, capsys):
+        _, _, out = groundstate_run
+        data = dict(BASE_CONFIG)
+        data["dynamics"] = {"dt": 0.003, "t_end": 0.01}  # 3.33 steps
+        cfg = write_config(tmp_path, data)
+        rc = main(["--config", cfg, "--out", str(tmp_path / "evo"),
+                   "evolve", str(out / "groundstate_field.bin")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("precondition failure: t_end")
+
 
 class TestSweepCommand:
     def test_multiple_bump_counts(self, tmp_path):
@@ -190,9 +201,15 @@ class TestSweepCommand:
         data["bumps"] = {"n_list": [2], "separations": [10]}
         cfg = write_config(tmp_path, data)
         out = tmp_path / "out"
-        rc = main(["--config", cfg, "--out", str(out), "--jobs", "2", "sweep"])
+        rc = main(["--config", cfg, "--out", str(out), "sweep"])
         assert rc == 0
         assert (out / "n2" / "glue_sweep.csv").exists()
+
+    def test_jobs_flag_is_gone(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "2", "sweep"])
+        assert exit_info.value.code == 2
 
 
 class TestPotentialGauge:
@@ -229,6 +246,27 @@ class TestSemiclassicalCommand:
             cells = line.split(",")
             assert int(cells[3]) == 0 and int(cells[4]) == 1  # m, m_f
             assert float(cells[5]) < 0  # subcritical pairing
+
+    def test_one_criterion_solve(self, tmp_path, monkeypatch):
+        from multibump import semiclassical
+
+        calls = []
+        original = semiclassical.criterion_value
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(semiclassical, "criterion_value", counted)
+        data = {
+            "grid": {"L": 20, "M": 1280},
+            "potential": {"kind": "cosine", "amplitude": -0.3, "shift": 0.3},
+            "nonlinearity": {"p": 4.0},
+            "semiclassical": {"eps_list": [0.2], "m_V": 0},
+        }
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "semiclassical"]) == 0
+        assert len(calls) == 1
 
     def test_end_to_end_gluing(self, tmp_path):
         # total mass chosen so the per-bump share matches eps = 0.2 exactly,
@@ -323,13 +361,31 @@ def _garbage(path, source):
     path.write_bytes(b"nonsense")
 
 
+def _csv_misaligned(path, source):
+    # a CSV field on L = 7 with M = 64
+    grid = GridSpec(7, 64)
+    write_field_csv(Field(grid, np.cos(grid.x)), path)
+
+
+def _csv_off_grid(path, source):
+    # the field of `source` with its x column moved by half a spacing
+    field = read_field_binary(source)
+    x = field.grid.x + 0.5 * field.grid.h
+    path.write_text("x,value\n" + "".join(
+        f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, field.values)))
+
+
 class TestBadFieldFiles:
     @pytest.mark.parametrize("command", ["spectrum", "evolve"])
-    @pytest.mark.parametrize("make", [_truncated, _misaligned, _garbage, None],
-                             ids=["truncated", "misaligned", "garbage", "missing"])
+    @pytest.mark.parametrize(
+        "make",
+        [_truncated, _misaligned, _garbage, None, _csv_misaligned, _csv_off_grid],
+        ids=["truncated", "misaligned", "garbage", "missing", "csv_misaligned", "csv_off_grid"],
+    )
     def test_exit_3_without_traceback(self, groundstate_run, tmp_path, capsys, command, make):
         _, cfg, out = groundstate_run
-        field = tmp_path / "field.bin"
+        csv = make in (_csv_misaligned, _csv_off_grid)
+        field = tmp_path / ("field.csv" if csv else "field.bin")
         if make is not None:
             make(field, out / "groundstate_field.bin")
         rc = main(["--config", cfg, "--out", str(tmp_path / "o"), command, str(field)])

@@ -74,6 +74,14 @@ class TestPropagate:
         with pytest.raises(PreconditionError):
             propagate(ComplexField.from_real(point.u), V1, f, dt=0.5, t_end=1.0)
 
+    def test_rejects_partial_last_step(self, standing, V1):
+        # 0.01 / 0.003 = 3.33 steps: the run would silently end at t = 0.009
+        point, f = standing
+        with pytest.raises(PreconditionError):
+            propagate(ComplexField.from_real(point.u), V1, f, dt=0.003, t_end=0.01)
+        traj = propagate(ComplexField.from_real(point.u), V1, f, dt=0.002, t_end=0.01)
+        assert traj.times[-1] == pytest.approx(0.01, rel=1e-12)
+
 
 class TestOrbitDistance:
     def test_pure_phase_is_zero(self, standing):

@@ -11,11 +11,13 @@ from multibump.errors import (
     AssumptionViolationError,
     GridMismatchError,
     InvalidFieldError,
+    LinearSolverError,
     MisalignedTranslationError,
     SingularOperatorError,
 )
 from multibump.grid import (
     Field,
+    FourierOperator,
     GridSpec,
     derivative,
     inner_h1v,
@@ -219,6 +221,48 @@ class TestResolvent:
             assert np.max(np.abs(lhs.values - rhs.values)) < 1e-10
 
 
+def _dense_neg_laplacian(grid):
+    """-d^2/dx^2 as a dense matrix from the explicit Fourier sum
+    (1/M) sum_m k_m^2 exp(i k_m (x_i - x_j)), without an FFT."""
+    k = 2 * np.pi * np.fft.fftfreq(grid.M, d=grid.h)
+    modes = np.exp(1j * np.outer(grid.x, k))
+    return np.real((modes * k**2) @ modes.conj().T) / grid.M
+
+
+class TestFourierOperator:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=hst.integers(0, 10_000), bordered=hst.booleans(),
+           M=hst.sampled_from([64, 96, 128]))
+    def test_apply_matches_dense(self, seed, bordered, M):
+        grid = GridSpec(2, M)
+        rng = np.random.default_rng(seed)
+        weight = rng.uniform(-3.0, 3.0, M)
+        dense = _dense_neg_laplacian(grid) + np.diag(weight)
+        border = rng.standard_normal(M) if bordered else None
+        if bordered:
+            dense = np.block([[dense, -border[:, None]], [-border[None, :], np.zeros((1, 1))]])
+        op = FourierOperator(grid, weight, border=border)
+        x = rng.standard_normal(op.size)
+        assert op.size == M + bordered
+        assert_allclose(op.apply(x), dense @ x, rtol=0, atol=1e-10 * np.max(np.abs(dense @ x)))
+
+    def test_cg_solves_spd_to_tolerance(self):
+        grid = GridSpec(4, 256)
+        rng = np.random.default_rng(3)
+        weight = 0.2 + rng.uniform(0.0, 2.0, grid.M)
+        rhs = rng.standard_normal(grid.M)
+        op = FourierOperator(grid, weight)
+        z = op.cg(rhs, tol=1e-10)
+        assert np.max(np.abs(rhs - op.apply(z))) <= 1e-10 * np.max(np.abs(rhs))
+        dense = _dense_neg_laplacian(grid) + np.diag(weight)
+        assert_allclose(z, np.linalg.solve(dense, rhs), rtol=0, atol=1e-8 * np.max(np.abs(z)))
+
+    def test_cg_rejects_indefinite(self):
+        grid = GridSpec(2, 64)
+        with pytest.raises(LinearSolverError):
+            FourierOperator(grid, np.full(grid.M, -1.0)).cg(np.ones(grid.M))
+
+
 class TestSpectrumBottomHelper:
     def test_constant(self, grid24):
         assert operator_bottom_eigenvalue(Potential.const(2.5), grid24) == pytest.approx(
@@ -258,6 +302,25 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(InvalidFieldError):
             read_field_binary(path)
+
+    def test_csv_rejects_misaligned_grid(self, tmp_path):
+        # L = 7 with M = 64: unit translations would not be grid shifts
+        grid = GridSpec(7, 64)
+        path = tmp_path / "misaligned.csv"
+        write_field_csv(Field(grid, np.cos(grid.x)), path)
+        with pytest.raises(InvalidFieldError):
+            read_field_csv(path)
+
+    def test_csv_rejects_off_grid_x(self, soliton24, tmp_path):
+        grid = soliton24.grid
+        path = tmp_path / "shifted.csv"
+        rows = zip(grid.x + 0.5 * grid.h, soliton24.values)
+        path.write_text("x,value\n" + "".join(f"{float(x)!r},{float(v)!r}\n" for x, v in rows))
+        with pytest.raises(InvalidFieldError):
+            read_field_csv(path)
+        write_field_csv(soliton24, path)
+        with pytest.raises(InvalidFieldError):
+            read_field_csv(path, grid=GridSpec(12, grid.M))
 
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
