@@ -8,7 +8,9 @@ point phi with multiplier lambda gives the exact orbit phi*exp(i lambda t), is
 Strang splitting alternates exact half-steps of the kinetic part in the
 Fourier basis with exact pointwise phase rotation for the potential and
 nonlinear parts, so the particle number h*sum(|u|^2) is conserved to
-roundoff at every step.
+roundoff at every step (Bao, Jin & Markowich, J. Comput. Phys. 175, 2002).
+The kinetic half-steps of adjacent steps compose exactly, so between two
+records each step costs one inverse and one forward FFT.
 """
 
 from __future__ import annotations
@@ -54,48 +56,51 @@ class ComplexField:
 
     @property
     def mass(self) -> float:
-        return float(self.grid.h * np.sum(np.abs(self.values) ** 2))
+        return float(self.grid.h * np.sum(_density(self.values)))
+
+
+def _density(values: np.ndarray) -> np.ndarray:
+    """|values|^2 without the square root of np.abs."""
+    return values.real**2 + values.imag**2
+
+
+def _wavenumbers(grid: GridSpec) -> np.ndarray:
+    """Full complex-FFT wavenumbers (rad/length), length M."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.M, d=grid.h)
 
 
 def complex_energy(psi: ComplexField, V, f) -> float:
     """E(psi) = 1/2 integral(|psi'|^2 + V |psi|^2) - integral(F(|psi|))."""
     grid = psi.grid
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.M, d=grid.h)
     coeffs = np.fft.fft(psi.values)
-    kinetic = grid.h * float(np.sum(k**2 * np.abs(coeffs) ** 2)) / grid.M
+    kinetic = grid.h * float(np.sum(_wavenumbers(grid) ** 2 * _density(coeffs))) / grid.M
     vs = gr.potential_samples(V, grid)
-    dens = np.abs(psi.values) ** 2
     return float(
         0.5 * kinetic
-        + 0.5 * grid.h * np.sum(vs * dens)
+        + 0.5 * grid.h * np.sum(vs * _density(psi.values))
         - grid.h * np.sum(f.F(np.abs(psi.values)))
     )
-
-
-def _h1_pairing(psi_vals: np.ndarray, phi_vals: np.ndarray, grid: GridSpec) -> complex:
-    """Standard complex H1 pairing integral(psi' conj(phi)' + psi conj(phi))."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.M, d=grid.h)
-    a = np.fft.fft(psi_vals)
-    b = np.fft.fft(phi_vals)
-    return complex(grid.h * np.sum((k**2 + 1.0) * a * np.conj(b)) / grid.M)
 
 
 def orbit_distance(psi: ComplexField, phi: Field, lam: float) -> float:
     """H1 distance of psi to the phase orbit of the standing wave phi.
 
     The reference orbit is phi times a unit phase; the minimizing phase
-    has the closed form theta = arg of the complex H1 pairing.  lam only
-    labels the orbit (it rotates the phase in time without changing the
-    set swept).
+    has the closed form theta = arg of the complex H1 pairing
+    c = integral(psi' conj(phi)' + psi conj(phi)), so the squared distance
+    is |psi|_H1^2 + |phi|_H1^2 - 2|c|.  All three come from one transform
+    of psi and one of phi.  lam only labels the orbit (it rotates the phase
+    in time without changing the set swept).
     """
     del lam
     if psi.grid != phi.grid:
         raise PreconditionError("psi and phi live on different grids")
     grid = psi.grid
-    c = _h1_pairing(psi.values, phi.values.astype(complex), grid)
-    na = np.real(_h1_pairing(psi.values, psi.values, grid))
-    nb = np.real(_h1_pairing(phi.values.astype(complex), phi.values.astype(complex), grid))
-    d2 = na + nb - 2.0 * abs(c)
+    weight = (grid.h / grid.M) * (_wavenumbers(grid) ** 2 + 1.0)
+    a = np.fft.fft(psi.values)
+    b = np.fft.fft(phi.values)
+    c = np.vdot(b, weight * a)
+    d2 = np.dot(weight, _density(a)) + np.dot(weight, _density(b)) - 2.0 * abs(c)
     return float(np.sqrt(max(d2, 0.0)))
 
 
@@ -124,10 +129,18 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
               mass_drift_tol: float = 1e-10, dt_cap: float = 0.05) -> TrajectoryRecord:
     """Strang split-step evolution from psi0 up to t_end.
 
+    Each step is H N H, with H = exp(i k^2 dt/2) the kinetic half-step in
+    Fourier space and N the pointwise phase rotation.  Adjacent half-steps
+    fuse (H N H . H N H = H N H^2 N H), so between steps the state stays in
+    Fourier space with the next first half-step already applied: a step is
+    ifft, N, fft and a multiplication by H^2, and a record reads the state
+    as ifft(H coeffs) before that multiplication.  The result is the plain
+    Strang scheme up to roundoff.
+
     reference, when given as (phi, lambda), adds an orbit-distance trace.
     t_end must be a whole number of steps (to 1e-9 relative).  Raises
-    IntegratorFaultError if the relative particle-number drift ever exceeds
-    mass_drift_tol.
+    IntegratorFaultError if at a record the field is not finite or the
+    relative particle-number drift exceeds mass_drift_tol.
     """
     if dt <= 0 or dt > dt_cap:
         raise PreconditionError(f"time step must lie in (0, {dt_cap}], got {dt}")
@@ -136,10 +149,10 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
         raise PreconditionError(f"t_end = {t_end} is not a whole number of steps dt = {dt}")
     grid = psi0.grid
     vs = gr.potential_samples(V, grid)
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.M, d=grid.h)
-    half_kinetic = np.exp(1j * k**2 * (0.5 * dt))
+    half_kinetic = np.exp(1j * _wavenumbers(grid) ** 2 * (0.5 * dt))
+    kinetic = half_kinetic * half_kinetic
+    rotation = np.empty(grid.M, dtype=complex)
 
-    psi = psi0.values.copy()
     mass0 = psi0.mass
 
     times = [0.0]
@@ -154,22 +167,28 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
         snap_times.append(0.0)
         snaps.append(psi0.values.copy())
 
-    t = 0.0
+    # coeffs holds H fft(psi(t)) at the top of each step.
+    coeffs = half_kinetic * np.fft.fft(psi0.values)
     for step in range(1, n_steps + 1):
+        psi = np.fft.ifft(coeffs)
+        theta = dt * (vs - f.g(_density(psi)))
+        # exp(i theta) written part by part: no complex exp, no allocation
+        np.cos(theta, out=rotation.real)
+        np.sin(theta, out=rotation.imag)
+        psi *= rotation
         coeffs = np.fft.fft(psi)
-        psi = np.fft.ifft(half_kinetic * coeffs)
-        phase = vs - f.g(np.abs(psi) ** 2)
-        psi = np.exp(1j * dt * phase) * psi
-        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
         t = step * dt
 
         if step % record_stride == 0 or step == n_steps:
-            current = ComplexField(grid, psi)
-            m = current.mass
+            psi = np.fft.ifft(half_kinetic * coeffs)
+            m = float(grid.h * np.sum(_density(psi)))
+            if not np.isfinite(m):
+                raise IntegratorFaultError(f"field is no longer finite at t = {t:.4f}")
             if abs(m - mass0) > mass_drift_tol * mass0:
                 raise IntegratorFaultError(
                     f"particle-number drift {abs(m - mass0) / mass0:.3e} at t = {t:.4f}"
                 )
+            current = ComplexField(grid, psi)
             times.append(t)
             masses.append(m)
             energies.append(complex_energy(current, V, f))
@@ -178,6 +197,7 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
             if snapshot_stride and (step % snapshot_stride == 0 or step == n_steps):
                 snap_times.append(t)
                 snaps.append(psi.copy())
+        coeffs *= kinetic
 
     return TrajectoryRecord(
         times=np.asarray(times),

@@ -293,28 +293,19 @@ def _h_norm(v: Field, mu: float, V) -> float:
     return float(np.sqrt(max(gr.inner_h1v(v, v, V), 0.0) + mu**2))
 
 
-def _solve_bordered_h(pt: ExtendedPoint, V, f, y_field: Field, y_scalar: float):
-    """Apply the inverse of the block second derivative in its metric form.
-
-    T (v, mu) = y is reduced to the strong-form bordered system by
-    applying -Lap + V to the field part of y.
-    """
-    grid = pt.u.grid
-    vs = gr.potential_samples(V, grid)
-    strong_rhs = gr.FourierOperator(grid, vs).apply(y_field.values)
-    sol = _solve_bordered(_jacobian(pt, vs, f), np.append(strong_rhs, y_scalar / grid.h))
-    return Field(grid, sol[: grid.M]), float(sol[grid.M])
-
-
 def bordered_sigma_min(pt: ExtendedPoint, V, f, iters: int = 50,
                        rtol: float = 1e-6, seed: int = 0) -> float:
     """Smallest singular value of the block second derivative at pt.
 
     Inverse power iteration on the symmetric block operator in the
     preconditioned metric; 1/sigma_min estimates the inverse norm in the
-    contraction bound.
+    contraction bound.  Each step applies the inverse in its metric form:
+    T (v, mu) = y is reduced to the strong-form bordered system by applying
+    -Lap + V to the field part of y.
     """
     grid = pt.u.grid
+    vs = gr.potential_samples(V, grid)
+    jacobian, metric = _jacobian(pt, vs, f), gr.FourierOperator(grid, vs)
     rng = np.random.default_rng(seed)
     v = Field(grid, rng.standard_normal(grid.M))
     mu = float(rng.standard_normal())
@@ -322,7 +313,8 @@ def bordered_sigma_min(pt: ExtendedPoint, V, f, iters: int = 50,
     v, mu = (1.0 / nrm) * v, mu / nrm
     sigma = np.inf
     for _ in range(iters):
-        w_f, w_s = _solve_bordered_h(pt, V, f, v, mu)
+        sol = _solve_bordered(jacobian, np.append(metric.apply(v.values), mu / grid.h))
+        w_f, w_s = Field(grid, sol[: grid.M]), float(sol[grid.M])
         nrm = _h_norm(w_f, w_s, V)
         sigma_new = 1.0 / nrm
         v, mu = (1.0 / nrm) * w_f, w_s / nrm

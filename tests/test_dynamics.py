@@ -5,12 +5,13 @@ import pytest
 
 from multibump.dynamics import (
     ComplexField,
+    complex_energy,
     growth_rate_fit,
     orbit_distance,
     propagate,
 )
-from multibump.errors import FitRejectedError, PreconditionError
-from multibump.grid import Field, GridSpec, inner_l2
+from multibump.errors import FitRejectedError, IntegratorFaultError, PreconditionError
+from multibump.grid import Field, GridSpec, inner_l2, potential_samples
 from multibump.model import Nonlinearity
 from multibump.stationary import ConstrainedCriticalPoint, limit_profile
 
@@ -24,6 +25,97 @@ def standing(V1):
     point = ConstrainedCriticalPoint.measure(u, -1.0, inner_l2(u, u), V1, f)
     point.certify()
     return point, f
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy.fft transforms called, in order."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(a, *args, _original=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _wave_packet(grid):
+    """Moving Gaussian: generic complex data, neither stationary nor symmetric."""
+    return ComplexField(grid, 1.2 * np.exp(-(grid.x - 0.3) ** 2 + 0.8j * grid.x))
+
+
+def _strang_reference(psi0, V, f, dt, n_steps, record_stride, snapshot_stride):
+    """The split step written plainly: H N H with four FFTs per step.
+
+    Records and snapshots follow propagate's rule (every stride-th step and
+    the last one); returns (times, mass, energy, snapshots).
+    """
+    grid = psi0.grid
+    vs = potential_samples(V, grid)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.M, d=grid.h)
+    half_kinetic = np.exp(1j * k**2 * (0.5 * dt))
+    psi = psi0.values.copy()
+    times, masses, energies = [0.0], [psi0.mass], [complex_energy(psi0, V, f)]
+    snaps = [psi.copy()]
+    for step in range(1, n_steps + 1):
+        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+        psi = np.exp(1j * dt * (vs - f.g(np.abs(psi) ** 2))) * psi
+        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+        if step % record_stride == 0 or step == n_steps:
+            current = ComplexField(grid, psi)
+            times.append(step * dt)
+            masses.append(current.mass)
+            energies.append(complex_energy(current, V, f))
+            if step % snapshot_stride == 0 or step == n_steps:
+                snaps.append(psi.copy())
+    return np.array(times), np.array(masses), np.array(energies), snaps
+
+
+class TestFusedSplitStep:
+    N_STEPS = 50
+
+    @pytest.mark.parametrize("record_stride", [1, 7, N_STEPS])
+    def test_matches_plain_strang(self, record_stride, vcos, f4):
+        # 7 does not divide 50: the last record comes off the stride
+        grid = GridSpec(8, 256)
+        psi0 = _wave_packet(grid)
+        dt = 2e-3
+        times, mass, energy, snaps = _strang_reference(
+            psi0, vcos, f4, dt, self.N_STEPS, record_stride, snapshot_stride=14)
+        traj = propagate(psi0, vcos, f4, dt=dt, t_end=self.N_STEPS * dt,
+                         record_stride=record_stride, snapshot_stride=14)
+        np.testing.assert_allclose(traj.times, times, rtol=1e-12)
+        np.testing.assert_allclose(traj.mass, mass, rtol=1e-12)
+        np.testing.assert_allclose(traj.energy, energy, rtol=1e-12)
+        assert len(traj.snapshots) == len(snaps)
+        for got, want in zip(traj.snapshots, snaps):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_two_ffts_per_step(self, fft_calls, vcos, f4):
+        grid = GridSpec(8, 256)
+        psi0 = _wave_packet(grid)
+        reference = (Field(grid, np.exp(-grid.x**2)), -1.0)
+
+        def count(n_steps, record_stride):
+            fft_calls.clear()
+            propagate(psi0, vcos, f4, dt=1e-3, t_end=n_steps * 1e-3,
+                      reference=reference, record_stride=record_stride)
+            return len(fft_calls)
+
+        per_step = (count(60, 60) - count(30, 30)) / 30  # one record in each run
+        per_record = (count(60, 10) - count(60, 60)) / 5
+        assert per_step <= 2
+        # read the state, its energy, and the orbit distance (psi and phi)
+        assert per_record <= 4
+
+    def test_non_finite_field_is_an_integrator_fault(self, V1, f8):
+        # |psi|^6 overflows in the first phase rotation
+        grid = GridSpec(8, 256)
+        psi0 = ComplexField(grid, 1e60 * np.exp(-grid.x**2).astype(complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegratorFaultError, match="finite"):
+                propagate(psi0, V1, f8, dt=1e-3, t_end=0.01)
 
 
 class TestPropagate:
@@ -113,6 +205,32 @@ class TestOrbitDistance:
         assert orbit_distance(rotated, point.u, point.lam) == pytest.approx(
             base, rel=1e-12
         )
+
+
+def _three_pairing_distance(psi, phi):
+    """Orbit distance from three separate H1 pairings (psi-phi, psi-psi, phi-phi)."""
+    grid = psi.grid
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.M, d=grid.h)
+
+    def pairing(a, b):
+        return complex(grid.h * np.sum((k**2 + 1.0) * np.fft.fft(a) * np.conj(np.fft.fft(b)))
+                       / grid.M)
+
+    phi_c = phi.values.astype(complex)
+    d2 = (pairing(psi.values, psi.values).real + pairing(phi_c, phi_c).real
+          - 2.0 * abs(pairing(psi.values, phi_c)))
+    return float(np.sqrt(max(d2, 0.0)))
+
+
+class TestOrbitDistanceFormula:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_three_pairings(self, seed):
+        grid = GridSpec(8, 256)
+        rng = np.random.default_rng(seed)
+        psi = ComplexField(grid, rng.standard_normal(grid.M) + 1j * rng.standard_normal(grid.M))
+        phi = Field(grid, rng.standard_normal(grid.M))
+        assert orbit_distance(psi, phi, 0.0) == pytest.approx(
+            _three_pairing_distance(psi, phi), rel=1e-13)
 
 
 class TestGrowthRate:

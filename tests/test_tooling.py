@@ -4,6 +4,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import numpy.fft
 import numpy.linalg
 
@@ -17,10 +18,14 @@ KRYLOV_AND_ENTRY_POINTS = ((gluing, "minres"), (semiclassical, "minres"), (grid,
                            (gluing, "_newton_step"), (gluing, "extended_gradient_norm"))
 
 
-def test_tracer_install_and_uninstall_restore_every_attribute(monkeypatch):
+def _tracer(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracer = importlib.import_module("tracer").Tracer()
+    return importlib.import_module("tracer").Tracer()
+
+
+def test_tracer_install_and_uninstall_restore_every_attribute(monkeypatch):
+    tracer = _tracer(monkeypatch)
     before = {owner: dict(vars(owner)) for owner in OWNERS}
     tracer.install()  # raises AttributeError if a name it traces is gone
     try:
@@ -33,3 +38,23 @@ def test_tracer_install_and_uninstall_restore_every_attribute(monkeypatch):
         now = vars(owner)
         changed = sorted(k for k in saved.keys() | now.keys() if now.get(k) is not saved.get(k))
         assert not changed, f"{owner.__name__}: {changed}"
+
+
+def test_tracer_counts_split_step_ffts_and_records(monkeypatch, V1):
+    tracer = _tracer(monkeypatch)
+    g = grid.GridSpec(4, 64)
+    u = grid.Field(g, np.exp(-g.x**2))
+    psi0 = dynamics.ComplexField.from_real(u)
+    tracer.install()
+    try:  # 20 steps, a record every 5
+        dynamics.propagate(psi0, V1, model.Nonlinearity(4.0), dt=1e-3, t_end=0.02,
+                           reference=(u, -1.0), record_stride=5)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    # two FFTs per step, one per record to read the state, one to enter Fourier space
+    assert counts["dynamics.step_ffts"] / counts["dynamics.steps"] <= 2 + 1 / 5 + 1 / 20
+    assert counts["dynamics.records"] == 5  # t = 0 and four records
+    assert tracer.calls["dynamics.orbit_distance"] == 5
+    assert tracer.calls["dynamics.ComplexField.validate"] == 4  # one per record
+    assert tracer.tag_s["record"] > 0.0
