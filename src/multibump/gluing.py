@@ -11,8 +11,8 @@ solves the (M+1)-dimensional bordered block system
     [ -Lap + V - lambda - f'(u)   -u ] [du     ]   [ -r      ]
     [        -(u, .)_2             0 ] [dlambda] = [ +c/2    ]
 
-as one symmetric indefinite solve (MINRES with a Fourier-diagonal
-preconditioner), with no Schur-complement splitting.
+as one symmetric indefinite solve (MINRES on the Fourier-split form of the
+operator, grid.SplitOperator), with no Schur-complement splitting.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import minres
 
 from . import grid as gr
@@ -139,19 +140,23 @@ def _jacobian(pt: ExtendedPoint, vs: np.ndarray, f) -> gr.FourierOperator:
 
 
 def _solve_bordered(op: gr.FourierOperator, rhs, rtol=1e-12, maxiter=3000):
-    """MINRES on the symmetric bordered system with residual verification.
+    """MINRES on the split form of the symmetric bordered system, with the
+    residual verified on the operator itself.
 
     Accepts at the roundoff floor of the spectral operator when the
-    requested tolerance sits below it.
+    requested tolerance sits below it.  MINRES's own stopping test weighs
+    its residual against |S^{-1} x| rather than |x|, so it is run a decade
+    tighter than rtol; otherwise most solves take a second round.
     """
-    A, Pre = op.minres_system()
+    split = op.minres_split()
     scale = np.linalg.norm(rhs)
     if scale == 0.0:
         return np.zeros_like(rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()
     for _ in range(4):
-        dx, info = minres(A, r, rtol=rtol, maxiter=maxiter, M=Pre)
+        dy, info = minres(split, split.forward(r), rtol=0.1 * rtol, maxiter=maxiter)
+        dx = split.back(dy)
         x = x + dx
         r = rhs - op.apply(x)
         floor = 100 * np.finfo(float).eps * op.scale * max(
@@ -295,33 +300,52 @@ def _h_norm(v: Field, mu: float, V) -> float:
 
 def bordered_sigma_min(pt: ExtendedPoint, V, f, iters: int = 50,
                        rtol: float = 1e-6, seed: int = 0) -> float:
-    """Smallest singular value of the block second derivative at pt.
+    """Smallest singular value of the block second derivative T at pt.
 
-    Inverse power iteration on the symmetric block operator in the
-    preconditioned metric; 1/sigma_min estimates the inverse norm in the
-    contraction bound.  Each step applies the inverse in its metric form:
-    T (v, mu) = y is reduced to the strong-form bordered system by applying
-    -Lap + V to the field part of y.
+    T is symmetric in the preconditioned metric h(Gv, v) + mu^2 with
+    G = -Lap + V; 1/sigma_min estimates the inverse norm in the contraction
+    bound.  Lanczos on T^{-1} in that metric, with full reorthogonalization,
+    so a cluster of small singular values (n nearly decoupled bumps) is
+    resolved.  Each step applies T^{-1} as one strong-form bordered solve:
+    T (v, mu) = y is reduced to it by applying G to the field part of y.
+    Stops when the Ritz value theta of largest modulus has Ritz residual at
+    most rtol |theta| and returns 1/|theta|; iters caps the steps and seed
+    sets the start vector.
     """
     grid = pt.u.grid
+    M, h = grid.M, grid.h
     vs = gr.potential_samples(V, grid)
     jacobian, metric = _jacobian(pt, vs, f), gr.FourierOperator(grid, vs)
+
+    def gram(x):  # the metric's Gram matrix times x
+        return np.append(h * metric.apply(x[:M]), x[M])
+
     rng = np.random.default_rng(seed)
-    v = Field(grid, rng.standard_normal(grid.M))
-    mu = float(rng.standard_normal())
-    nrm = _h_norm(v, mu, V)
-    v, mu = (1.0 / nrm) * v, mu / nrm
-    sigma = np.inf
-    for _ in range(iters):
-        sol = _solve_bordered(jacobian, np.append(metric.apply(v.values), mu / grid.h))
-        w_f, w_s = Field(grid, sol[: grid.M]), float(sol[grid.M])
-        nrm = _h_norm(w_f, w_s, V)
-        sigma_new = 1.0 / nrm
-        v, mu = (1.0 / nrm) * w_f, w_s / nrm
-        if np.isfinite(sigma) and abs(sigma_new - sigma) <= rtol * sigma:
-            return sigma_new
-        sigma = sigma_new
-    return sigma
+    # the basis, filled row by row: growing stacked copies would fragment the
+    # heap and raise the peak memory with every call
+    Q = np.empty((iters + 1, M + 1))
+    Q[0] = np.append(rng.standard_normal(M), rng.standard_normal())
+    Q[0] /= _h_norm(Field(grid, Q[0, :M]), Q[0, M], V)  # also checks that -Lap + V > 0
+    gq = gram(Q[0])
+    alphas, betas = [], []
+    for j in range(iters):
+        w = _solve_bordered(jacobian, gq / h)
+        basis = Q[: j + 1]
+        coef = basis @ gram(w)
+        alphas.append(coef[-1])
+        w -= coef @ basis
+        w -= (basis @ gram(w)) @ basis  # second pass: orthogonal to roundoff
+        gq = gram(w)
+        beta = float(np.sqrt(max(np.dot(w, gq), 0.0)))
+        thetas, vecs = eigh_tridiagonal(alphas, betas)
+        top = int(np.argmax(np.abs(thetas)))
+        theta = abs(thetas[top])
+        if beta * abs(vecs[-1, top]) <= rtol * theta:
+            break
+        betas.append(beta)
+        Q[j + 1] = w / beta
+        gq /= beta
+    return float(1.0 / theta)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ treated as immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -36,6 +37,7 @@ __all__ = [
     "norm_l2",
     "norm_h1",
     "FourierOperator",
+    "SplitOperator",
     "resolvent_solve",
     "operator_bottom_eigenvalue",
     "potential_samples",
@@ -241,7 +243,7 @@ def norm_h2(u: Field) -> float:
     return float(np.sqrt(u.grid.h * np.sum(spectrum) / u.grid.M))
 
 
-# -- the Fourier-preconditioned operator -Lap + diag(weight) -----------------
+# -- the operator -Lap + diag(weight) and its split form ---------------------
 
 
 class FourierOperator:
@@ -251,10 +253,10 @@ class FourierOperator:
         [        -u^T            0 ]
 
     acting on (v, mu) stacked as one vector of length M + 1.  It carries the
-    Fourier-diagonal preconditioner (-Lap + c)^{-1} (identity on the border
-    row), the operator scale that sets the roundoff floor of its solves, the
-    preconditioned CG solve, and the (operator, preconditioner) pair for
-    MINRES.  Each solve fixes its own preconditioner constant c.
+    operator scale that sets the roundoff floor of its solves, the CG solve,
+    and the split forms (see SplitOperator) its Krylov solves run on: CG and
+    MINRES with the Fourier preconditioner (-Lap + c)^{-1} are plain CG and
+    MINRES on S A S with S = (-Lap + c)^{-1/2}.  Each solve fixes its own c.
     """
 
     def __init__(self, grid: GridSpec, weight: np.ndarray | float,
@@ -278,53 +280,45 @@ class FourierOperator:
             return top
         return np.concatenate([top - x[M] * border, [-np.dot(border, v)]])
 
-    def _preconditioner(self, c: float):
-        symbol = 1.0 / (self._k2 + c)
-        M, border = self.grid.M, self.border
+    def split(self, c: float) -> SplitOperator:
+        """S A S in orthonormal real Fourier coordinates, S = (k^2 + c)^{-1/2}."""
+        return SplitOperator(self, c)
 
-        def apply(x):
-            field = np.fft.irfft(symbol * np.fft.rfft(x[:M]), n=M)
-            return field if border is None else np.concatenate([field, x[M:]])
-
-        return apply
-
-    def minres_system(self) -> tuple[LinearOperator, LinearOperator]:
-        """(operator, preconditioner) for MINRES; c = max(mean weight + 1, 1)."""
-        c = max(float(np.mean(self.weight)) + 1.0, 1.0)
-        shape = (self.size, self.size)
-        return (LinearOperator(shape, matvec=self.apply, dtype=float),
-                LinearOperator(shape, matvec=self._preconditioner(c), dtype=float))
+    def minres_split(self) -> SplitOperator:
+        """The split form MINRES runs on: c = max(mean weight + 1, 1)."""
+        return self.split(max(float(np.mean(self.weight)) + 1.0, 1.0))
 
     def cg(self, rhs: np.ndarray, tol: float = 1e-12, max_iter: int = 4000) -> np.ndarray:
-        """Preconditioned CG for an SPD operator, c = max(mean weight, 0.05),
-        so the preconditioned operator is a compact perturbation of the identity.
+        """CG for an SPD operator on its split form, c = max(mean weight, 0.05),
+        so the split operator is a compact perturbation of the identity.
 
         Terminates on the true residual in the sup norm; requests below the
         roundoff floor of the spectral operator (machine eps times its scale)
         are satisfied at that floor.
         """
-        apply_pre = self._preconditioner(max(float(np.mean(self.weight)), 0.05))
+        split = self.split(max(float(np.mean(self.weight)), 0.05))
         op_scale = self.scale
         scale = float(np.max(np.abs(rhs)))
         if scale == 0.0:
             return np.zeros_like(rhs)
         target = tol * scale
 
-        z = np.zeros_like(rhs)
-        r = rhs.copy()
-        p = apply_pre(r)
-        zr = np.dot(r, p)
-        d = p.copy()
+        r = split.forward(rhs)
+        y = np.zeros_like(r)
+        rr = np.dot(r, r)
+        d = r.copy()
         best_true = np.inf
         for _ in range(max_iter):
-            Ad = self.apply(d)
+            Ad = split.apply(d)
             dAd = np.dot(d, Ad)
             if dAd <= 0.0:
                 raise LinearSolverError("CG direction of nonpositive curvature; operator not SPD")
-            alpha = zr / dAd
-            z = z + alpha * d
-            r = r - alpha * Ad
-            if np.max(np.abs(r)) < target:
+            alpha = rr / dAd
+            y += alpha * d
+            r -= alpha * Ad
+            # the grid residual's sup norm is at most its 2-norm, |S^{-1} r|
+            if split.field_norm(r) < target:
+                z = split.back(y)
                 true_r = rhs - self.apply(z)
                 true_norm = np.max(np.abs(true_r))
                 floor = 50 * np.finfo(float).eps * op_scale * max(
@@ -341,35 +335,86 @@ class FourierOperator:
                         f"CG stalled at residual {true_norm:.3e} (target {target:.3e})"
                     )
                 best_true = min(best_true, true_norm)
-                r = true_r
-            pnew = apply_pre(r)
-            zr_new = np.dot(r, pnew)
-            beta = zr_new / zr
-            d = pnew + beta * d
-            zr = zr_new
+                r = split.forward(true_r)
+            rr_new = np.dot(r, r)
+            d *= rr_new / rr
+            d += r
+            rr = rr_new
         raise LinearSolverError(
-            f"CG stalled at residual {np.max(np.abs(rhs - self.apply(z))):.3e}"
+            f"CG stalled at residual {np.max(np.abs(rhs - self.apply(split.back(y)))):.3e}"
         )
 
 
+class SplitOperator(LinearOperator):
+    """S A S for a FourierOperator A, with S = (k^2 + c)^{-1/2} (identity on
+    the border entry), in orthonormal real Fourier coordinates.
+
+    A coordinate vector holds the rfft coefficients of a grid field, scaled so
+    that the map from the M grid values is an isometry, and viewed as M + 2
+    reals (the imaginary parts of the mean and Nyquist modes stay zero); the
+    border entry follows when A is bordered, and the border itself becomes
+    S u.  In these coordinates S is diagonal, so one apply is one irfft and
+    one rfft.  A system A x = r becomes S A S y = S r (forward) with
+    x = S y (back).
+    """
+
+    def __init__(self, op: FourierOperator, c: float):
+        M, k2 = op.grid.M, op._k2
+        iso = np.full(len(k2), np.sqrt(2.0 / M))  # rfft coefficient -> coordinate
+        iso[0] = iso[-1] = np.sqrt(1.0 / M)
+        s = 1.0 / np.sqrt(k2 + c)
+        self.op, self._n = op, M + 2
+        self._diag, self._in, self._out = k2 * s**2, s / iso, s * iso
+        self._unscale = 1.0 / s
+        self._border = None if op.border is None else self.forward(op.border)
+        super().__init__(float, (self._n + (op.border is not None),) * 2)
+
+    def forward(self, r: np.ndarray) -> np.ndarray:
+        """S r: grid values (plus the border entry) to split coordinates."""
+        y = (self._out * np.fft.rfft(r[: self.op.grid.M])).view(float)
+        return y if len(r) == self.op.grid.M else np.append(y, r[-1])
+
+    def back(self, y: np.ndarray) -> np.ndarray:
+        """S y: split coordinates to grid values (plus the border entry)."""
+        v = np.fft.irfft(self._in * y[: self._n].view(complex), n=self.op.grid.M)
+        return v if len(y) == self._n else np.append(v, y[-1])
+
+    def field_norm(self, y: np.ndarray) -> float:
+        """2-norm of the grid field S^{-1} y, without a transform."""
+        return float(np.linalg.norm(self._unscale * y[: self._n].view(complex)))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        n, border = self._n, self._border
+        xc = x[:n].view(complex)
+        field = np.fft.irfft(self._in * xc, n=self.op.grid.M)
+        out = np.fft.rfft(self.op.weight * field)
+        out *= self._out
+        out += self._diag * xc
+        out = out.view(float)
+        if border is None:
+            return out
+        out -= x[n] * border
+        return np.append(out, -np.dot(border, x[:n]))
+
+    def _matvec(self, x):
+        return self.apply(np.ravel(x))
+
+
 # -- resolvent of -Lap + V - shift ------------------------------------------
-
-_bottom_cache: dict = {}
-
 
 def operator_bottom_eigenvalue(V, grid: GridSpec) -> float:
     """Smallest eigenvalue of the discrete periodic -Lap + V.
 
     Computed by Lanczos iteration on the inverse operator (the inverse is
     applied by conjugate gradients with a safe shift below min V), cached
-    per (grid, potential samples).
+    per (grid, potential samples) for the most recently used potentials.
     """
-    vs = potential_samples(V, grid)
-    key = (grid.L, grid.M, vs.tobytes())
-    hit = _bottom_cache.get(key)
-    if hit is not None:
-        return hit
+    return _bottom_eigenvalue(grid, potential_samples(V, grid).tobytes())
 
+
+@lru_cache(maxsize=16)  # a continuation adds one potential per eps
+def _bottom_eigenvalue(grid: GridSpec, samples: bytes) -> float:
+    vs = np.frombuffer(samples)
     safe_shift = float(vs.min()) - 1.0
     shifted = FourierOperator(grid, vs - safe_shift)
     op = LinearOperator((grid.M, grid.M), matvec=lambda w: shifted.cg(w, tol=1e-13),
@@ -377,9 +422,7 @@ def operator_bottom_eigenvalue(V, grid: GridSpec) -> float:
     rng = np.random.default_rng(0)
     v0 = np.ones(grid.M) + 1e-3 * rng.standard_normal(grid.M)
     vals = eigsh(op, k=1, which="LA", tol=1e-12, v0=v0, return_eigenvectors=False)
-    bottom = safe_shift + 1.0 / float(vals[0])
-    _bottom_cache[key] = bottom
-    return bottom
+    return safe_shift + 1.0 / float(vals[0])
 
 
 def _require_positive_bottom(vs: np.ndarray, grid: GridSpec) -> float:

@@ -186,7 +186,9 @@ def energy(u: Field, V, f: Nonlinearity) -> float:
 def l2_residual(u: Field, lam: float, V, f: Nonlinearity) -> Field:
     """Strong-form residual -u'' + V u - f(u) - lambda u."""
     op = gr.FourierOperator(u.grid, gr.potential_samples(V, u.grid) - lam)
-    return Field(u.grid, op.apply(u.values) - f.f(u.values))
+    with np.errstate(over="ignore", invalid="ignore"):  # Field rejects a non-finite residual
+        values = op.apply(u.values) - f.f(u.values)
+    return Field(u.grid, values)
 
 
 def h1_gradient(u: Field, V, f: Nonlinearity) -> Field:

@@ -76,7 +76,7 @@ def _check_normalization(V: Potential) -> None:
 
 def _free_newton(grid: GridSpec, vs: np.ndarray, f: Nonlinearity, u0: np.ndarray,
                  tol: float = 1e-11, max_iter: int = 25):
-    """Newton for -u'' + vs*u = |u|^(p-2) u, MINRES on the symmetric Jacobian.
+    """Newton for -u'' + vs*u = |u|^(p-2) u, MINRES on the split Jacobian.
 
     Returns (solution values, iteration count).
     """
@@ -87,10 +87,11 @@ def _free_newton(grid: GridSpec, vs: np.ndarray, f: Nonlinearity, u0: np.ndarray
     for iteration in range(max_iter):
         if res_norm <= tol:
             return u, iteration
-        A, Pre = gr.FourierOperator(grid, vs - f.fprime(u)).minres_system()
-        du, info = minres(A, -res, rtol=1e-13, maxiter=3000, M=Pre)
+        split = gr.FourierOperator(grid, vs - f.fprime(u)).minres_split()
+        dy, info = minres(split, split.forward(-res), rtol=1e-13, maxiter=3000)
         if info != 0:
             raise LinearSolverError(f"Jacobian solve returned info = {info}")
+        du = split.back(dy)
         step = 1.0
         for _ in range(8):
             trial = u + step * du

@@ -19,7 +19,7 @@ eigenvalues (within tau0) are reported and make counts provisional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -50,20 +50,20 @@ __all__ = [
 TAU0_RELATIVE = 1e-6  # zero threshold as a fraction of the spectral radius
 
 
-_dense_neglap_cache: dict = {}
-
-
 def _dense_operator(grid: GridSpec, V, lam: float, weight: np.ndarray) -> np.ndarray:
     """Dense symmetric discretization of -Lap + V - lambda - weight."""
-    neglap = _dense_neglap_cache.get((grid.L, grid.M))
-    if neglap is None:  # spectral -d^2/dx^2 is circulant
-        neglap = scipy.linalg.circulant(np.fft.irfft(grid.wavenumbers**2, n=grid.M))
-        neglap = 0.5 * (neglap + neglap.T)
-        neglap.setflags(write=False)
-        _dense_neglap_cache[(grid.L, grid.M)] = neglap
-    mat = neglap.copy()
+    mat = _dense_neglap(grid).copy()
     mat.flat[:: grid.M + 1] += gr.potential_samples(V, grid) - lam - weight
     return mat
+
+
+@lru_cache(maxsize=4)
+def _dense_neglap(grid: GridSpec) -> np.ndarray:
+    """Spectral -d^2/dx^2 as a dense (circulant) matrix, read-only."""
+    neglap = scipy.linalg.circulant(np.fft.irfft(grid.wavenumbers**2, n=grid.M))
+    neglap = 0.5 * (neglap + neglap.T)
+    neglap.setflags(write=False)
+    return neglap
 
 
 def linearized_matrix(u: Field, lam: float, V, f) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Harness: config validation, artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,13 @@ import pytest
 from multibump import cli, errors
 from multibump.cli import RunConfig, main
 from multibump.errors import ConfigError
-from multibump.grid import Field, GridSpec, read_field_binary, write_field_csv
+from multibump.grid import (
+    Field,
+    GridSpec,
+    read_field_binary,
+    write_field_binary,
+    write_field_csv,
+)
 
 BASE_CONFIG = {
     "grid": {"L": 16, "M": 1024},
@@ -192,6 +202,28 @@ class TestEvolveCommand:
                    "evolve", str(out / "groundstate_field.bin")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("precondition failure: t_end")
+
+    def test_overflowing_field_prints_one_line(self, tmp_path):
+        # a separate interpreter: pytest would capture numpy's RuntimeWarnings
+        grid = GridSpec(16, 1024)
+        field_path = tmp_path / "big.bin"
+        write_field_binary(Field(grid, 1e60 * np.exp(-grid.x**2)), field_path)
+        data = dict(BASE_CONFIG)
+        data["nonlinearity"] = {"p": 8.0}
+        data["dynamics"] = {"dt": 1e-3, "t_end": 0.01}
+        cfg = write_config(tmp_path, data)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "multibump", "--config", cfg, "--out",
+             str(tmp_path / "evo"), "evolve", str(field_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "precondition failure: field contains non-finite entries"
+        ]
 
 
 class TestSweepCommand:

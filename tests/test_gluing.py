@@ -226,6 +226,37 @@ class TestGlue:
             assert norm_h1(pt.u - ref.u) < 1e-8
 
 
+@pytest.fixture(scope="module")
+def ubar768(vcos, f4):
+    """The single-bump minimizer on GridSpec(24, 768), small enough for dense pencils."""
+    from multibump.gluing import ground_state
+    from multibump.grid import GridSpec
+
+    return ground_state(GridSpec(24, 768), 4.5, vcos, f4, center=0.5)
+
+
+class TestBorderedSigmaMin:
+    @pytest.mark.parametrize("offsets", [(-4, 4), (-8, 0, 8), (-15, -5, 5, 15)])
+    def test_matches_dense_pencil(self, ubar768, vcos, f4, zero_f, offsets):
+        # T is the pencil (h J, B): J the strong-form bordered Jacobian,
+        # B = diag(h (-Lap + V), 1) the metric; sigma_min = min |eigenvalue|
+        import scipy.linalg
+
+        from multibump.spectra import linearized_matrix
+
+        u = superpose(ubar768.u, BumpConfig(len(offsets), offsets))
+        lam, h, M = ubar768.lam, u.grid.h, u.grid.M
+        J = np.zeros((M + 1, M + 1))
+        J[:M, :M] = linearized_matrix(u, lam, vcos, f4)
+        J[:M, M] = J[M, :M] = -u.values
+        B = np.zeros((M + 1, M + 1))
+        B[:M, :M] = h * linearized_matrix(u, 0.0, vcos, zero_f)
+        B[M, M] = 1.0
+        dense = np.min(np.abs(scipy.linalg.eigh(h * J, B, eigvals_only=True)))
+        sigma = bordered_sigma_min(ExtendedPoint(u, lam), vcos, f4)
+        assert sigma == pytest.approx(dense, rel=1e-6)
+
+
 class TestShadowingCertificate:
     def test_exact_point_satisfies_residual_condition(self, ubar, vcos, f4):
         report = shadowing_certificate(

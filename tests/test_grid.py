@@ -263,6 +263,111 @@ class TestFourierOperator:
             FourierOperator(grid, np.full(grid.M, -1.0)).cg(np.ones(grid.M))
 
 
+def _dense_split_coordinates(grid, c):
+    """S F as a dense (M + 2) x M matrix from explicit cosines and sines:
+    F maps grid values to the orthonormal real rfft coordinates (real and
+    imaginary part of each mode, interleaved), S = (k^2 + c)^{-1/2}."""
+    M = grid.M
+    j = np.arange(M)
+    rows = []
+    for m in range(M // 2 + 1):
+        w = np.sqrt(1.0 / M) if m in (0, M // 2) else np.sqrt(2.0 / M)
+        rows += [w * np.cos(2 * np.pi * m * j / M), -w * np.sin(2 * np.pi * m * j / M)]
+    k2 = (2 * np.pi * np.arange(M // 2 + 1) / (2 * grid.L)) ** 2
+    return np.repeat(1.0 / np.sqrt(k2 + c), 2)[:, None] * np.array(rows)
+
+
+def _counting_ffts(monkeypatch):
+    calls = [0]
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        def counted(*args, _original=getattr(np.fft, name), **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _counting_split_applies(monkeypatch):
+    from multibump.grid import SplitOperator
+
+    calls = [0]
+
+    def counted(self, x, _original=SplitOperator.apply):
+        calls[0] += 1
+        return _original(self, x)
+
+    monkeypatch.setattr(SplitOperator, "apply", counted)
+    return calls
+
+
+class TestSplitOperator:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=hst.integers(0, 10_000), bordered=hst.booleans(),
+           M=hst.sampled_from([64, 96, 128]), c=hst.floats(0.05, 4.0))
+    def test_apply_matches_dense(self, seed, bordered, M, c):
+        grid = GridSpec(2, M)
+        rng = np.random.default_rng(seed)
+        weight = rng.uniform(-3.0, 3.0, M)
+        sf = _dense_split_coordinates(grid, c)
+        dense = sf @ (_dense_neg_laplacian(grid) + np.diag(weight)) @ sf.T
+        border = rng.standard_normal(M) if bordered else None
+        if bordered:
+            su = sf @ border
+            dense = np.block([[dense, -su[:, None]], [-su[None, :], np.zeros((1, 1))]])
+        split = FourierOperator(grid, weight, border=border).split(c)
+        assert split.shape == (M + 2 + bordered,) * 2
+        # the imaginary parts of the mean and Nyquist modes are no field's coordinates
+        x = rng.standard_normal(M + 2 + bordered)
+        x[[1, M + 1]] = 0.0
+        assert_allclose(split.apply(x), dense @ x, rtol=0,
+                        atol=1e-10 * np.max(np.abs(dense @ x)))
+        r = rng.standard_normal(M + bordered)
+        assert_allclose(split.forward(r)[: M + 2], sf @ r[:M], rtol=0, atol=1e-12)
+        assert_allclose(split.back(x)[:M], sf.T @ x[: M + 2], rtol=0, atol=1e-12)
+
+    def test_bordered_minres_matches_dense_solve(self):
+        from multibump.gluing import _solve_bordered
+
+        grid = GridSpec(4, 256)
+        rng = np.random.default_rng(7)
+        weight = rng.uniform(-1.5, 2.0, grid.M)
+        border = np.exp(-grid.x**2)
+        op = FourierOperator(grid, weight, border=border)
+        dense = np.block([
+            [_dense_neg_laplacian(grid) + np.diag(weight), -border[:, None]],
+            [-border[None, :], np.zeros((1, 1))],
+        ])
+        rhs = rng.standard_normal(op.size)
+        x = _solve_bordered(op, rhs, rtol=1e-10)
+        assert np.linalg.norm(rhs - dense @ x) <= 1e-9 * np.linalg.norm(rhs)
+        exact = np.linalg.solve(dense, rhs)
+        assert_allclose(x, exact, rtol=0, atol=1e-7 * np.max(np.abs(exact)))
+
+    def test_cg_two_ffts_per_iteration(self, monkeypatch):
+        grid = GridSpec(4, 256)
+        rng = np.random.default_rng(4)
+        op = FourierOperator(grid, 0.05 + rng.uniform(0.0, 100.0, grid.M))
+        rhs = rng.standard_normal(grid.M)
+        ffts, iters = _counting_ffts(monkeypatch), _counting_split_applies(monkeypatch)
+        op.cg(rhs, tol=1e-12)
+        assert iters[0] > 10
+        assert ffts[0] <= 2 * iters[0] + 8
+
+    def test_minres_two_ffts_per_iteration(self, monkeypatch):
+        from multibump.gluing import _solve_bordered
+
+        grid = GridSpec(4, 256)
+        rng = np.random.default_rng(8)
+        op = FourierOperator(grid, rng.uniform(-1.5, 2.0, grid.M),
+                             border=np.exp(-grid.x**2))
+        rhs = rng.standard_normal(op.size)
+        ffts, iters = _counting_ffts(monkeypatch), _counting_split_applies(monkeypatch)
+        _solve_bordered(op, rhs, rtol=1e-12)
+        assert iters[0] > 10
+        assert ffts[0] <= 2 * iters[0] + 8
+
+
 class TestSpectrumBottomHelper:
     def test_constant(self, grid24):
         assert operator_bottom_eigenvalue(Potential.const(2.5), grid24) == pytest.approx(
@@ -272,6 +377,18 @@ class TestSpectrumBottomHelper:
     def test_cosine_band_bounds(self, grid24, vcos):
         bottom = operator_bottom_eigenvalue(vcos, grid24)
         assert 0.5 < bottom < 1.5
+
+    def test_cache_is_bounded(self):
+        from multibump import grid as gr
+
+        grid = GridSpec(2, 64)
+        base = 1.0 + 0.3 * np.cos(np.pi * grid.x)
+        bottoms = [operator_bottom_eigenvalue(base + 0.1 * i, grid) for i in range(20)]
+        info = gr._bottom_eigenvalue.cache_info()
+        assert info.currsize == info.maxsize < 20
+        uncached = gr._bottom_eigenvalue.__wrapped__(grid, base.tobytes())
+        assert operator_bottom_eigenvalue(base, grid) == uncached == bottoms[0]
+        assert_allclose(np.diff(bottoms), 0.1, rtol=1e-9)
 
 
 class TestSerialization:
