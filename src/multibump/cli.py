@@ -50,6 +50,7 @@ from .errors import (
     PositivityViolationError,
     PreconditionError,
     SingularOperatorError,
+    UncertifiedCountError,
 )
 
 __all__ = ["RunConfig", "main"]
@@ -83,6 +84,7 @@ _EXIT_CODES = (
             IntegratorFaultError,
             FitRejectedError,
             DegenerateSuperpositionError,
+            UncertifiedCountError,
         ),
         4,
         "solver failure",
@@ -369,10 +371,12 @@ def cmd_spectrum(config: RunConfig, out: Path, field_file: str,
         out / "spectrum.json",
         {**report.to_dict(), "lambda": lam, "residual": res_norm, **_metadata(config)},
     )
+    # the full spectrum of L: the one dense eigensolve left outside the pencil
+    eigenvalues = np.linalg.eigvalsh(sp.linearized_matrix(u, lam, V, f))
     _write_csv(
         out / "spectrum_eigenvalues.csv",
         ["index", "value"],
-        [[i, float(v)] for i, v in enumerate(report.eigenvalues)],
+        [[i, float(v)] for i, v in enumerate(eigenvalues)],
     )
     return 0
 

@@ -110,3 +110,15 @@ class FitRejectedError(MultibumpError):
 
 class ConfigError(MultibumpError):
     """A run configuration is malformed or violates a parse-time invariant."""
+
+
+class UncertifiedCountError(MultibumpError):
+    """A Ritz block reached its size cap without certifying a Morse count.
+
+    Carries the last block size and its largest Ritz residual.
+    """
+
+    def __init__(self, message, block_size=None, residual=None):
+        super().__init__(message)
+        self.block_size = block_size
+        self.residual = residual

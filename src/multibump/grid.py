@@ -272,9 +272,10 @@ class FourierOperator:
         return float(self._k2[-1] + np.max(np.abs(self.weight)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The operator times x (M values, or M + 1 when bordered)."""
+        """The operator times x (M values, or M + 1 when bordered); an
+        unbordered operator also applies to each row of a stack of fields."""
         M, border = self.grid.M, self.border
-        v = x[:M]
+        v = x if border is None else x[:M]
         top = np.fft.irfft(self._k2 * np.fft.rfft(v), n=M) + self.weight * v
         if border is None:
             return top

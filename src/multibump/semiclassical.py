@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import minres
+from scipy.sparse.linalg import LinearOperator, minres
 
 from . import grid as gr
 from . import model as md
@@ -258,7 +258,8 @@ def criterion_value(p: float, grid: GridSpec | None = None) -> CriterionResult:
 
     z solves (-Lap + 1 - (p-1) u0^(p-2)) z = u0 on the complement of the
     translation mode (the kernel is deflated with the analytic derivative
-    of the profile, not a numerical eigenvector).  The closed form is
+    of the profile, not a numerical eigenvector), by MINRES on the split
+    form with the residual verified on the operator.  The closed form is
     (1/4 - 1/(p-2)) |u0|_2^2, negative below the critical exponent 6 and
     positive above it.
     """
@@ -271,10 +272,18 @@ def criterion_value(p: float, grid: GridSpec | None = None) -> CriterionResult:
     mode = st.limit_profile_derivative(grid, p, 1.0)
     psi = mode.values / (np.sqrt(grid.h) * np.linalg.norm(mode.values))
 
-    L = sp.linearized_matrix(u0, 0.0, Potential.const(1.0), f)
-    # rank-one shift moves the deflated direction away from zero
-    shifted = L + np.outer(psi, psi) * grid.h * 1.0
-    z = np.linalg.solve(shifted, u0.values)
+    op = gr.FourierOperator(grid, 1.0 - f.fprime(u0.values))
+    split = op.minres_split()
+    q = split.forward(psi)
+    # the rank-one shift h psi psi^T moves the deflated direction away from
+    # zero; in split coordinates it is h q q^T with q = S psi
+    system = LinearOperator(split.shape, dtype=float,
+                            matvec=lambda y: split.apply(y) + grid.h * np.dot(q, y) * q)
+    y, info = minres(system, split.forward(u0.values), rtol=1e-13, maxiter=3000)
+    z = split.back(y)
+    residual = float(np.max(np.abs(op.apply(z) + grid.h * np.dot(psi, z) * psi - u0.values)))
+    if info != 0 or residual > 1e-10 * max(1.0, float(np.max(np.abs(u0.values)))):
+        raise LinearSolverError(f"deflated pairing solve reached residual {residual:.3e}")
     z = z - grid.h * np.dot(psi, z) * psi
     numeric = float(grid.h * np.dot(z, u0.values))
     mass = gr.inner_l2(u0, u0)

@@ -11,31 +11,41 @@ and counting on the tangent space of the mass sphere gives the
 constrained Morse index.  The sign of (z, u)_2 with L z = u decides which
 of the two indices the constraint sees and classifies nondegeneracy.
 
-Counts are exact, from one dense eigensolve of L per critical point and
-the inertia of the bordered matrix [[L - s, u], [u^T, 0]].  Near-zero
-eigenvalues (within tau0) are reported and make counts provisional.
+Counts are matrix-free.  The free count, the gap and the near-zero
+eigenvalues come from a Fourier-preconditioned LOBPCG block of the lowest
+eigenvalues of L (Knyazev 2001), grown until its Ritz residuals certify the
+count.  z and the pairings u^T (L - s)^{-1} u come from MINRES solves, and
+the constrained count from the inertia of the bordered matrix
+[[L - s, u], [u^T, 0]].  Near-zero eigenvalues (within tau0) are reported
+and make counts provisional.  Two dense computations remain: the full
+spectrum the spectrum command writes, and the instability pencil.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, lobpcg, minres
 
 from . import grid as gr
 from .errors import (
+    LinearSolverError,
     NoInstabilityDetected,
     NotFreelyNondegenerateError,
     PositivityViolationError,
     PreconditionError,
+    UncertifiedCountError,
 )
 from .grid import Field, GridSpec
 from .stationary import ConstrainedCriticalPoint
 
 __all__ = [
     "MorseCount",
+    "RitzBlock",
     "Linearization",
     "SpectralReport",
     "InstabilityResult",
@@ -48,6 +58,10 @@ __all__ = [
 ]
 
 TAU0_RELATIVE = 1e-6  # zero threshold as a fraction of the spectral radius
+_RITZ_TOL = 1e-12     # LOBPCG residual target as a fraction of the top eigenvalue
+_LOBPCG_MAXITER = 200
+_BLOCK_START, _BLOCK_CAP = 3, 64  # LOBPCG block size: first try, and the cap
+_SOLVE_RTOL = 1e-10   # sup-norm residual of a MINRES solve, relative to max(1, |rhs|)
 
 
 def _dense_operator(grid: GridSpec, V, lam: float, weight: np.ndarray) -> np.ndarray:
@@ -124,28 +138,131 @@ def _reflect(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x - 2.0 * (v @ x) * v
 
 
-class Linearization:
-    """Symmetric L and constraint direction u, with one eigensolve of L.
+@dataclass(frozen=True)
+class RitzBlock:
+    """Lowest Ritz pairs of a symmetric operator with their residual norms.
 
-    The zero threshold tau0 (used for both counts), the gap and the free
-    count are set at construction; z = L^{-1} u and the constrained count
-    are computed on first use.
+    Each Ritz value lies within its residual norm of an eigenvalue (the
+    vectors are orthonormal), and the block's k values bound the k lowest
+    eigenvalues from above.
     """
 
-    def __init__(self, L: np.ndarray, u: Field):
-        self.L, self.u = L, u
-        self.eigenvalues = np.linalg.eigvalsh(L)
-        self.tau0 = TAU0_RELATIVE * float(np.max(np.abs(self.eigenvalues)))
-        self.gap = float(np.min(np.abs(self.eigenvalues)))
-        self.free = _count_below_threshold(self.eigenvalues, self.tau0)
+    values: np.ndarray
+    vectors: np.ndarray = field(repr=False)
+    residuals: np.ndarray
+
+    def certifies(self, points) -> bool:
+        """True when no residual interval holds one of the points and the top
+        interval lies above all of them (or the block spans the space): the
+        count below each point is then the block's, provided the block holds
+        the lowest eigenvalues."""
+        lo, hi = self.values - self.residuals, self.values + self.residuals
+        above = lo[-1] > max(points) or len(self.values) == len(self.vectors)
+        return above and not any(np.any((lo <= p) & (p <= hi)) for p in points)
+
+
+class Linearization:
+    """Symmetric L and constraint direction u, matrix-free.
+
+    L is a grid.FourierOperator, whose LOBPCG block is preconditioned by
+    (k^2 + c)^{-1} and whose MINRES solves run on its split form, or any
+    symmetric LinearOperator (unpreconditioned).  L is never formed.  The
+    radius, the zero threshold tau0 (used for both counts), the certified
+    Ritz block, the gap and the free count are set at construction;
+    z = L^{-1} u and the constrained count are computed on first use.
+    """
+
+    def __init__(self, op, u: Field):
+        self.op, self.u, self._rng = op, u, np.random.default_rng(0)
+        n = len(u.values)
+        self._precond = None
+        if isinstance(op, gr.FourierOperator):
+            symbol = op.grid.wavenumbers**2 + max(float(np.mean(op.weight)) + 1.0, 1.0)
+            self._precond = lambda X: np.fft.irfft(np.fft.rfft(X.T) / symbol, n=n).T
+            self._L = LinearOperator((n, n), matvec=lambda x: op.apply(np.ravel(x)),
+                                     matmat=lambda X: op.apply(X.T).T, dtype=float)
+        else:
+            self._L = aslinearoperator(op)
+        top = float(eigsh(self._L, k=1, which="LA", tol=1e-12, v0=self._rng.standard_normal(n),
+                          return_eigenvectors=False)[0])
+        self._ritz_tol = _RITZ_TOL * abs(top)
+        block = self._ritz(self._rng.standard_normal((n, min(_BLOCK_START, _BLOCK_CAP))))
+        self.radius = max(top, -float(block.values[0]))
+        self.tau0 = TAU0_RELATIVE * self.radius
+        self.block = self._certify(block, (-self.tau0, self.tau0))
+        self.gap = float(np.min(np.abs(self.block.values)))
+        self.free = _count_below_threshold(self.block.values, self.tau0)
 
     @classmethod
     def assemble(cls, u: Field, lam: float, V, f) -> "Linearization":
-        return cls(linearized_matrix(u, lam, V, f), u)
+        weight = gr.potential_samples(V, u.grid) - lam - f.fprime(u.values)
+        return cls(gr.FourierOperator(u.grid, weight), u)
+
+    def _ritz(self, start: np.ndarray, constraint: np.ndarray | None = None) -> RitzBlock:
+        """One LOBPCG run from the columns of start; with a constraint column,
+        on the compression P L P to its complement (P the orthogonal
+        projector), whose residuals vanish at its eigenpairs where those of
+        L restricted to the complement do not."""
+        op = self._L
+        if constraint is not None:
+            unit = constraint / np.linalg.norm(constraint)
+
+            def compressed(X):
+                X = X - unit @ (unit.T @ X)
+                X = self._L @ X
+                return X - unit @ (unit.T @ X)
+
+            op = LinearOperator(op.shape, matvec=compressed, matmat=compressed, dtype=float)
+        with warnings.catch_warnings():  # the certificate, not LOBPCG's own test, decides
+            warnings.simplefilter("ignore", UserWarning)
+            values, vectors = lobpcg(op, start, M=self._precond, Y=constraint,
+                                     tol=self._ritz_tol, maxiter=_LOBPCG_MAXITER, largest=False)
+        residuals = op @ vectors - vectors * values
+        return RitzBlock(values, vectors, np.linalg.norm(residuals, axis=0))
+
+    def _certify(self, block: RitzBlock, points, constraint=None) -> RitzBlock:
+        """Double the block, restarting from its vectors, until it certifies
+        the counts below points; UncertifiedCountError at the block cap."""
+        n = len(self.u.values)
+        limit = min(_BLOCK_CAP, n if constraint is None else (n - 1) // 5)
+        while not block.certifies(points):
+            size = len(block.values)
+            if size >= limit:
+                raise UncertifiedCountError(
+                    f"Ritz block of {size} does not certify the count below "
+                    f"{max(points):.3e} (largest residual {np.max(block.residuals):.3e})",
+                    block_size=size, residual=float(np.max(block.residuals)),
+                )
+            fresh = self._rng.standard_normal((n, min(2 * size, limit) - size))
+            block = self._ritz(np.hstack([block.vectors, fresh]), constraint)
+        return block
+
+    def _solve(self, s: float, rhs: np.ndarray):
+        """(x, sup-norm residual) for (L - s) x = rhs: MINRES on the split form
+        of a Fourier operator, refined on the true residual."""
+        if isinstance(self.op, gr.FourierOperator):
+            shifted = gr.FourierOperator(self.op.grid, self.op.weight - s)
+            split = shifted.minres_split()
+            system, forward, back, apply = split, split.forward, split.back, shifted.apply
+        else:
+            def apply(x):
+                return self._L.matvec(x) - s * x
+
+            system = LinearOperator(self._L.shape, matvec=apply, dtype=float)
+            forward = back = np.asarray
+        target = _SOLVE_RTOL * max(1.0, float(np.max(np.abs(rhs))))
+        x, r = np.zeros_like(rhs), rhs
+        for _ in range(3):
+            dy, _ = minres(system, forward(r), rtol=1e-13, maxiter=3000)
+            x = x + back(dy)
+            r = rhs - apply(x)
+            if np.max(np.abs(r)) <= target:
+                break
+        return x, float(np.max(np.abs(r)))
 
     @cached_property
-    def _solution(self) -> np.ndarray:
-        return np.linalg.solve(self.L, self.u.values)
+    def _solution(self):
+        return self._solve(0.0, self.u.values)
 
     @cached_property
     def z(self) -> Field:
@@ -154,23 +271,24 @@ class Linearization:
             raise NotFreelyNondegenerateError(
                 f"spectral gap {self.gap:.3e} is below tau0 = {self.tau0:.3e}"
             )
-        u = self.u.values
-        residual = np.max(np.abs(self.L @ self._solution - u))
-        if residual > 1e-10 * max(1.0, np.max(np.abs(u))):
+        solution, residual = self._solution
+        if residual > _SOLVE_RTOL * max(1.0, np.max(np.abs(self.u.values))):
             raise NotFreelyNondegenerateError(f"z-solve residual {residual:.3e}")
-        return Field(self.u.grid, self._solution)
+        return Field(self.u.grid, solution)
 
     def count_below(self, s: float) -> int:
         """Constrained eigenvalues below s, for s not an eigenvalue of L.
 
         Haynsworth inertia additivity on [[L - s, u], [u^T, 0]] gives
-        #constrained below s = #free below s - 1 + [u^T (L - s)^{-1} u > 0].
+        #constrained below s = #free below s - 1 + [u^T (L - s)^{-1} u > 0];
+        the block grows until it certifies the free count below s.
         """
+        self.block = self._certify(self.block, (s,))
         u = self.u.values
-        shifted = self.L.copy()  # released, with its LU factors, on return
-        shifted.flat[:: len(u) + 1] -= s
-        pairing = u @ np.linalg.solve(shifted, u)
-        return int(np.count_nonzero(self.eigenvalues < s)) - 1 + int(pairing > 0)
+        solution, residual = self._solve(s, u)
+        if residual > _SOLVE_RTOL * max(1.0, np.max(np.abs(u))):
+            raise LinearSolverError(f"pairing solve at s = {s:.3e} reached residual {residual:.3e}")
+        return int(np.count_nonzero(self.block.values < s)) - 1 + int(u @ solution > 0)
 
     @cached_property
     def constrained(self) -> MorseCount:
@@ -179,17 +297,20 @@ class Linearization:
         With no free eigenvalue in [-tau0, tau0], s -> u^T (L - s)^{-1} u
         increases across the band and vanishes at the constrained
         eigenvalues in it: its sign at 0, that of (z, u)_2, gives the count
-        and one shifted solve at the far end shows the band empty.  Else the
-        projected eigensolve runs and reports the near-zero values.
+        and one shifted solve at the far end shows the band empty.  Else a
+        LOBPCG block on the complement of u runs and reports the near-zero
+        values.
         """
         tau0 = self.tau0
         if self.gap > tau0:
-            positive = bool(self.u.values @ self._solution > 0)
+            positive = bool(self.u.values @ self._solution[0] > 0)
             count = self.free.count - 1 + positive
             if count == self.count_below(-tau0 if positive else tau0):
                 return MorseCount(count=count, near_zero=(), tau0=tau0)
-        tangent = _tangent_block(self.L, _householder_vector(self.u.values))
-        return _count_below_threshold(np.linalg.eigvalsh(tangent), tau0)
+        u = self.u.values[:, None]
+        start = self._rng.standard_normal((len(u), min(_BLOCK_START, _BLOCK_CAP)))
+        block = self._certify(self._ritz(start, u), (-tau0, tau0), u)
+        return _count_below_threshold(block.values, tau0)
 
 
 def z_vector(u: Field, lam: float, V, f) -> Field:
@@ -205,7 +326,9 @@ class SpectralReport:
     the constrained index sits one below the free index),
     'fully_nondegenerate_pos' ((z,u)_2 > 0, indices agree) or
     'degenerate' (gap or |(z,u)_2| below tau0; counts provisional).
-    eigenvalues, the spectrum of L, is not serialized.
+    block_size and ritz_residual (the largest residual norm of the block)
+    are the certificate of the free count; eigenvalues, the block's Ritz
+    values, are not serialized.
     """
 
     m: int
@@ -216,6 +339,8 @@ class SpectralReport:
     eigenvalues_near_zero: tuple = ()
     tau0: float = 0.0
     provisional: bool = False
+    block_size: int = 0
+    ritz_residual: float = 0.0
     eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -263,7 +388,9 @@ def classify(u: Field, lam: float, V, f) -> SpectralReport:
         eigenvalues_near_zero=free.near_zero + constrained.near_zero,
         tau0=tau0,
         provisional=free.provisional or constrained.provisional,
-        eigenvalues=lin.eigenvalues,
+        block_size=len(lin.block.values),
+        ritz_residual=float(np.max(lin.block.residuals)),
+        eigenvalues=lin.block.values,
     )
 
 
@@ -339,6 +466,8 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f,
 
         w = (v, -rho L2^{-1} v + beta phi / rho),      rho = sqrt(-mu).
 
+    The pencil is dense; the constrained count and the radius behind the
+    positivity tolerance come from the matrix-free Linearization.
     Raises NoInstabilityDetected when the quotient has no eigenvalue
     below -tau0 (reported, not asserted).
     """
@@ -366,19 +495,24 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f,
 
     hv = _householder_vector(u.values)
     L2t = _tangent_block(L2, hv)
-    eig2 = np.linalg.eigvalsh(L2t)
     # at multibump points the antisymmetric partner of the kernel sits
     # exponentially close to zero but strictly above it; only a roundoff
-    # band below zero counts as a violation
-    pos_tol = 1e4 * np.finfo(float).eps * float(np.max(np.abs(lin.eigenvalues)))
-    if eig2[0] <= pos_tol:
+    # band below zero counts as a violation: L2t - pos_tol must factor
+    pos_tol = 1e4 * np.finfo(float).eps * lin.radius
+    lowered = L2t.copy()
+    lowered.flat[:: len(lowered) + 1] -= pos_tol
+    try:
+        np.linalg.cholesky(lowered)
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(L2t)[0]
         raise PositivityViolationError(
-            f"comparison operator has eigenvalue {eig2[0]:.3e} on the tangent space"
-        )
+            f"comparison operator has eigenvalue {lowest:.3e} on the tangent space"
+        ) from None
+    del lowered
 
     # quotient (L1 v, v) / (L2^{-1} v, v) via the Cholesky congruence
     C = np.linalg.cholesky(L2t)
-    S = C.T @ _tangent_block(lin.L, hv) @ C
+    S = C.T @ _tangent_block(linearized_matrix(u, lam, V, f), hv) @ C
     S = 0.5 * (S + S.T)
     vals, vecs = np.linalg.eigh(S)
     mu = float(vals[0])
@@ -406,10 +540,11 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f,
     l2inv_v = np.concatenate(([0.0], np.linalg.solve(L2t, _reflect(hv, v_vals)[1:])))
     l2inv_v = _reflect(hv, l2inv_v)
     alpha = gr.inner_l2(u, u)
-    beta = float(grid.h * np.dot(lin.L @ v_vals, u.values)) / alpha
+    L1v = lin.op.apply(v_vals)
+    beta = float(grid.h * np.dot(L1v, u.values)) / alpha
     w2 = Field(grid, -rho * l2inv_v + (beta / rho) * u.values)
 
     r_top = np.max(np.abs(-(L2 @ w2.values) - rho * v.values))
-    r_bot = np.max(np.abs(lin.L @ v.values - rho * w2.values))
+    r_bot = np.max(np.abs(L1v - rho * w2.values))
     return InstabilityResult(rho=rho, mu=mu, v=v, beta=beta, second_component=w2,
                              eigen_residual=float(max(r_top, r_bot)))

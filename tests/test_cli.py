@@ -70,6 +70,16 @@ class TestRunConfig:
         assert rc == 2
 
 
+def _run_cli(argv, code=None, **env_vars):
+    """The CLI in a fresh interpreter (or code run with argv), with env_vars set."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **env_vars,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    command = ["-m", "multibump"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *command, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture(scope="module")
 def groundstate_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("gs")
@@ -100,14 +110,17 @@ class TestGroundstate:
         spectrum = json.loads((out / "groundstate_spectrum.json").read_text())
         assert spectrum["m"] == 0 and spectrum["m_f"] == 1
 
-    def test_artifacts_do_not_depend_on_thread_count(self, groundstate_run, monkeypatch):
+    def test_artifacts_do_not_depend_on_thread_count(self, groundstate_run):
+        # BLAS reads its thread count when it loads, so each count needs its
+        # own interpreter
         tmp, cfg, _ = groundstate_run
-        for threads in ("1", "7"):
-            monkeypatch.setenv("OMP_NUM_THREADS", threads)
-            assert main(["--config", cfg, "--out", str(tmp / f"threads{threads}"),
-                         "groundstate"]) == 0
-        assert ((tmp / "threads1" / "groundstate.json").read_bytes()
-                == (tmp / "threads7" / "groundstate.json").read_bytes())
+        for threads in ("1", "2"):
+            proc = _run_cli(["--config", cfg, "--out", str(tmp / f"threads{threads}"),
+                             "groundstate"], OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("groundstate.json", "groundstate_spectrum.json"):
+            assert ((tmp / "threads1" / name).read_bytes()
+                    == (tmp / "threads2" / name).read_bytes())
 
     def test_determinism(self, groundstate_run):
         tmp, cfg, out = groundstate_run
@@ -119,19 +132,32 @@ class TestGroundstate:
 
 
 class TestSpectrumCommand:
-    def test_classifies_existing_field(self, groundstate_run):
+    def test_classifies_existing_field(self, groundstate_run, eigensolve_sizes):
         tmp, cfg, out = groundstate_run
         rc = main([
             "--config", cfg, "--out", str(tmp / "spectrum_out"),
             "spectrum", str(out / "groundstate_field.bin"),
         ])
         assert rc == 0
+        assert eigensolve_sizes == [1024]  # the table's, and no other
         report = json.loads((tmp / "spectrum_out" / "spectrum.json").read_text())
         assert report["classification"] == "fully_nondegenerate_neg"
         rows = (tmp / "spectrum_out" / "spectrum_eigenvalues.csv").read_text().splitlines()
         assert rows[0] == "index,value"
         assert len(rows) == 1 + 1024  # one per grid point
         assert float(rows[1].split(",")[1]) < 0  # single negative direction first
+        values = np.array([float(row.split(",")[1]) for row in rows[1:]])
+        assert np.count_nonzero(values < -report["tau0"]) == report["m_f"]
+
+    def test_uncertified_count_exits_4(self, groundstate_run):
+        tmp, cfg, out = groundstate_run
+        capped = ("import sys; from multibump import cli, spectra; spectra._BLOCK_CAP = 1; "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+        proc = _run_cli(["--config", cfg, "--out", str(tmp / "spectrum_capped"),
+                         "spectrum", str(out / "groundstate_field.bin")], code=capped)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver failure: Ritz block of 1 ")
 
     def test_tampered_field_exits_3(self, groundstate_run):
         from multibump.grid import read_field_binary, write_field_binary, Field
@@ -212,14 +238,8 @@ class TestEvolveCommand:
         data["nonlinearity"] = {"p": 8.0}
         data["dynamics"] = {"dt": 1e-3, "t_end": 0.01}
         cfg = write_config(tmp_path, data)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "multibump", "--config", cfg, "--out",
-             str(tmp_path / "evo"), "evolve", str(field_path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = _run_cli(["--config", cfg, "--out", str(tmp_path / "evo"), "evolve",
+                         str(field_path)])
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             "precondition failure: field contains non-finite entries"

@@ -155,11 +155,23 @@ class TestMorseCheck:
             assert row["m"] == 1
 
     def test_tables_share_one_eigensolve_per_member(self, grid_semi, vmin_well,
-                                                    eigensolve_sizes):
+                                                    eigensolve_sizes, monkeypatch):
+        from multibump import spectra
+
+        blocks = []
+        original = spectra.Linearization._ritz
+
+        def counted(self, start, constraint=None):
+            blocks.append(constraint is None)
+            return original(self, start, constraint)
+
+        monkeypatch.setattr(spectra.Linearization, "_ritz", counted)
         family = continue_family(grid_semi, [0.2, 0.1], vmin_well, 4.0)
         z_eps_check(family)
         morse_check(family, m_V=0)
-        assert eigensolve_sizes == [grid_semi.M] * len(family.members)
+        # one LOBPCG block of L per member, shared by both tables; nothing dense
+        assert blocks == [True] * len(family.members)
+        assert eigensolve_sizes == []
 
 
 class TestSelectMassEpsilon:

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from scipy.sparse.linalg import aslinearoperator
 
+from multibump import spectra
 from multibump.errors import (
     NoInstabilityDetected,
     NotFreelyNondegenerateError,
+    PositivityViolationError,
     PreconditionError,
+    UncertifiedCountError,
 )
 from multibump.gluing import BumpConfig
 from multibump.grid import (
@@ -22,6 +26,7 @@ from multibump.grid import (
 from multibump.model import Potential, hessian_form
 from multibump.spectra import (
     Linearization,
+    RitzBlock,
     SpectralReport,
     _householder_vector,
     _tangent_block,
@@ -90,8 +95,47 @@ class TestMorseCounts:
             assert lin.constrained.count == n - 1
             assert lin.free.count == n
             # the projected eigensolve is the independent check
-            oracle = _projected_eigenvalues(lin.L, point.u.values)
+            L = linearized_matrix(point.u, point.lam, vcos, f4)
+            oracle = _projected_eigenvalues(L, point.u.values)
             assert np.count_nonzero(oracle < -lin.tau0) == n - 1
+            assert np.count_nonzero(np.linalg.eigvalsh(L) < -lin.tau0) == n
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), depth=hst.floats(0.5, 30.0))
+    # a constrained eigenvalue (1.5e-3) inside [-tau0, tau0] although the
+    # free gap is 0.28: the LOBPCG fallback on the complement of u runs
+    @example(seed=3652725608, depth=13.979918075538166)
+    def test_matches_dense_oracle(self, seed, depth, zero_f):
+        # -Lap + w with a random smooth well w: a few negative eigenvalues
+        grid = GridSpec(4, 128)
+        rng = np.random.default_rng(seed)
+
+        def smooth(decay):
+            n = grid.M // 2 + 1
+            modes = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            return np.fft.irfft(modes * np.exp(-np.arange(n) / decay), n=grid.M)
+
+        w = smooth(4.0)
+        w = depth * (w / np.max(np.abs(w)) - rng.uniform(0.0, 1.0))
+        u = Field(grid, smooth(6.0))
+        lin = Linearization.assemble(u, 0.0, w, zero_f)
+
+        L = linearized_matrix(u, 0.0, w, zero_f)
+        spectrum = np.linalg.eigvalsh(L)
+        tau0 = lin.tau0
+        assert tau0 == pytest.approx(1e-6 * np.max(np.abs(spectrum)), rel=1e-9)
+        assert lin.free.count == np.count_nonzero(spectrum < -tau0)
+        assert len(lin.free.near_zero) == np.count_nonzero(np.abs(spectrum) <= tau0)
+        assert lin.gap == pytest.approx(np.min(np.abs(spectrum)), rel=1e-8, abs=1e-11)
+        projected = _projected_eigenvalues(L, u.values)
+        assert lin.constrained.count == np.count_nonzero(projected < -tau0)
+        assert len(lin.constrained.near_zero) == np.count_nonzero(np.abs(projected) <= tau0)
+        if lin.gap > tau0:
+            z_dot_u = grid.h * u.values @ np.linalg.solve(L, u.values)
+            assert inner_l2(lin.z, u) == pytest.approx(z_dot_u, rel=1e-8)
+        else:
+            with pytest.raises(NotFreelyNondegenerateError):
+                lin.z
 
 
 class TestPairingCount:
@@ -117,7 +161,8 @@ class TestPairingCount:
         else:
             c[:n_neg] = 30.0
         u = Field(grid, basis @ c)
-        lin = Linearization(L, u)
+        lin = Linearization(aslinearoperator(L), u)
+        assert lin.tau0 == pytest.approx(1e-6 * np.max(np.abs(spectrum)), rel=1e-9)
         assert np.sign(inner_l2(lin.z, u)) == (1 if positive or n_neg == 0 else -1)
 
         oracle = _projected_eigenvalues(L, u.values)
@@ -132,7 +177,7 @@ class TestPairingCount:
         grid = GridSpec(1, 64)
         L = np.diag(np.concatenate([[-1.0, 1.0 + 2e-7], np.arange(2.0, 64.0)]))
         u = Field(grid, np.concatenate([[1.0, 1.0], np.zeros(62)]))
-        lin = Linearization(L, u)
+        lin = Linearization(aslinearoperator(L), u)
         assert not lin.free.provisional and lin.free.count == 1
         count = lin.constrained
         assert count.count == 0 and count.provisional
@@ -148,11 +193,36 @@ class TestPairingCount:
         reduced = np.linalg.eigvalsh(_tangent_block(L, v))
         assert np.max(np.abs(reduced - dense)) <= 1e-10 * np.max(np.abs(dense))
 
-    def test_classify_makes_one_eigensolve(self, glued_two, vcos, f4, eigensolve_sizes):
+    def test_classify_makes_no_dense_eigensolve(self, glued_two, vcos, f4, eigensolve_sizes):
         point = glued_two[16].point
         report = classify(point.u, point.lam, vcos, f4)
-        assert eigensolve_sizes == [point.u.grid.M]
+        assert eigensolve_sizes == []
         assert (report.m, report.m_f) == (1, 2)
+
+
+class TestRitzCertificate:
+    @staticmethod
+    def _block(values, residuals):
+        return RitzBlock(np.array(values), np.eye(8)[:, : len(values)], np.array(residuals))
+
+    def test_clear_intervals_certify(self):
+        block = self._block([-2.0, -1.0, 0.5], [1e-3, 1e-3, 1e-3])
+        assert block.certifies((-0.01, 0.01))
+
+    @pytest.mark.parametrize("values, residuals", [
+        ([-2.0, -0.0105, 0.5], [1e-3, 1e-3, 1e-3]),   # straddles -tau0
+        ([-2.0, 0.0095, 0.5], [1e-3, 1e-3, 1e-3]),    # straddles +tau0
+        ([-2.0, -1.0, 0.0105], [1e-3, 1e-3, 1e-3]),   # top not clear of +tau0
+        ([-2.0, -1.0, -0.5], [1e-3, 1e-3, 1e-3]),     # block ends below the band
+    ])
+    def test_straddling_or_short_blocks_do_not(self, values, residuals):
+        assert not self._block(values, residuals).certifies((-0.01, 0.01))
+
+    def test_block_cap_raises(self, ubar, vcos, f4, monkeypatch):
+        monkeypatch.setattr(spectra, "_BLOCK_CAP", 1)
+        with pytest.raises(UncertifiedCountError) as err:
+            classify(ubar.u, ubar.lam, vcos, f4)
+        assert err.value.block_size == 1 and err.value.residual >= 0.0
 
 
 class TestZVector:
@@ -198,6 +268,10 @@ class TestClassify:
         report = classify(glued_two[16].point.u, glued_two[16].point.lam, vcos, f4)
         assert report.classification == "fully_nondegenerate_neg"
         assert (report.m, report.m_f) == (1, 2)
+        # the certificate of the free count travels with the report
+        assert report.block_size == len(report.eigenvalues) >= report.m_f + 1
+        assert 0.0 < report.ritz_residual < 1e-6 * report.tau0
+        assert report.to_dict()["block_size"] == report.block_size
 
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -244,6 +318,15 @@ class TestInstability:
             instability_eigenvalue(phi_sub, V1, f4)
         # the quotient minimum was computed and is not below -tau0
         assert err.value.mu is not None and err.value.mu > -1e-2
+
+    def test_positivity_failure_reports_the_eigenvalue(self, phi_super, V1, f8, monkeypatch):
+        def refuse(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        with pytest.raises(PositivityViolationError,
+                           match=r"comparison operator has eigenvalue \S+ on the tangent space"):
+            instability_eigenvalue(phi_super, V1, f8)
 
     def test_requires_positive_wave(self, phi_super, V1, f8):
         from multibump.stationary import ConstrainedCriticalPoint
