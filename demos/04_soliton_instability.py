@@ -48,8 +48,8 @@ phi4 = ConstrainedCriticalPoint.measure(u4, -3.0, inner_l2(u4, u4), V, f4)
 try:
     instability_eigenvalue(phi4, V, f4)
 except NoInstabilityDetected as err:
-    print(f"no unstable eigenvalue: quotient minimum {err.mu:.2e} (at the "
-          "resolution floor; the constrained linearization is nonnegative)")
+    print(f"no unstable eigenvalue: quotient minimum {err.mu:.2e} (the "
+          "constrained linearization is nonnegative, translation mode aside)")
 
 rng = np.random.default_rng(3)
 noise = np.fft.irfft(

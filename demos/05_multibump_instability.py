@@ -25,7 +25,7 @@ ubar = ground_state(grid, 4.5, V, f, center=0.5)
 single = classify(ubar.u, ubar.lam, V, f)
 print(f"single bump:  m = {single.m} (local minimizer)")
 
-for d in (8, 12):
+for d in (8, 12, 16, 18):
     result = glue(ubar, BumpConfig(2, (-d // 2, d // 2)), 9.0, V, f)
     pair = classify(result.point.u, result.point.lam, V, f)
     inst = instability_eigenvalue(result.point, V, f)

@@ -371,7 +371,7 @@ def cmd_spectrum(config: RunConfig, out: Path, field_file: str,
         out / "spectrum.json",
         {**report.to_dict(), "lambda": lam, "residual": res_norm, **_metadata(config)},
     )
-    # the full spectrum of L: the one dense eigensolve left outside the pencil
+    # the full spectrum of L: the one dense eigensolve left
     eigenvalues = np.linalg.eigvalsh(sp.linearized_matrix(u, lam, V, f))
     _write_csv(
         out / "spectrum_eigenvalues.csv",

@@ -65,10 +65,12 @@ class NotFreelyNondegenerateError(MultibumpError):
 
 
 class NoInstabilityDetected(MultibumpError):
-    """The constrained quotient has no eigenvalue below -tau0.
+    """No negative eigenvalue of the constrained quotient is returned.
 
-    Reported, not asserted: it signals that the instability hypotheses
-    fail at the given point.  Carries the measured quotient minimum.
+    Raised when the constrained Morse index is 0 (the quotient has no
+    negative eigenvalue), or when the computed minimum is refused because
+    its residual does not bound its error below its size.  Reported, not
+    asserted.  Carries the computed quotient minimum.
     """
 
     def __init__(self, message, mu=None):

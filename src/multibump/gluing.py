@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import minres
 
 from . import grid as gr
@@ -321,31 +320,13 @@ def bordered_sigma_min(pt: ExtendedPoint, V, f, iters: int = 50,
         return np.append(h * metric.apply(x[:M]), x[M])
 
     rng = np.random.default_rng(seed)
-    # the basis, filled row by row: growing stacked copies would fragment the
-    # heap and raise the peak memory with every call
-    Q = np.empty((iters + 1, M + 1))
-    Q[0] = np.append(rng.standard_normal(M), rng.standard_normal())
-    Q[0] /= _h_norm(Field(grid, Q[0, :M]), Q[0, M], V)  # also checks that -Lap + V > 0
-    gq = gram(Q[0])
-    alphas, betas = [], []
-    for j in range(iters):
-        w = _solve_bordered(jacobian, gq / h)
-        basis = Q[: j + 1]
-        coef = basis @ gram(w)
-        alphas.append(coef[-1])
-        w -= coef @ basis
-        w -= (basis @ gram(w)) @ basis  # second pass: orthogonal to roundoff
-        gq = gram(w)
-        beta = float(np.sqrt(max(np.dot(w, gq), 0.0)))
-        thetas, vecs = eigh_tridiagonal(alphas, betas)
-        top = int(np.argmax(np.abs(thetas)))
-        theta = abs(thetas[top])
-        if beta * abs(vecs[-1, top]) <= rtol * theta:
-            break
-        betas.append(beta)
-        Q[j + 1] = w / beta
-        gq /= beta
-    return float(1.0 / theta)
+    start = np.append(rng.standard_normal(M), rng.standard_normal())
+    start /= _h_norm(Field(grid, start[:M]), start[M], V)  # also checks that -Lap + V > 0
+    thetas, _, top = gr.lanczos(
+        lambda q, gq: _solve_bordered(jacobian, gq / h), gram, start, iters,
+        lambda thetas: int(np.argmax(np.abs(thetas))), rtol,
+    )
+    return float(1.0 / abs(thetas[top]))
 
 
 @dataclass(frozen=True)

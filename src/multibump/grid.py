@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import (
@@ -38,6 +39,7 @@ __all__ = [
     "norm_h1",
     "FourierOperator",
     "SplitOperator",
+    "lanczos",
     "resolvent_solve",
     "operator_bottom_eigenvalue",
     "potential_samples",
@@ -399,6 +401,42 @@ class SplitOperator(LinearOperator):
 
     def _matvec(self, x):
         return self.apply(np.ravel(x))
+
+
+def lanczos(apply, gram, start: np.ndarray, steps: int, select, rtol: float):
+    """Lanczos with full (two-pass) reorthogonalization for an operator that is
+    self-adjoint in the metric (gram(x), y).
+
+    start is unit in the metric; apply(q, gq) is the operator times the basis
+    vector q, whose Gram image gq is passed along.  select(thetas) is the index
+    of the wanted Ritz value among the ascending ones, or None while there is
+    none.  Stops when that value has Ritz residual beta |s_last| at most
+    rtol |theta|, or after steps steps.  Returns the Ritz values, the
+    eigenvectors of the tridiagonal and the wanted index.
+    """
+    # the basis, filled row by row: growing stacked copies would fragment the
+    # heap and raise the peak memory with every call
+    basis = np.empty((steps + 1, len(start)))
+    basis[0] = start
+    gq = gram(start)
+    alphas, betas = [], []
+    for j in range(steps):
+        w = apply(basis[j], gq)
+        active = basis[: j + 1]
+        coef = active @ gram(w)
+        alphas.append(coef[-1])
+        w -= coef @ active
+        w -= (active @ gram(w)) @ active  # second pass: orthogonal to roundoff
+        gq = gram(w)
+        beta = float(np.sqrt(max(np.dot(w, gq), 0.0)))
+        thetas, vecs = eigh_tridiagonal(alphas, betas)
+        wanted = select(thetas)
+        if wanted is not None and beta * abs(vecs[-1, wanted]) <= rtol * abs(thetas[wanted]):
+            break
+        betas.append(beta)
+        basis[j + 1] = w / beta
+        gq /= beta
+    return thetas, vecs, wanted
 
 
 # -- resolvent of -Lap + V - shift ------------------------------------------

@@ -17,8 +17,14 @@ eigenvalues of L (Knyazev 2001), grown until its Ritz residuals certify the
 count.  z and the pairings u^T (L - s)^{-1} u come from MINRES solves, and
 the constrained count from the inertia of the bordered matrix
 [[L - s, u], [u^T, 0]].  Near-zero eigenvalues (within tau0) are reported
-and make counts provisional.  Two dense computations remain: the full
-spectrum the spectrum command writes, and the instability pencil.
+and make counts provisional.
+
+The instability pencil (L1, L2^{-1}) on the tangent space is matrix-free
+too: its negative eigenvalues are counted by the certified constrained
+count (Sylvester inertia), the lowest one comes from Lanczos on the
+inverse pencil with bordered MINRES solves, and it is returned only when
+its residual bounds its error below its size.  One dense computation
+remains: the full spectrum the spectrum command writes.
 """
 
 from __future__ import annotations
@@ -62,6 +68,9 @@ _RITZ_TOL = 1e-12     # LOBPCG residual target as a fraction of the top eigenval
 _LOBPCG_MAXITER = 200
 _BLOCK_START, _BLOCK_CAP = 3, 64  # LOBPCG block size: first try, and the cap
 _SOLVE_RTOL = 1e-10   # sup-norm residual of a MINRES solve, relative to max(1, |rhs|)
+_REFINE_ROUNDS = 10   # MINRES rounds of a pencil solve
+_LANCZOS_STEPS, _LANCZOS_RTOL = 100, 1e-10  # pencil Lanczos: step cap, Ritz residual target
+_POSITIVITY_TOL = 1e4 * np.finfo(float).eps  # roundoff band below zero, relative to the radius
 
 
 def _dense_operator(grid: GridSpec, V, lam: float, weight: np.ndarray) -> np.ndarray:
@@ -108,36 +117,6 @@ def _count_below_threshold(eigenvalues: np.ndarray, tau0: float) -> MorseCount:
     return MorseCount(count=count, near_zero=near, tau0=tau0)
 
 
-# -- tangent space of the mass sphere ------------------------------------------
-# The reflector H = I - 2 v v^T maps e_0 onto the line of u, so Q = H[:, 1:]
-# is an orthonormal basis of its complement.  Q is never formed: with
-# q = A v - (v^T A v) v, H A H = A - 2 (v q^T + q v^T) (Golub & Van Loan 5.1).
-
-
-def _householder_vector(u_vals: np.ndarray) -> np.ndarray:
-    """Unit v such that (I - 2 v v^T) e_0 is parallel to u."""
-    w = u_vals / np.linalg.norm(u_vals)
-    v = w.copy()
-    v[0] += np.copysign(1.0, w[0] if w[0] != 0 else 1.0)
-    return v / np.linalg.norm(v)
-
-
-def _tangent_block(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Q^T A Q for symmetric A, by the rank-2 update of A (exactly symmetric)."""
-    q = A @ v
-    q -= (v @ q) * v
-    update = np.outer(v[1:], q[1:])
-    update = update + update.T
-    update *= -2.0
-    update += A[1:, 1:]
-    return update
-
-
-def _reflect(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H x; Q y is H applied to (0, y), Q^T x is (H x)[1:]."""
-    return x - 2.0 * (v @ x) * v
-
-
 @dataclass(frozen=True)
 class RitzBlock:
     """Lowest Ritz pairs of a symmetric operator with their residual norms.
@@ -161,6 +140,43 @@ class RitzBlock:
         return above and not any(np.any((lo <= p) & (p <= hi)) for p in points)
 
 
+def _linear_operator(op):
+    """(LinearOperator, LOBPCG preconditioner) of a grid.FourierOperator, whose
+    preconditioner is (k^2 + c)^{-1} with c = max(mean weight + 1, 1), or of
+    any symmetric operator (no preconditioner)."""
+    if not isinstance(op, gr.FourierOperator):
+        return aslinearoperator(op), None
+    n = op.grid.M
+    symbol = op.grid.wavenumbers**2 + max(float(np.mean(op.weight)) + 1.0, 1.0)
+    L = LinearOperator((n, n), matvec=lambda x: op.apply(np.ravel(x)),
+                       matmat=lambda X: op.apply(X.T).T, dtype=float)
+    return L, lambda X: np.fft.irfft(np.fft.rfft(X.T) / symbol, n=n).T
+
+
+def _lowest_ritz(L, precond, start: np.ndarray, tol: float,
+                 constraint: np.ndarray | None = None) -> RitzBlock:
+    """One LOBPCG run from the columns of start; with a constraint column, on
+    the compression P L P to its complement (P the orthogonal projector),
+    whose residuals vanish at its eigenpairs where those of L restricted to
+    the complement do not."""
+    op = L
+    if constraint is not None:
+        unit = constraint / np.linalg.norm(constraint)
+
+        def compressed(X):
+            X = X - unit @ (unit.T @ X)
+            X = L @ X
+            return X - unit @ (unit.T @ X)
+
+        op = LinearOperator(L.shape, matvec=compressed, matmat=compressed, dtype=float)
+    with warnings.catch_warnings():  # the caller's test, not LOBPCG's own, decides
+        warnings.simplefilter("ignore", UserWarning)
+        values, vectors = lobpcg(op, start, M=precond, Y=constraint,
+                                 tol=tol, maxiter=_LOBPCG_MAXITER, largest=False)
+    residuals = op @ vectors - vectors * values
+    return RitzBlock(values, vectors, np.linalg.norm(residuals, axis=0))
+
+
 class Linearization:
     """Symmetric L and constraint direction u, matrix-free.
 
@@ -175,14 +191,7 @@ class Linearization:
     def __init__(self, op, u: Field):
         self.op, self.u, self._rng = op, u, np.random.default_rng(0)
         n = len(u.values)
-        self._precond = None
-        if isinstance(op, gr.FourierOperator):
-            symbol = op.grid.wavenumbers**2 + max(float(np.mean(op.weight)) + 1.0, 1.0)
-            self._precond = lambda X: np.fft.irfft(np.fft.rfft(X.T) / symbol, n=n).T
-            self._L = LinearOperator((n, n), matvec=lambda x: op.apply(np.ravel(x)),
-                                     matmat=lambda X: op.apply(X.T).T, dtype=float)
-        else:
-            self._L = aslinearoperator(op)
+        self._L, self._precond = _linear_operator(op)
         top = float(eigsh(self._L, k=1, which="LA", tol=1e-12, v0=self._rng.standard_normal(n),
                           return_eigenvectors=False)[0])
         self._ritz_tol = _RITZ_TOL * abs(top)
@@ -199,26 +208,7 @@ class Linearization:
         return cls(gr.FourierOperator(u.grid, weight), u)
 
     def _ritz(self, start: np.ndarray, constraint: np.ndarray | None = None) -> RitzBlock:
-        """One LOBPCG run from the columns of start; with a constraint column,
-        on the compression P L P to its complement (P the orthogonal
-        projector), whose residuals vanish at its eigenpairs where those of
-        L restricted to the complement do not."""
-        op = self._L
-        if constraint is not None:
-            unit = constraint / np.linalg.norm(constraint)
-
-            def compressed(X):
-                X = X - unit @ (unit.T @ X)
-                X = self._L @ X
-                return X - unit @ (unit.T @ X)
-
-            op = LinearOperator(op.shape, matvec=compressed, matmat=compressed, dtype=float)
-        with warnings.catch_warnings():  # the certificate, not LOBPCG's own test, decides
-            warnings.simplefilter("ignore", UserWarning)
-            values, vectors = lobpcg(op, start, M=self._precond, Y=constraint,
-                                     tol=self._ritz_tol, maxiter=_LOBPCG_MAXITER, largest=False)
-        residuals = op @ vectors - vectors * values
-        return RitzBlock(values, vectors, np.linalg.norm(residuals, axis=0))
+        return _lowest_ritz(self._L, self._precond, start, self._ritz_tol, constraint)
 
     def _certify(self, block: RitzBlock, points, constraint=None) -> RitzBlock:
         """Double the block, restarting from its vectors, until it certifies
@@ -455,21 +445,120 @@ class InstabilityResult:
     eigen_residual: float
 
 
+def _tangent_solve(op: gr.FourierOperator, rhs: np.ndarray) -> np.ndarray:
+    """x orthogonal to the border b with P A x = rhs (rhs orthogonal to b, P
+    the orthogonal projector off b) for the operator A bordered by b.
+
+    MINRES on the split form, refined on the true residual until it reaches
+    the roundoff floor eps * scale * |x| or stops halving.  A solution along
+    a near-null direction of A is large and its small components carry the
+    pencil, so no fixed multiple of the floor will do; MINRES may also stop
+    at a least-squares solution there, which the next round repairs.
+    """
+    b = np.append(rhs, 0.0)
+    split = op.minres_split()
+    x = best = np.zeros_like(b)
+    r, best_norm, stalls = b, np.linalg.norm(b), 0
+    for _ in range(_REFINE_ROUNDS):
+        dy, _ = minres(split, split.forward(r), rtol=1e-13, maxiter=3000)
+        x = x + split.back(dy)
+        r = b - op.apply(x)
+        norm = np.linalg.norm(r)
+        stalls = 0 if norm < 0.5 * best_norm else stalls + 1
+        if norm < best_norm:
+            best, best_norm = x, norm
+        if norm <= np.finfo(float).eps * op.scale * np.linalg.norm(x) or stalls == 2:
+            break
+    return best[:-1]
+
+
+def _tangent_kernel(lin: Linearization) -> list:
+    """Unit kernel vectors of L1 on the tangent space: the block's near-zero
+    Ritz vectors (|theta| <= tau0) that are orthogonal to u, each refined by
+    one Newton (Jacobi-Davidson) correction so that it is a kernel vector to
+    roundoff (a translation mode when V is constant)."""
+    op, u = lin.op, lin.u.values / np.linalg.norm(lin.u.values)
+    kernel = []
+    for theta, e in zip(lin.block.values, lin.block.vectors.T):
+        if abs(theta) > lin.tau0:
+            continue
+        e = e / np.linalg.norm(e)
+        correction = gr.FourierOperator(op.grid, op.weight - theta, border=e)
+        e = e + _tangent_solve(correction, theta * e - op.apply(e))
+        if abs(u @ e) <= 1e-8 * np.linalg.norm(e):
+            e -= (u @ e) * u
+            kernel.append(e / np.linalg.norm(e))
+    return kernel
+
+
+class _Pencil:
+    """The pencil (L1, L2^{-1}) on the tangent space of the mass sphere,
+    matrix-free: L1t y and L2t y are Fourier applies followed by P, the
+    orthogonal projector off u; their inverses are bordered solves.
+
+    Lanczos runs on K^{-1} = L2t^{-1} L1t^{-1}, which acts on y = L2t^{-1} x
+    and is self-adjoint in the metric (L2 y, y).  A tangent kernel of L1 is
+    deflated: y stays Euclidean-orthogonal to it, which is the
+    L2t^{-1}-orthogonal complement of the kernel in x.
+    """
+
+    def __init__(self, lin: Linearization, L2: gr.FourierOperator):
+        u, grid = lin.u.values, lin.u.grid
+        self.L2, self.u_unit = L2, u / np.linalg.norm(u)
+        self._L1b = gr.FourierOperator(grid, lin.op.weight, border=u)
+        self._L2b = gr.FourierOperator(grid, L2.weight, border=u)
+        # kernel vectors e with their images g = L2t^{-1} e
+        self.kernel = [(e, self.l2_inverse(e)) for e in _tangent_kernel(lin)]
+        self.images = []  # L1t^{-1} of each Lanczos vector, in order
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return x - (self.u_unit @ x) * self.u_unit
+
+    def l2_inverse(self, x: np.ndarray) -> np.ndarray:
+        return _tangent_solve(self._L2b, x)
+
+    def deflate(self, y: np.ndarray, x: np.ndarray):
+        """The pair (y, x = L2t y) with y moved L2t-orthogonally off the
+        kernel's images."""
+        for e, g in self.kernel:
+            c = (e @ y) / (e @ g)
+            y, x = y - c * g, x - c * e
+        return y, x
+
+    def inverse_step(self, q: np.ndarray, _gq) -> np.ndarray:
+        """K^{-1} q; records z = L1t^{-1} q, whose combinations are the x."""
+        z = _tangent_solve(self._L1b, q)
+        y, z = self.deflate(self.l2_inverse(z), z)
+        self.images.append(z)
+        return y
+
+    def start(self, rng) -> np.ndarray:
+        """A seeded start, unit in the metric, off the kernel."""
+        y = self.project(rng.standard_normal(len(self.u_unit)))
+        y, x = self.deflate(y, self.project(self.L2.apply(y)))
+        return y / np.sqrt(y @ x)
+
+
 def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f,
                            kernel_check_tol: float = 1e-6) -> InstabilityResult:
     """Construct the positive eigenvalue of the linearized flow at phi.
 
-    Preconditions: phi positive, constrained Morse index >= 1, and the
-    multiplier below the bottom of -Lap + V.  Solves the generalized
-    problem P L1 P v = mu P L2^{-1} P v on the tangent space, demands
-    mu < -tau0, and reconstructs the block eigenvector
+    Preconditions: phi positive, and the multiplier below the bottom of
+    -Lap + V.  mu is the lowest eigenvalue of P L1 P x = mu P L2^{-1} P x on
+    the tangent space, and the block eigenvector is
 
-        w = (v, -rho L2^{-1} v + beta phi / rho),      rho = sqrt(-mu).
+        w = (x, -rho L2^{-1} x + beta phi / rho),      rho = sqrt(-mu).
 
-    The pencil is dense; the constrained count and the radius behind the
-    positivity tolerance come from the matrix-free Linearization.
-    Raises NoInstabilityDetected when the quotient has no eigenvalue
-    below -tau0 (reported, not asserted).
+    Matrix-free throughout.  By Sylvester inertia the pencil has exactly
+    m = Linearization.count_below(-tau0) negative eigenvalues, so m = 0
+    raises NoInstabilityDetected.  Otherwise Lanczos on
+    K^{-1} = L2t^{-1} L1t^{-1} (see _Pencil) takes the m-th lowest Ritz value
+    1/theta; x = L1t^{-1} y is its Ritz vector in the original coordinates
+    and mu the quotient (L1 x, x) / (x, L2t^{-1} x).  mu is accepted only
+    when the pencil residual r = P L1 x - mu L2t^{-1} x, measured in grid
+    coordinates, bounds its distance to an eigenvalue (Kato) below |mu|;
+    else NoInstabilityDetected.  PositivityViolationError when the lowest
+    Ritz value of L2 on the tangent space lies below a roundoff band.
     """
     u, lam = phi.u, phi.lam
     grid = u.grid
@@ -482,69 +571,76 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f,
         )
 
     lin = Linearization.assemble(u, lam, V, f)
-
     # comparison operator with the ratio f(phi)/phi taken as |phi|^(p-2)
-    L2 = _dense_operator(grid, V, lam, np.abs(u.values) ** (f.p - 2.0))
-
-    kernel_residual = float(np.max(np.abs(L2 @ u.values)))
+    L2 = gr.FourierOperator(grid, gr.potential_samples(V, grid) - lam
+                            - np.abs(u.values) ** (f.p - 2.0))
+    kernel_residual = float(np.max(np.abs(L2.apply(u.values))))
     if kernel_residual > kernel_check_tol:
         raise PreconditionError(
             f"wave is not in the kernel of the comparison operator "
             f"(residual {kernel_residual:.3e})"
         )
-
-    hv = _householder_vector(u.values)
-    L2t = _tangent_block(L2, hv)
     # at multibump points the antisymmetric partner of the kernel sits
     # exponentially close to zero but strictly above it; only a roundoff
-    # band below zero counts as a violation: L2t - pos_tol must factor
-    pos_tol = 1e4 * np.finfo(float).eps * lin.radius
-    lowered = L2t.copy()
-    lowered.flat[:: len(lowered) + 1] -= pos_tol
-    try:
-        np.linalg.cholesky(lowered)
-    except np.linalg.LinAlgError:
-        lowest = np.linalg.eigvalsh(L2t)[0]
+    # band below zero counts as a violation
+    start = np.random.default_rng(0).standard_normal((grid.M, 1))
+    lowest = float(_lowest_ritz(*_linear_operator(L2), start, _RITZ_TOL * lin.radius,
+                                u.values[:, None]).values[0])
+    if lowest < -_POSITIVITY_TOL * lin.radius:
         raise PositivityViolationError(
             f"comparison operator has eigenvalue {lowest:.3e} on the tangent space"
-        ) from None
-    del lowered
-
-    # quotient (L1 v, v) / (L2^{-1} v, v) via the Cholesky congruence
-    C = np.linalg.cholesky(L2t)
-    S = C.T @ _tangent_block(linearized_matrix(u, lam, V, f), hv) @ C
-    S = 0.5 * (S + S.T)
-    vals, vecs = np.linalg.eigh(S)
-    mu = float(vals[0])
-    # the quotient floor is set by the congruence-transformed problem, not
-    # by the raw operator radius: multibump instabilities are exponentially
-    # small in the separation yet sit far above this floor
-    mu_floor = 100.0 * np.finfo(float).eps * float(np.max(np.abs(vals)))
-    if mu >= -mu_floor:
-        raise NoInstabilityDetected(
-            f"quotient minimum {mu:.3e} is not below the resolution floor "
-            f"{-mu_floor:.3e}", mu=mu
         )
+
     m = lin.count_below(-lin.tau0)
-    if m < 1:
-        raise PreconditionError(
-            f"quotient minimum {mu:.3e} is negative but the constrained Morse "
-            f"index is {m}; counts are inconsistent"
+    pencil = _Pencil(lin, L2)
+
+    def select(thetas):  # the m-th lowest Ritz value of K^{-1} is 1/(lowest mu)
+        if m == 0:
+            return len(thetas) - 1
+        return m - 1 if len(thetas) >= m and thetas[m - 1] < 0.0 else None
+
+    thetas, vecs, k = gr.lanczos(
+        pencil.inverse_step, L2.apply, pencil.start(np.random.default_rng(0)),
+        _LANCZOS_STEPS, select, _LANCZOS_RTOL,
+    )
+    if k is None:  # no negative Ritz value within the step cap: refused below
+        k = len(thetas) - 1
+    s = vecs[:, k]
+    x = np.array(pencil.images[: len(s)]).T @ s
+    y, x = pencil.deflate(pencil.l2_inverse(x), x)
+    L1x = pencil.project(lin.op.apply(x))
+    xy = float(x @ y)
+    mu = float(L1x @ x) / xy
+    if m == 0:
+        raise NoInstabilityDetected(
+            f"quotient minimum {mu:.3e} is not negative: the constrained Morse index is 0",
+            mu=mu,
+        )
+    # Kato: an eigenvalue lies within |r|_{L2t} / |x|_{L2t^{-1}} of mu, with
+    # |r|_{L2t} <= sqrt(scale) |r|.  The second term carries the error of y
+    # as L2t^{-1} x: the residual s of that solve moves y by L2t^{-1} s, of
+    # norm at most |s| / sqrt(lowest) in the metric, lowest being the probe's
+    # eigenvalue (exponentially small at multibump points)
+    r = L1x - mu * y
+    slip = np.linalg.norm(x - pencil.project(L2.apply(y)))
+    solve_error = slip / np.sqrt(lowest) if lowest > 0.0 else np.inf
+    bound = (np.sqrt(L2.scale) * np.linalg.norm(r) + abs(mu) * solve_error) / np.sqrt(xy)
+    if not (mu < 0.0 and bound < -mu):
+        raise NoInstabilityDetected(
+            f"quotient minimum {mu:.3e} is not resolved: its error bound "
+            f"{bound:.3e} is not below |mu|", mu=mu,
         )
     rho = float(np.sqrt(-mu))
 
-    v_vals = _reflect(hv, np.concatenate(([0.0], C @ vecs[:, 0])))
-    v_vals /= np.sqrt(grid.h) * np.linalg.norm(v_vals)
-    v = Field(grid, v_vals)
-
-    l2inv_v = np.concatenate(([0.0], np.linalg.solve(L2t, _reflect(hv, v_vals)[1:])))
-    l2inv_v = _reflect(hv, l2inv_v)
-    alpha = gr.inner_l2(u, u)
-    L1v = lin.op.apply(v_vals)
-    beta = float(grid.h * np.dot(L1v, u.values)) / alpha
+    # unit L2 norm, and a fixed sign: the entry of largest modulus is negative
+    scale = -np.sqrt(grid.h) * np.linalg.norm(x) * np.sign(x[np.argmax(np.abs(x))])
+    v = Field(grid, x / scale)
+    l2inv_v = y / scale
+    L1v = lin.op.apply(v.values)
+    beta = float(grid.h * np.dot(L1v, u.values)) / gr.inner_l2(u, u)
     w2 = Field(grid, -rho * l2inv_v + (beta / rho) * u.values)
 
-    r_top = np.max(np.abs(-(L2 @ w2.values) - rho * v.values))
+    r_top = np.max(np.abs(-L2.apply(w2.values) - rho * v.values))
     r_bot = np.max(np.abs(L1v - rho * w2.values))
     return InstabilityResult(rho=rho, mu=mu, v=v, beta=beta, second_component=w2,
                              eigen_residual=float(max(r_top, r_bot)))

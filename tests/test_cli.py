@@ -219,6 +219,23 @@ class TestEvolveCommand:
         dists = [float(r.split(",")[3]) for r in rows]
         assert max(dists) < 1e-4
 
+    def test_eigenvector_run_does_not_depend_on_thread_count(self, tmp_path):
+        # rho_expected is the instability pencil's, at a glued pair whose mu
+        # (-6.7e-5) is small against the operator radius (1e4)
+        data = {**BASE_CONFIG, "grid": {"L": 24, "M": 1536}, "mass": 9.0,
+                "bumps": {"n": 2, "separations": [12]},
+                "dynamics": {"dt": 1e-3, "t_end": 0.02, "perturbation_amplitude": 1e-4,
+                             "perturbation_kind": "eigenvector"}}
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg, "--out", str(tmp_path / "glue"), "glue"]) == 0
+        field = tmp_path / "glue" / "glue_point_d12_field.bin"
+        for threads in ("1", "2"):
+            proc = _run_cli(["--config", cfg, "--out", str(tmp_path / f"threads{threads}"),
+                             "evolve", str(field)], OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+        assert ((tmp_path / "threads1" / "evolve.json").read_bytes()
+                == (tmp_path / "threads2" / "evolve.json").read_bytes())
+
     def test_partial_last_step_exits_3(self, groundstate_run, tmp_path, capsys):
         _, _, out = groundstate_run
         data = dict(BASE_CONFIG)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from pencil_oracle import dense_pencil, householder_vector, tangent_block
 from scipy.sparse.linalg import aslinearoperator
 
 from multibump import spectra
@@ -15,7 +16,7 @@ from multibump.errors import (
     PreconditionError,
     UncertifiedCountError,
 )
-from multibump.gluing import BumpConfig
+from multibump.gluing import BumpConfig, glue
 from multibump.grid import (
     Field,
     GridSpec,
@@ -28,8 +29,6 @@ from multibump.spectra import (
     Linearization,
     RitzBlock,
     SpectralReport,
-    _householder_vector,
-    _tangent_block,
     classify,
     instability_eigenvalue,
     linearized_matrix,
@@ -187,10 +186,10 @@ class TestPairingCount:
         grid = GridSpec(8, 256)
         u = smooth_field(grid, seed=11)
         L = linearized_matrix(u, 0.3, vcos, f4)
-        v = _householder_vector(u.values)
+        v = householder_vector(u.values)
         Q = (np.eye(grid.M) - 2.0 * np.outer(v, v))[:, 1:]
         dense = np.linalg.eigvalsh(Q.T @ L @ Q)
-        reduced = np.linalg.eigvalsh(_tangent_block(L, v))
+        reduced = np.linalg.eigvalsh(tangent_block(L, v))
         assert np.max(np.abs(reduced - dense)) <= 1e-10 * np.max(np.abs(dense))
 
     def test_classify_makes_no_dense_eigensolve(self, glued_two, vcos, f4, eigensolve_sizes):
@@ -320,13 +319,22 @@ class TestInstability:
         assert err.value.mu is not None and err.value.mu > -1e-2
 
     def test_positivity_failure_reports_the_eigenvalue(self, phi_super, V1, f8, monkeypatch):
-        def refuse(a):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        # a band reaching up to +radius: the probe's lowest tangent eigenvalue
+        # of L2 (just above the continuum edge 4 = 1 - lambda) falls inside it
+        monkeypatch.setattr(spectra, "_POSITIVITY_TOL", -1.0)
         with pytest.raises(PositivityViolationError,
-                           match=r"comparison operator has eigenvalue \S+ on the tangent space"):
+                           match=r"comparison operator has eigenvalue 4\.0\d\de\+00 on the tangent space"):
             instability_eigenvalue(phi_super, V1, f8)
+
+    def test_makes_no_dense_computation(self, phi_super, V1, f8, eigensolve_sizes, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense factorization")
+
+        for name in ("cholesky", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert instability_eigenvalue(phi_super, V1, f8).rho > 0
+        assert eigensolve_sizes == []
+
 
     def test_requires_positive_wave(self, phi_super, V1, f8):
         from multibump.stationary import ConstrainedCriticalPoint
@@ -350,6 +358,62 @@ class TestInstability:
         )
         with pytest.raises(PreconditionError):
             instability_eigenvalue(bad, V1, f8)
+
+
+class TestInstabilityLadder:
+    """Two bumps at separation d: the instability is exponentially small in
+    d (Sandstede 1998), and every one the constrained index promises is
+    resolved."""
+
+    SEPARATIONS = (8, 10, 12, 14, 16, 18)
+
+    @pytest.fixture(scope="class")
+    def ladder(self, ubar, glued_two, vcos, f4):
+        points = {d: glued_two[d].point if d in glued_two
+                  else glue(ubar, BumpConfig(2, (-d // 2, d // 2)), 9.0, vcos, f4).point
+                  for d in self.SEPARATIONS}
+        return {d: (point, instability_eigenvalue(point, vcos, f4))
+                for d, point in points.items()}
+
+    def test_every_separation_returns(self, ladder):
+        for d, (point, result) in ladder.items():
+            assert result.mu < 0 and result.rho == pytest.approx(np.sqrt(-result.mu), rel=1e-15)
+            assert abs(inner_l2(result.v, point.u)) < 1e-10
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_matches_dense_oracle(self, ladder, d, vcos, f4):
+        point, result = ladder[d]
+        mu, x = dense_pencil(point, vcos, f4)
+        assert result.mu == pytest.approx(mu, rel=1e-6)
+        assert abs(inner_l2(Field(point.u.grid, x), result.v)) == pytest.approx(1.0, abs=1e-6)
+
+    def test_decay_rate_is_the_tail_rate(self, ladder, ubar, vcos):
+        ds = np.array([d for d in self.SEPARATIONS if d >= 12])
+        slope = -np.polyfit(ds, np.log([-ladder[d][1].mu for d in ds]), 1)[0]
+        kappa = np.sqrt(operator_bottom_eigenvalue(vcos, ubar.u.grid) - ubar.lam)
+        assert slope == pytest.approx(kappa, rel=0.02)
+
+    @pytest.fixture(scope="class")
+    def point20(self, ubar, vcos, f4):
+        return glue(ubar, BumpConfig(2, (-10, 10)), 9.0, vcos, f4).point
+
+    def test_separation_20_returns_or_refuses(self, point20, vcos, f4):
+        # -7.884e-9 from the refined dense pencil; the comparison operator's
+        # tangent eigenvalue here is 1.5e-9 against a radius of 1e4
+        try:
+            result = instability_eigenvalue(point20, vcos, f4)
+        except NoInstabilityDetected as err:
+            assert err.mu is not None
+        else:
+            assert result.mu == pytest.approx(-7.884e-9, rel=1e-2)
+
+    def test_starved_solves_are_refused(self, point20, vcos, f4, monkeypatch):
+        # one MINRES round leaves L2t^{-1} x short along the near-null mode:
+        # the quotient reads -9.69e-9, 23 % off, and its bound shows it
+        monkeypatch.setattr(spectra, "_REFINE_ROUNDS", 1)
+        with pytest.raises(NoInstabilityDetected, match="is not resolved") as err:
+            instability_eigenvalue(point20, vcos, f4)
+        assert err.value.mu < 0
 
 
 class TestSpectrumBottom:
