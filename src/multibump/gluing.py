@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import minres
 
 from . import grid as gr
 from . import model as md
@@ -31,7 +30,7 @@ from .errors import (
     LinearSolverError,
     PreconditionError,
 )
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, minres
 
 __all__ = [
     "BumpConfig",
@@ -142,30 +141,29 @@ def _solve_bordered(op: gr.FourierOperator, rhs, rtol=1e-12, maxiter=3000):
     """MINRES on the split form of the symmetric bordered system, with the
     residual verified on the operator itself.
 
-    Accepts at the roundoff floor of the spectral operator when the
-    requested tolerance sits below it.  MINRES's own stopping test weighs
-    its residual against |S^{-1} x| rather than |x|, so it is run a decade
-    tighter than rtol; otherwise most solves take a second round.
+    Accepts x at backward error rtol, the quantity MINRES's own stopping test
+    measures: |rhs - A x| <= 10 rtol (scale |x| + |rhs|), scale = op.scale
+    standing in for |A|.  This also accepts a solve at the roundoff floor
+    eps * scale * |x| of the spectral operator whenever rtol is above eps;
+    a solution along a near-null direction of A is large, and its residual
+    is weighed against it rather than against |rhs|.
     """
     split = op.minres_split()
-    scale = np.linalg.norm(rhs)
-    if scale == 0.0:
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0.0:
         return np.zeros_like(rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()
     for _ in range(4):
-        dy, info = minres(split, split.forward(r), rtol=0.1 * rtol, maxiter=maxiter)
+        dy, info = minres(split, split.forward(r), rtol=rtol, maxiter=maxiter)
         dx = split.back(dy)
         x = x + dx
         r = rhs - op.apply(x)
-        floor = 100 * np.finfo(float).eps * op.scale * max(
-            np.linalg.norm(x), scale / op.scale
-        )
-        if np.linalg.norm(r) <= max(10 * rtol * scale, floor):
+        if np.linalg.norm(r) <= 10 * rtol * (op.scale * np.linalg.norm(x) + rhs_norm):
             return x
         if info != 0 and np.linalg.norm(dx) == 0.0:
             break
-    res = np.linalg.norm(r) / scale
+    res = np.linalg.norm(r) / rhs_norm
     if res > 1e-6:
         raise DegenerateSuperpositionError(
             f"bordered solve stalled at relative residual {res:.3e}"
@@ -297,6 +295,16 @@ def _h_norm(v: Field, mu: float, V) -> float:
     return float(np.sqrt(max(gr.inner_h1v(v, v, V), 0.0) + mu**2))
 
 
+def _largest_modulus(thetas) -> int:
+    return int(np.argmax(np.abs(thetas)))
+
+
+def _gram(metric: gr.FourierOperator):
+    """Gram apply of the metric h (G v, v) + mu^2 on stacked (v, mu), G = metric."""
+    M, h = metric.grid.M, metric.grid.h
+    return lambda x: np.append(h * metric.apply(x[:M]), x[M])
+
+
 def bordered_sigma_min(pt: ExtendedPoint, V, f, iters: int = 50,
                        rtol: float = 1e-6, seed: int = 0) -> float:
     """Smallest singular value of the block second derivative T at pt.
@@ -310,21 +318,22 @@ def bordered_sigma_min(pt: ExtendedPoint, V, f, iters: int = 50,
     Stops when the Ritz value theta of largest modulus has Ritz residual at
     most rtol |theta| and returns 1/|theta|; iters caps the steps and seed
     sets the start vector.
+
+    The inner solves stop at backward error 1e-11, one MINRES round each,
+    not at roundoff: a backward error delta of each apply of T^{-1} moves
+    its extreme eigenvalue by about delta cond(T) relative, far below the
+    Ritz target rtol.
     """
     grid = pt.u.grid
     M, h = grid.M, grid.h
     vs = gr.potential_samples(V, grid)
-    jacobian, metric = _jacobian(pt, vs, f), gr.FourierOperator(grid, vs)
-
-    def gram(x):  # the metric's Gram matrix times x
-        return np.append(h * metric.apply(x[:M]), x[M])
-
+    jacobian, gram = _jacobian(pt, vs, f), _gram(gr.FourierOperator(grid, vs))
     rng = np.random.default_rng(seed)
     start = np.append(rng.standard_normal(M), rng.standard_normal())
     start /= _h_norm(Field(grid, start[:M]), start[M], V)  # also checks that -Lap + V > 0
     thetas, _, top = gr.lanczos(
-        lambda q, gq: _solve_bordered(jacobian, gq / h), gram, start, iters,
-        lambda thetas: int(np.argmax(np.abs(thetas))), rtol,
+        lambda q, gq: _solve_bordered(jacobian, gq / h, rtol=1e-11), gram, start, iters,
+        _largest_modulus, rtol,
     )
     return float(1.0 / abs(thetas[top]))
 
@@ -333,8 +342,9 @@ def bordered_sigma_min(pt: ExtendedPoint, V, f, iters: int = 50,
 class ShadowingReport:
     """Sampled contraction diagnostics around a starting point.
 
-    All quantities are estimates (random sampling, power iteration), so a
-    satisfied flag is evidence, not a certificate.
+    The Lipschitz bound is sampled: the largest norm, each converged by
+    Lanczos, of the second-derivative difference over random points of the
+    delta-ball.  A satisfied flag is therefore evidence, not a certificate.
     """
 
     gradient_norm: float
@@ -351,28 +361,32 @@ class ShadowingReport:
         return self.residual_condition and self.lipschitz_condition
 
 
-def _difference_operator_norm(pt0: ExtendedPoint, pt1: ExtendedPoint, V, f,
-                              iters: int = 20, seed: int = 0) -> float:
-    """Power iteration estimate of || d(grad G)(pt1) - d(grad G)(pt0) ||."""
-    apply0 = bordered_apply(pt0, V, f)
-    apply1 = bordered_apply(pt1, V, f)
+def _difference_operator_norm(pt0: ExtendedPoint, pt1: ExtendedPoint, metric, f,
+                              seed: int = 0) -> float:
+    """|| d(grad G)(pt1) - d(grad G)(pt0) || in the metric of bordered_sigma_min.
+
+    metric is G = -Lap + V as a FourierOperator.  The difference is linear:
+    D (v, mu) = (-S[(f'(u1) - f'(u0) + lambda1 - lambda0) v + mu (u1 - u0)],
+    -(u1 - u0, v)_2) with S = G^{-1}, self-adjoint in the metric, so its norm
+    is its eigenvalue of largest modulus.  Lanczos in the metric, one CG
+    solve with G per step, stopped at Ritz residual 1e-6 relative or after
+    50 steps; seed sets the start vector.
+    """
     grid = pt0.u.grid
+    M, h = grid.M, grid.h
+    du = pt1.u.values - pt0.u.values
+    weight = f.fprime(pt1.u.values) - f.fprime(pt0.u.values) + (pt1.lam - pt0.lam)
+    gram = _gram(metric)
+
+    def apply(q, gq):
+        field = -metric.cg(weight * q[:M] + q[M] * du, tol=1e-13)
+        return np.append(field, -h * np.dot(du, q[:M]))
+
     rng = np.random.default_rng(seed)
-    v = Field(grid, rng.standard_normal(grid.M))
-    mu = float(rng.standard_normal())
-    nrm = _h_norm(v, mu, V)
-    v, mu = (1.0 / nrm) * v, mu / nrm
-    value = 0.0
-    for _ in range(iters):
-        a_f, a_s = apply1(v, mu)
-        b_f, b_s = apply0(v, mu)
-        d_f, d_s = a_f - b_f, a_s - b_s
-        nrm = _h_norm(d_f, d_s, V)
-        if nrm == 0.0:
-            return 0.0
-        value = nrm
-        v, mu = (1.0 / nrm) * d_f, d_s / nrm
-    return value
+    start = np.append(rng.standard_normal(M), rng.standard_normal())
+    start /= np.sqrt(np.dot(gram(start), start))
+    thetas, _, top = gr.lanczos(apply, gram, start, 50, _largest_modulus, 1e-6)
+    return float(abs(thetas[top]))
 
 
 def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
@@ -390,6 +404,7 @@ def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
     h_norm = extended_gradient_norm(pt0, alpha, V, f)
     sigma = bordered_sigma_min(pt0, V, f, seed=seed)
     inverse_norm = 1.0 / sigma
+    metric = gr.FourierOperator(grid, gr.potential_samples(V, grid))
     rng = np.random.default_rng(seed + 1)
     lipschitz = 0.0
     for i in range(n_samples):
@@ -401,7 +416,7 @@ def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
             pt0.u + (radius / nrm) * direction, pt0.lam + radius * dmu / nrm
         )
         lipschitz = max(
-            lipschitz, _difference_operator_norm(pt0, pt1, V, f, seed=seed + 2 + i)
+            lipschitz, _difference_operator_norm(pt0, pt1, metric, f, seed=seed + 2 + i)
         )
     return ShadowingReport(
         gradient_norm=h_norm,

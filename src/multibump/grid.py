@@ -12,6 +12,7 @@ treated as immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -39,6 +40,7 @@ __all__ = [
     "norm_h1",
     "FourierOperator",
     "SplitOperator",
+    "minres",
     "lanczos",
     "resolvent_solve",
     "operator_bottom_eigenvalue",
@@ -401,6 +403,96 @@ class SplitOperator(LinearOperator):
 
     def _matvec(self, x):
         return self.apply(np.ravel(x))
+
+
+def minres(A, b: np.ndarray, *, rtol: float = 1e-5, maxiter: int | None = None,
+           callback=None):
+    """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for a symmetric
+    A from x = 0, without a preconditioner.
+
+    A port of scipy.sparse.linalg.minres with its stopping tests and return
+    convention: stops when |r| <= rtol |A| |x| (backward error), when
+    |A r| <= rtol |A| |r| (a least-squares solution), at the eps and
+    condition limits, or after maxiter iterations (default 5 n), when info is
+    maxiter; otherwise info is 0.  callback(x) runs once per iteration.  The
+    scalar recurrences run on Python floats and a SplitOperator is applied
+    directly, so an iteration costs little more than its apply.
+    """
+    if isinstance(A, SplitOperator):
+        matvec = A.apply
+    else:  # a copy: the iteration updates the product in place
+        def matvec(v):
+            return np.array(A.matvec(v), dtype=float).ravel()
+    b = np.asarray(b, dtype=float)
+    n = len(b)
+    maxiter = 5 * n if maxiter is None else maxiter
+    eps = float(np.finfo(float).eps)
+    x = np.zeros(n)
+    beta1 = math.sqrt(float(np.dot(b, b)))
+    if beta1 == 0.0:
+        return x, 0
+    r1 = r2 = y = b
+    w, w2 = np.zeros(n), np.zeros(n)
+    istop = itn = 0
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, math.inf, -1.0, 0.0
+    while itn < maxiter:
+        itn += 1
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y -= (beta / oldb) * r1
+        alfa = float(np.dot(v, y))
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        oldb, beta = beta, math.sqrt(float(np.dot(y, y)))
+        tnorm2 += alfa * alfa + oldb * oldb + beta * beta
+        if itn == 1 and beta / beta1 <= 10 * eps:
+            istop = -1  # b is an eigenvector: one step solves the system
+        # previous rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.sqrt(gbar * gbar + dbar * dbar)
+        gamma = max(math.sqrt(gbar * gbar + beta * beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        # w_k = (v_k - epsln_{k-1} w_{k-2} - delta_k w_{k-1}) / gamma_k, written
+        # over w_{k-2}
+        w, w2 = w2, w
+        w *= -oldeps
+        w += v
+        w -= delta * w2
+        w *= 1.0 / gamma
+        x += phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+
+        anorm = math.sqrt(tnorm2)
+        ynorm = math.sqrt(float(np.dot(x, x)))
+        test1 = math.inf if ynorm == 0.0 or anorm == 0.0 else phibar / (anorm * ynorm)
+        test2 = math.inf if anorm == 0.0 else root / anorm
+        if istop == 0:
+            if 1.0 + test2 <= 1.0:
+                istop = 2
+            if 1.0 + test1 <= 1.0:
+                istop = 1
+            if itn >= maxiter:
+                istop = 6
+            if gmax / gmin >= 0.1 / eps:
+                istop = 4
+            if anorm * ynorm * eps >= beta1:
+                istop = 3
+            if test2 <= rtol:
+                istop = 2
+            if test1 <= rtol:
+                istop = 1
+        if callback is not None:
+            callback(x)
+        if istop != 0:
+            break
+    return x, maxiter if istop == 6 else 0
 
 
 def lanczos(apply, gram, start: np.ndarray, steps: int, select, rtol: float):

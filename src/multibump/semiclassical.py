@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.sparse.linalg import LinearOperator
 
 from . import grid as gr
 from . import model as md
@@ -33,7 +33,7 @@ from .errors import (
     MassRangeError,
     PreconditionError,
 )
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, minres
 from .model import Nonlinearity, Potential
 from .stationary import ConstrainedCriticalPoint
 

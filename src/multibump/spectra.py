@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, lobpcg, minres
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, lobpcg
 
 from . import grid as gr
 from .errors import (
@@ -46,7 +46,7 @@ from .errors import (
     PreconditionError,
     UncertifiedCountError,
 )
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, minres
 from .stationary import ConstrainedCriticalPoint
 
 __all__ = [

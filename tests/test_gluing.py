@@ -226,6 +226,28 @@ class TestGlue:
             assert norm_h1(pt.u - ref.u) < 1e-8
 
 
+def _dense_bordered_jacobian(u, lam, V, f):
+    """Strong-form bordered Jacobian [[-Lap + V - lam - f'(u), -u], [-u^T, 0]]."""
+    from multibump.spectra import linearized_matrix
+
+    M = u.grid.M
+    J = np.zeros((M + 1, M + 1))
+    J[:M, :M] = linearized_matrix(u, lam, V, f)
+    J[:M, M] = J[M, :M] = -u.values
+    return J
+
+
+def _dense_metric(grid, V, zero_f):
+    """B = diag(h (-Lap + V), 1), the Gram matrix of the metric h (G v, v) + mu^2."""
+    from multibump.spectra import linearized_matrix
+
+    M = grid.M
+    B = np.zeros((M + 1, M + 1))
+    B[:M, :M] = grid.h * linearized_matrix(Field.zeros(grid), 0.0, V, zero_f)
+    B[M, M] = 1.0
+    return B
+
+
 @pytest.fixture(scope="module")
 def ubar768(vcos, f4):
     """The single-bump minimizer on GridSpec(24, 768), small enough for dense pencils."""
@@ -256,6 +278,27 @@ class TestBorderedSigmaMin:
         sigma = bordered_sigma_min(ExtendedPoint(u, lam), vcos, f4)
         assert sigma == pytest.approx(dense, rel=1e-6)
 
+    @pytest.mark.parametrize("d", [10, 14])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_inexact_inner_solves_keep_sigma(self, ubar768, vcos, f4, zero_f,
+                                             monkeypatch, n, d):
+        # the same Lanczos run with each T^{-1} applied by a dense LU solve of
+        # the bordered Jacobian, at roundoff, is the reference
+        import scipy.linalg
+
+        from multibump import gluing
+        from multibump.cli import _symmetric_offsets
+
+        u = superpose(ubar768.u, BumpConfig(n, _symmetric_offsets(n, d)))
+        pt = ExtendedPoint(u, ubar768.lam)
+        sigma = bordered_sigma_min(pt, vcos, f4)
+        dense = _dense_bordered_jacobian(u, ubar768.lam, vcos, f4)
+        lu = scipy.linalg.lu_factor(dense)
+        monkeypatch.setattr(gluing, "_solve_bordered",
+                            lambda op, rhs, **kwargs: scipy.linalg.lu_solve(lu, rhs))
+        reference = bordered_sigma_min(pt, vcos, f4)
+        assert sigma == pytest.approx(reference, rel=1e-8)
+
 
 class TestShadowingCertificate:
     def test_exact_point_satisfies_residual_condition(self, ubar, vcos, f4):
@@ -282,3 +325,40 @@ class TestShadowingCertificate:
             shadowing_certificate(
                 ExtendedPoint(ubar.u, ubar.lam), ubar.mass, vcos, f4, delta=0.1, q=1.5
             )
+
+    def test_lipschitz_bound_matches_dense_pencil(self, ubar, vcos, f4, zero_f):
+        # D = dT(pt1) - dT(pt0) is the pencil (h J_D, B) with the strong form
+        # J_D = [[-diag(f'(u1) - f'(u0) + lam1 - lam0), -(u1 - u0)], [-(u1 - u0)^T, 0]];
+        # its norm in the metric is its largest |eigenvalue|.  The five
+        # points are the certificate's own samples (seed 0).
+        import scipy.linalg
+
+        from multibump.gluing import _difference_operator_norm, _h_norm
+        from multibump.grid import FourierOperator, potential_samples
+
+        grid = ubar.u.grid
+        M, h = grid.M, grid.h
+        pt0 = ExtendedPoint(superpose(ubar.u, BumpConfig(2, (-8, 8))), ubar.lam)
+        report = shadowing_certificate(pt0, 9.0, vcos, f4, delta=0.1, q=0.5)
+        B = _dense_metric(grid, vcos, zero_f)
+        metric = FourierOperator(grid, potential_samples(vcos, grid))
+        rng = np.random.default_rng(1)
+        samples, norms = [], []
+        for _ in range(5):
+            direction = Field(grid, rng.standard_normal(M))
+            dmu = float(rng.standard_normal())
+            nrm = _h_norm(direction, dmu, vcos)
+            radius = 0.1 * rng.uniform(0.2, 1.0)
+            pt1 = ExtendedPoint(pt0.u + (radius / nrm) * direction,
+                                pt0.lam + radius * dmu / nrm)
+            du = pt1.u.values - pt0.u.values
+            J = np.zeros((M + 1, M + 1))
+            J[np.arange(M), np.arange(M)] = -(f4.fprime(pt1.u.values) - f4.fprime(pt0.u.values)
+                                              + pt1.lam - pt0.lam)
+            J[:M, M] = J[M, :M] = -du
+            samples.append(pt1)
+            norms.append(np.max(np.abs(scipy.linalg.eigh(h * J, B, eigvals_only=True))))
+        assert report.lipschitz_bound == pytest.approx(max(norms), rel=1e-6)
+        for i, (pt1, dense) in enumerate(zip(samples, norms)):
+            value = _difference_operator_norm(pt0, pt1, metric, f4, seed=2 + i)
+            assert value == pytest.approx(dense, rel=1e-6)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.sparse.linalg import aslinearoperator
+from scipy.sparse.linalg import minres as scipy_minres
 
 from multibump.errors import (
     AssumptionViolationError,
@@ -23,6 +25,7 @@ from multibump.grid import (
     inner_h1v,
     inner_l2,
     laplacian_apply,
+    minres,
     norm_h1,
     operator_bottom_eigenvalue,
     read_field_binary,
@@ -366,6 +369,103 @@ class TestSplitOperator:
         _solve_bordered(op, rhs, rtol=1e-12)
         assert iters[0] > 10
         assert ffts[0] <= 2 * iters[0] + 8
+
+
+def _symmetric_dense(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))
+    a = (q * eigenvalues) @ q.T
+    return 0.5 * (a + a.T), q
+
+
+def _minres_pair(A, b, **kwargs):
+    """(x, info, iterations) of scipy's minres and of grid.minres."""
+    out = []
+    for solve in (scipy_minres, minres):
+        iters = [0]
+        x, info = solve(A, b, callback=lambda xk: iters.__setitem__(0, iters[0] + 1),
+                        **kwargs)
+        out.append((x, info, iters[0]))
+    return out
+
+
+class TestMinres:
+    """grid.minres against scipy's minres, the implementation it ports."""
+
+    @staticmethod
+    def _assert_parity(A, b, **kwargs):
+        (x_ref, info_ref, it_ref), (x, info, it) = _minres_pair(A, b, **kwargs)
+        assert info == info_ref
+        assert abs(it - it_ref) <= 1
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        return x, it
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=hst.integers(0, 10_000), n=hst.integers(8, 80),
+           rtol=hst.sampled_from([1e-6, 1e-10, 1e-13]))
+    def test_matches_scipy_on_dense_indefinite_systems(self, seed, n, rtol):
+        rng = np.random.default_rng(seed)
+        a, _ = _symmetric_dense(rng, rng.choice([-1.0, 1.0], n) * rng.uniform(0.3, 4.0, n))
+        b = rng.standard_normal(n)
+        x, _ = self._assert_parity(aslinearoperator(a), b, rtol=rtol, maxiter=5 * n)
+        assert np.linalg.norm(b - a @ x) <= 10 * rtol * 4.0 * np.linalg.norm(x)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=hst.integers(0, 10_000), M=hst.sampled_from([64, 96, 128]),
+           c=hst.floats(0.5, 4.0), rtol=hst.sampled_from([1e-8, 1e-12]))
+    def test_matches_scipy_on_bordered_split_operators(self, seed, M, c, rtol):
+        grid = GridSpec(2, M)
+        rng = np.random.default_rng(seed)
+        op = FourierOperator(grid, rng.uniform(-3.0, 3.0, M), border=np.exp(-grid.x**2))
+        split = op.split(c)
+        b = split.forward(rng.standard_normal(op.size))
+        self._assert_parity(split, b, rtol=rtol, maxiter=3000)
+
+    @staticmethod
+    def _singular(null_part):
+        """A with a two-dimensional kernel (basis q[:, :2]) and b with that
+        much kernel component."""
+        rng = np.random.default_rng(3)
+        eigenvalues = np.append([0.0, 0.0], rng.uniform(0.5, 3.0, 38) * (-1) ** np.arange(38))
+        a, q = _symmetric_dense(rng, eigenvalues)
+        b = q[:, 2:] @ rng.standard_normal(38) + null_part * (q[:, :2] @ [1.0, -2.0])
+        return a, q, b
+
+    def test_singular_consistent_system(self):
+        a, q, b = self._singular(0.0)
+        x, it = self._assert_parity(aslinearoperator(a), b, rtol=1e-10, maxiter=200)
+        assert it < 40
+        assert np.linalg.norm(q[:, :2].T @ x) <= 1e-8 * np.linalg.norm(x)  # no kernel part
+        assert np.linalg.norm(b - a @ x) <= 1e-9 * 3.0 * np.linalg.norm(x)
+
+    def test_inconsistent_system_stops_by_the_least_squares_test(self):
+        # |r| stays sqrt(5), so the backward-error test cannot stop the
+        # iteration; |A r| <= rtol |A| |r| does, at the same step as scipy's
+        a, q, b = self._singular(1.0)
+        rtol = 1e-6
+        (x_ref, info_ref, it_ref), (x, info, it) = _minres_pair(
+            aslinearoperator(a), b, rtol=rtol, maxiter=200)
+        assert info == info_ref == 0
+        assert abs(it - it_ref) <= 1 and it < 40
+        r = b - a @ x
+        assert np.linalg.norm(r) == pytest.approx(np.sqrt(5.0), rel=1e-10)
+        assert np.linalg.norm(r) > rtol * 3.0 * np.linalg.norm(x)
+        assert np.linalg.norm(a @ r) <= 10 * rtol * 3.0 * np.linalg.norm(r)
+        # the kernel part of x is roundoff; the part in the range is determined
+        rng_ref, rng_x = q[:, 2:].T @ x_ref, q[:, 2:].T @ x
+        assert np.linalg.norm(rng_x - rng_ref) <= 1e-10 * np.linalg.norm(rng_ref)
+
+    def test_iteration_limit_returns_maxiter(self):
+        rng = np.random.default_rng(5)
+        a, _ = _symmetric_dense(rng, rng.uniform(-4.0, 4.0, 50))
+        b = rng.standard_normal(50)
+        (_, info_ref, it_ref), (_, info, it) = _minres_pair(
+            aslinearoperator(a), b, rtol=1e-14, maxiter=7)
+        assert info == info_ref == 7
+        assert it == it_ref == 7
+
+    def test_zero_rhs(self):
+        x, info = minres(aslinearoperator(np.eye(4)), np.zeros(4), rtol=1e-10)
+        assert info == 0 and not np.any(x)
 
 
 class TestSpectrumBottomHelper:

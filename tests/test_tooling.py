@@ -58,3 +58,23 @@ def test_tracer_counts_split_step_ffts_and_records(monkeypatch, V1):
     assert tracer.calls["dynamics.orbit_distance"] == 5
     assert tracer.calls["dynamics.ComplexField.validate"] == 4  # one per record
     assert tracer.tag_s["record"] > 0.0
+
+
+def test_tracer_counts_one_minres_iteration_per_split_apply(monkeypatch):
+    from test_grid import _counting_split_applies
+
+    from multibump.gluing import _solve_bordered
+
+    g = grid.GridSpec(4, 256)
+    rng = np.random.default_rng(8)
+    op = grid.FourierOperator(g, rng.uniform(-1.5, 2.0, g.M), border=np.exp(-g.x**2))
+    rhs = rng.standard_normal(op.size)
+    tracer = _tracer(monkeypatch)
+    applies = _counting_split_applies(monkeypatch)
+    tracer.install()
+    try:
+        _solve_bordered(op, rhs)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["gluing.minres"] >= 1
+    assert tracer.counts["gluing.minres.iters"] == applies[0] > 10
