@@ -231,7 +231,8 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+            cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def _point_payload(point: st.ConstrainedCriticalPoint, V, f, config: RunConfig,
@@ -263,35 +264,26 @@ def _working_potential(V, point):
     return V.shifted(point.potential_shift) if point.potential_shift else V
 
 
-def cmd_groundstate(config: RunConfig, out: Path) -> int:
-    grid = config.grid()
+def _ground_state(config: RunConfig, mass: float):
+    """The configured ground state of the given mass, with the potential in
+    its working gauge and the nonlinearity."""
     V, f = config.potential(), config.nonlinearity()
     s = config.solver()
     point = gl.ground_state(
-        grid, config.mass(), V, f,
+        config.grid(), mass, V, f,
         center=s["center"], flow_tol=s["flow_tol"], newton_tol=s["newton_tol"],
         flow_step=s["flow_step"],
     )
+    return point, _working_potential(V, point), f
+
+
+def cmd_groundstate(config: RunConfig, out: Path) -> int:
+    point, Vw, f = _ground_state(config, config.mass())
     point.certify()
-    Vw = _working_potential(V, point)
     _emit_point(point, Vw, f, config, out, "groundstate")
     report = sp.classify(point.u, point.lam, Vw, f)
     _write_json(out / "groundstate_spectrum.json", {**report.to_dict(), **_metadata(config)})
     return 0
-
-
-def _base_point(config: RunConfig, per_bump_mass: float, out: Path):
-    grid = config.grid()
-    V, f = config.potential(), config.nonlinearity()
-    s = config.solver()
-    point = gl.ground_state(
-        grid, per_bump_mass, V, f,
-        center=s["center"], flow_tol=s["flow_tol"], newton_tol=s["newton_tol"],
-        flow_step=s["flow_step"],
-    )
-    Vw = _working_potential(V, point)
-    _emit_point(point, Vw, f, config, out, "base_point")
-    return point, Vw, f
 
 
 def _symmetric_offsets(n: int, d: int) -> tuple:
@@ -317,7 +309,8 @@ def _glue_row(ubar, cfg, alpha, V, f, newton_tol):
 def cmd_glue(config: RunConfig, out: Path) -> int:
     configs = config.bump_configs()
     alpha = config.mass()
-    ubar, V, f = _base_point(config, alpha / configs[0].n, out)
+    ubar, V, f = _ground_state(config, alpha / configs[0].n)
+    _emit_point(ubar, V, f, config, out, "base_point")
     newton_tol = config.solver()["newton_tol"]
 
     rows, n_ok = [], 0

@@ -38,6 +38,7 @@ __all__ = [
     "superpose",
     "extended_gradient",
     "bordered_apply",
+    "damped_newton",
     "newton_correct",
     "glue",
     "GlueResult",
@@ -138,8 +139,8 @@ def _jacobian(pt: ExtendedPoint, vs: np.ndarray, f) -> gr.FourierOperator:
 
 
 def _solve_bordered(op: gr.FourierOperator, rhs, rtol=1e-12, maxiter=3000):
-    """MINRES on the split form of the symmetric bordered system, with the
-    residual verified on the operator itself.
+    """MINRES on the split form of the symmetric system, bordered or not, with
+    the residual verified on the operator itself.
 
     Accepts x at backward error rtol, the quantity MINRES's own stopping test
     measures: |rhs - A x| <= 10 rtol (scale |x| + |rhs|), scale = op.scale
@@ -171,13 +172,47 @@ def _solve_bordered(op: gr.FourierOperator, rhs, rtol=1e-12, maxiter=3000):
     raise LinearSolverError(f"bordered solve reached only relative residual {res:.3e}")
 
 
-def _newton_step(pt: ExtendedPoint, alpha, V, f):
-    """One undamped Newton step direction for grad G = 0."""
+def _newton_step(pt: ExtendedPoint, alpha, V, f) -> np.ndarray:
+    """One undamped Newton step direction (du, dlambda) for grad G = 0, stacked."""
     u, grid = pt.u, pt.u.grid
     strong = md.l2_residual(u, pt.lam, V, f)
     rhs = np.append(-strong.values, 0.5 * (gr.inner_l2(u, u) - alpha) / grid.h)
-    sol = _solve_bordered(_jacobian(pt, gr.potential_samples(V, grid), f), rhs)
-    return Field(grid, sol[: grid.M]), float(sol[grid.M])
+    return _solve_bordered(_jacobian(pt, gr.potential_samples(V, grid), f), rhs)
+
+
+def damped_newton(x: np.ndarray, merit, step, tol: float, fail):
+    """Damped Newton on a stacked vector x (u, or u and lambda when bordered).
+
+    Each step tries x + t step(x) for t = 1, 1/2, ..., 2^-6 and takes the
+    first trial whose merit is below the current one; if none is, it takes
+    the 2^-7 step anyway.  Three such forced steps in a row, or 40 steps
+    without merit(x) <= tol, raise fail(message, merit history), which
+    returns the exception.  Returns (x, steps, merit history).
+    """
+    eta = merit(x)
+    history = [eta]
+    forced = 0
+    while eta > tol:
+        if len(history) > 40:
+            raise fail("no convergence in 40 Newton steps", history)
+        dx = step(x)
+        t = 1.0
+        for _ in range(7):
+            trial = x + t * dx
+            eta_trial = merit(trial)
+            if eta_trial < eta:
+                forced = 0
+                break
+            t *= 0.5
+        else:
+            forced += 1
+            if forced >= 3:
+                raise fail("residual increased on 3 consecutive damped steps", history)
+            trial = x + t * dx
+            eta_trial = merit(trial)
+        x, eta = trial, eta_trial
+        history.append(eta)
+    return x, len(history) - 1, history
 
 
 @dataclass
@@ -191,64 +226,42 @@ class GlueResult:
     dlambda: float = np.nan
 
 
+# starting extended-gradient norm above which glue asks for more separation
+_INITIAL_RESIDUAL_CAP = 0.5
+
+
 def newton_correct(pt0: ExtendedPoint, alpha: float, V, f, tol: float = 1e-10,
-                   max_iter: int = 40, max_damping: int = 6,
                    separation: float = np.inf):
-    """Damped Newton on grad G = 0 from an arbitrary starting point.
+    """Damped Newton (damped_newton) on grad G = 0 from an arbitrary starting
+    point, merit the extended-gradient norm.
 
     Returns (extended point, iterations, residual history).  Divergence
-    (residual increase on 3 consecutive damped steps) and iteration
-    exhaustion raise GluingFailedError carrying the history.
+    and step exhaustion raise GluingFailedError carrying the history.
     """
-    pt = pt0
-    eta = extended_gradient_norm(pt, alpha, V, f)
-    history = [eta]
-    increases = 0
-    iterations = 0
-    while eta > tol:
-        if iterations >= max_iter:
-            raise GluingFailedError(
-                f"no convergence in {max_iter} Newton steps",
-                separation=separation,
-                residual_history=history,
-            )
-        du, dlam = _newton_step(pt, alpha, V, f)
-        t = 1.0
-        best = None
-        for _ in range(max_damping + 1):
-            trial = ExtendedPoint(pt.u + t * du, pt.lam + t * dlam)
-            eta_trial = extended_gradient_norm(trial, alpha, V, f)
-            if eta_trial < eta:
-                best = (trial, eta_trial)
-                break
-            t *= 0.5
-        if best is None:
-            increases += 1
-            if increases >= 3:
-                raise GluingFailedError(
-                    "residual increased on 3 consecutive damped steps",
-                    separation=separation,
-                    residual_history=history,
-                )
-            pt = ExtendedPoint(pt.u + t * du, pt.lam + t * dlam)
-            eta = extended_gradient_norm(pt, alpha, V, f)
-        else:
-            increases = 0
-            pt, eta = best
-        history.append(eta)
-        iterations += 1
-    return pt, iterations, history
+    M = pt0.u.grid.M
+
+    def point(x):
+        return ExtendedPoint(Field(pt0.u.grid, x[:M]), float(x[M]))
+
+    x, iterations, history = damped_newton(
+        np.append(pt0.u.values, pt0.lam),
+        lambda x: extended_gradient_norm(point(x), alpha, V, f),
+        lambda x: _newton_step(point(x), alpha, V, f),
+        tol,
+        lambda message, residuals: GluingFailedError(
+            message, separation=separation, residual_history=residuals),
+    )
+    return point(x), iterations, history
 
 
 def glue(ubar: st.ConstrainedCriticalPoint, cfg: BumpConfig, alpha: float, V, f,
-         tol: float = 1e-10, max_iter: int = 40, max_damping: int = 6,
-         initial_residual_cap: float = 0.5) -> GlueResult:
+         tol: float = 1e-10) -> GlueResult:
     """Correct the superposition of translated copies of ubar to an exact
     discrete constrained critical point by damped Newton on grad G = 0.
 
     Requires alpha = n * ubar.mass (the total mass splits evenly over the
     bumps) and enough separation that the starting extended-gradient norm
-    is below initial_residual_cap.
+    is below _INITIAL_RESIDUAL_CAP.
     """
     if abs(alpha - cfg.n * ubar.mass) > 1e-12 * max(1.0, alpha):
         raise PreconditionError(
@@ -267,17 +280,15 @@ def glue(ubar: st.ConstrainedCriticalPoint, cfg: BumpConfig, alpha: float, V, f,
     v0 = superpose(ubar.u, cfg)
     pt0 = ExtendedPoint(v0, ubar.lam)
     eta0 = extended_gradient_norm(pt0, alpha, V, f)
-    if eta0 > initial_residual_cap:
+    if eta0 > _INITIAL_RESIDUAL_CAP:
         raise GluingFailedError(
-            f"starting residual {eta0:.3e} exceeds cap {initial_residual_cap:.1e}; "
+            f"starting residual {eta0:.3e} exceeds cap {_INITIAL_RESIDUAL_CAP:.1e}; "
             "increase the separation",
             separation=cfg.separation,
             residual_history=[eta0],
         )
-    pt, iterations, history = newton_correct(
-        pt0, alpha, V, f, tol=tol, max_iter=max_iter, max_damping=max_damping,
-        separation=cfg.separation,
-    )
+    pt, iterations, history = newton_correct(pt0, alpha, V, f, tol=tol,
+                                             separation=cfg.separation)
     point = st.ConstrainedCriticalPoint.measure(pt.u, pt.lam, alpha, V, f)
     return GlueResult(
         point=point,

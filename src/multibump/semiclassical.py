@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
+from . import gluing as gl
 from . import grid as gr
 from . import model as md
 from . import spectra as sp
@@ -72,42 +73,6 @@ def _check_normalization(V: Potential) -> None:
         raise PreconditionError(
             f"the concentration point must be normalized to V(0) = 1, got {v0}"
         )
-
-
-def _free_newton(grid: GridSpec, vs: np.ndarray, f: Nonlinearity, u0: np.ndarray,
-                 tol: float = 1e-11, max_iter: int = 25):
-    """Newton for -u'' + vs*u = |u|^(p-2) u, MINRES on the split Jacobian.
-
-    Returns (solution values, iteration count).
-    """
-    base = gr.FourierOperator(grid, vs)
-    u = u0.copy()
-    res = base.apply(u) - f.f(u)
-    res_norm = np.max(np.abs(res))
-    for iteration in range(max_iter):
-        if res_norm <= tol:
-            return u, iteration
-        split = gr.FourierOperator(grid, vs - f.fprime(u)).minres_split()
-        dy, info = minres(split, split.forward(-res), rtol=1e-13, maxiter=3000)
-        if info != 0:
-            raise LinearSolverError(f"Jacobian solve returned info = {info}")
-        du = split.back(dy)
-        step = 1.0
-        for _ in range(8):
-            trial = u + step * du
-            trial_res = base.apply(trial) - f.f(trial)
-            trial_norm = np.max(np.abs(trial_res))
-            if trial_norm < res_norm:
-                break
-            step *= 0.5
-        else:
-            raise ContinuationNeededError(
-                f"free Newton diverged at residual {res_norm:.3e}"
-            )
-        u, res, res_norm = trial, trial_res, trial_norm
-    raise ContinuationNeededError(
-        f"free Newton did not converge below {tol:.1e} (last {res_norm:.3e})"
-    )
 
 
 def _peak_location(u: Field) -> float:
@@ -171,20 +136,33 @@ class EpsilonFamily:
 
 
 def _rescaled_solve_counted(grid: GridSpec, eps: float, V: Potential, p: float,
-                            u_init: Field | None = None, tol: float = 1e-11):
+                            u_init: Field | None = None):
+    """Damped Newton (gluing.damped_newton) for -u'' + V(eps x) u = |u|^(p-2) u
+    to a sup-norm residual of 1e-11, each step one unbordered Jacobian solve.
+
+    Returns (point, Newton steps).
+    """
     _check_normalization(V)
     f = Nonlinearity(p)
     Veps = scaled_potential(V, eps)
     vs = gr.potential_samples(Veps, grid)
+    base = gr.FourierOperator(grid, vs)
     guess = u_init.values if u_init is not None else st.limit_profile(grid, p, 1.0).values
-    u_vals, iters = _free_newton(grid, vs, f, guess, tol=tol)
+    u_vals, iters, _ = gl.damped_newton(
+        guess,
+        lambda u: np.max(np.abs(base.apply(u) - f.f(u))),
+        lambda u: gl._solve_bordered(gr.FourierOperator(grid, vs - f.fprime(u)),
+                                     f.f(u) - base.apply(u), rtol=1e-13),
+        1e-11,
+        lambda message, _: ContinuationNeededError(f"free Newton: {message}"),
+    )
     u = Field(grid, u_vals)
     point = ConstrainedCriticalPoint.measure(u, 0.0, gr.inner_l2(u, u), Veps, f)
     return point, iters
 
 
 def rescaled_solve(grid: GridSpec, eps: float, V: Potential, p: float,
-                   u_init: Field | None = None, tol: float = 1e-11) -> ConstrainedCriticalPoint:
+                   u_init: Field | None = None) -> ConstrainedCriticalPoint:
     """Newton solve of the rescaled free equation at a fixed eps.
 
     The initial guess defaults to the closed-form limit profile.  On
@@ -192,12 +170,11 @@ def rescaled_solve(grid: GridSpec, eps: float, V: Potential, p: float,
     a converged member instead.  The multiplier of the returned point is
     0: the rescaled problem is free.
     """
-    point, _ = _rescaled_solve_counted(grid, eps, V, p, u_init=u_init, tol=tol)
+    point, _ = _rescaled_solve_counted(grid, eps, V, p, u_init=u_init)
     return point
 
 
-def continue_family(grid: GridSpec, eps_list, V: Potential, p: float,
-                    tol: float = 1e-11) -> EpsilonFamily:
+def continue_family(grid: GridSpec, eps_list, V: Potential, p: float) -> EpsilonFamily:
     """Solve the family along descending eps, each member seeding the next."""
     eps_arr = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
@@ -205,7 +182,7 @@ def continue_family(grid: GridSpec, eps_list, V: Potential, p: float,
     family = EpsilonFamily(V=V, p=p)
     u_prev = None
     for eps in eps_arr:
-        point, iters = _rescaled_solve_counted(grid, eps, V, p, u_init=u_prev, tol=tol)
+        point, iters = _rescaled_solve_counted(grid, eps, V, p, u_init=u_prev)
         x_peak = _peak_location(point.u)
         shifted_profile = st.limit_profile(grid, p, 1.0, center=x_peak)
         family.members.append(

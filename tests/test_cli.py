@@ -313,8 +313,10 @@ class TestSemiclassicalCommand:
         assert crit["relative_error"] < 1e-4
         for line in lines[1:]:
             cells = line.split(",")
+            numbers = [float(c) for c in cells[:-1]]  # every cell but the status parses
+            assert cells[-1] == "ok"
             assert int(cells[3]) == 0 and int(cells[4]) == 1  # m, m_f
-            assert float(cells[5]) < 0  # subcritical pairing
+            assert numbers[5] < 0  # subcritical pairing
 
     def test_one_criterion_solve(self, tmp_path, monkeypatch):
         from multibump import semiclassical

@@ -1,10 +1,13 @@
 """Superposition, the extended functional, bordered solves and gluing."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from multibump.errors import GluingFailedError, PreconditionError
+from multibump import cli, gluing
+from multibump.errors import ContinuationNeededError, GluingFailedError, PreconditionError
 from multibump.gluing import (
     BumpConfig,
     ExtendedPoint,
@@ -13,11 +16,13 @@ from multibump.gluing import (
     extended_gradient,
     extended_gradient_norm,
     glue,
+    newton_correct,
     shadowing_certificate,
     superpose,
 )
 from multibump.grid import Field, inner_h1v, inner_l2, norm_h1, translate
 from multibump.model import energy
+from multibump.semiclassical import rescaled_solve
 
 
 def _ext_inner(a, b, V):
@@ -187,8 +192,7 @@ class TestGlue:
 
     def test_overlapping_bumps_fail_loudly(self, ubar, vcos, f4):
         with pytest.raises((GluingFailedError, PreconditionError)):
-            glue(ubar, BumpConfig(2, (-1, 1)), 9.0, vcos, f4,
-                 initial_residual_cap=1e-3)
+            glue(ubar, BumpConfig(2, (-1, 1)), 9.0, vcos, f4)
 
     def test_residual_nonincreasing_in_separation(self, ubar, vcos, f4):
         etas = []
@@ -213,8 +217,6 @@ class TestGlue:
 
     def test_unique_point_from_perturbed_restarts(self, ubar, glued_two, vcos, f4,
                                                   smooth_field):
-        from multibump.gluing import newton_correct
-
         ref = glued_two[12].point
         v0 = superpose(ubar.u, BumpConfig(2, (-6, 6)))
         rng = np.random.default_rng(5)
@@ -224,6 +226,35 @@ class TestGlue:
             start = ExtendedPoint(v0 + (radius / norm_h1(bump)) * bump, ubar.lam)
             pt, _, _ = newton_correct(start, 9.0, vcos, f4, tol=1e-10)
             assert norm_h1(pt.u - ref.u) < 1e-8
+
+
+class TestDampedNewtonFailure:
+    """The bordered and the free Newton solve share damped_newton's failure
+    path: when no step lowers the merit, the third forced step in a row raises."""
+
+    @pytest.fixture
+    def null_steps(self, monkeypatch):
+        monkeypatch.setattr(gluing, "_solve_bordered", lambda op, rhs, **_: np.zeros_like(rhs))
+
+    def test_bordered_raises_with_history(self, null_steps, ubar, vcos, f4):
+        start = ExtendedPoint(superpose(ubar.u, BumpConfig(2, (-6, 6))), ubar.lam)
+        with pytest.raises(GluingFailedError, match="3 consecutive") as info:
+            newton_correct(start, 9.0, vcos, f4)
+        history = info.value.residual_history
+        assert len(history) == 3 and history[0] > 1e-10
+
+    def test_free_asks_for_continuation(self, null_steps, grid_semi, vmin_well, tmp_path):
+        with pytest.raises(ContinuationNeededError, match="3 consecutive"):
+            rescaled_solve(grid_semi, 0.1, vmin_well, 4.0)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "grid": {"L": 20, "M": 1280},
+            "potential": {"kind": "cosine", "amplitude": -0.3, "shift": 0.3},
+            "nonlinearity": {"p": 4.0},
+            "semiclassical": {"eps_list": [0.2], "m_V": 0},
+        }))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"),
+                         "semiclassical"]) == 4
 
 
 def _dense_bordered_jacobian(u, lam, V, f):

@@ -60,6 +60,18 @@ def test_tracer_counts_split_step_ffts_and_records(monkeypatch, V1):
     assert tracer.tag_s["record"] > 0.0
 
 
+def test_traced_glue_counts_one_newton_step_per_iteration(monkeypatch, ubar, vcos, f4):
+    tracer = _tracer(monkeypatch)
+    tracer.install()
+    try:
+        result = gluing.glue(ubar, gluing.BumpConfig(2, (-6, 6)), 9.0, vcos, f4)
+    finally:
+        tracer.uninstall()
+    assert result.iterations >= 1
+    assert tracer.calls["gluing._newton_step"] == result.iterations
+    assert tracer.counts["gluing.newton_iters_returned"] == result.iterations
+
+
 def test_tracer_counts_one_minres_iteration_per_split_apply(monkeypatch):
     from test_grid import _counting_split_applies
 
