@@ -346,16 +346,19 @@ def _read_field(field_file: str) -> gr.Field:
         raise InvalidFieldError(f"cannot read field {path}: {exc}") from exc
 
 
-def cmd_spectrum(config: RunConfig, out: Path, field_file: str,
-                 residual_tol: float = 1e-6) -> int:
+# sup-norm strong residual above which spectrum refuses a field (exit 3)
+_FIELD_RESIDUAL_TOL = 1e-6
+
+
+def cmd_spectrum(config: RunConfig, out: Path, field_file: str) -> int:
     V, f = config.potential(), config.nonlinearity()
     u = _read_field(field_file)
     lam = st.lagrange_multiplier(u, V, f)
     res = md.l2_residual(u, lam, V, f)
     res_norm = float(np.max(np.abs(res.values)))
-    if res_norm > residual_tol:
+    if res_norm > _FIELD_RESIDUAL_TOL:
         print(
-            f"field is not a critical point: residual {res_norm:.3e} > {residual_tol:.1e}",
+            f"field is not a critical point: residual {res_norm:.3e} > {_FIELD_RESIDUAL_TOL:.1e}",
             file=sys.stderr,
         )
         return 3

@@ -123,10 +123,13 @@ class TrajectoryRecord:
             raise ValueError("times must be strictly increasing")
 
 
+_MASS_DRIFT_TOL = 1e-10  # relative particle-number drift that faults a run
+_DT_CAP = 0.05           # largest time step
+
+
 def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
               reference: tuple[Field, float] | None = None,
-              record_stride: int = 1, snapshot_stride: int = 0,
-              mass_drift_tol: float = 1e-10, dt_cap: float = 0.05) -> TrajectoryRecord:
+              record_stride: int = 1, snapshot_stride: int = 0) -> TrajectoryRecord:
     """Strang split-step evolution from psi0 up to t_end.
 
     Each step is H N H, with H = exp(i k^2 dt/2) the kinetic half-step in
@@ -140,10 +143,10 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
     reference, when given as (phi, lambda), adds an orbit-distance trace.
     t_end must be a whole number of steps (to 1e-9 relative).  Raises
     IntegratorFaultError if at a record the field is not finite or the
-    relative particle-number drift exceeds mass_drift_tol.
+    relative particle-number drift exceeds _MASS_DRIFT_TOL.
     """
-    if dt <= 0 or dt > dt_cap:
-        raise PreconditionError(f"time step must lie in (0, {dt_cap}], got {dt}")
+    if dt <= 0 or dt > _DT_CAP:
+        raise PreconditionError(f"time step must lie in (0, {_DT_CAP}], got {dt}")
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * abs(t_end):
         raise PreconditionError(f"t_end = {t_end} is not a whole number of steps dt = {dt}")
@@ -184,7 +187,7 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
             m = float(grid.h * np.sum(_density(psi)))
             if not np.isfinite(m):
                 raise IntegratorFaultError(f"field is no longer finite at t = {t:.4f}")
-            if abs(m - mass0) > mass_drift_tol * mass0:
+            if abs(m - mass0) > _MASS_DRIFT_TOL * mass0:
                 raise IntegratorFaultError(
                     f"particle-number drift {abs(m - mass0) / mass0:.3e} at t = {t:.4f}"
                 )

@@ -138,38 +138,46 @@ def _jacobian(pt: ExtendedPoint, vs: np.ndarray, f) -> gr.FourierOperator:
     return gr.FourierOperator(u.grid, vs - pt.lam - f.fprime(u.values), border=u.values)
 
 
-def _solve_bordered(op: gr.FourierOperator, rhs, rtol=1e-12, maxiter=3000):
-    """MINRES on the split form of the symmetric system, bordered or not, with
-    the residual verified on the operator itself.
+_REFINE_ROUNDS = 10     # MINRES rounds of one refined solve
+_MINRES_MAXITER = 3000  # iterations of one round
+
+
+def _solve_bordered(op: gr.FourierOperator, rhs, rtol=1e-12):
+    """MINRES on the split form of the symmetric system, bordered or not,
+    refined in rounds on the residual verified on the operator itself.
 
     Accepts x at backward error rtol, the quantity MINRES's own stopping test
     measures: |rhs - A x| <= 10 rtol (scale |x| + |rhs|), scale = op.scale
-    standing in for |A|.  This also accepts a solve at the roundoff floor
-    eps * scale * |x| of the spectral operator whenever rtol is above eps;
-    a solution along a near-null direction of A is large, and its residual
-    is weighed against it rather than against |rhs|.
+    standing in for |A|; rtol = eps/10 asks for the roundoff floor.  A
+    solution along a near-null direction of A is large, and its residual is
+    weighed against it rather than against |rhs|.  Two rounds in a row that
+    do not halve the residual, or _REFINE_ROUNDS rounds, end the solve with
+    DegenerateSuperpositionError above relative residual 1e-6, else
+    LinearSolverError.
     """
     split = op.minres_split()
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
     x = np.zeros_like(rhs)
-    r = rhs.copy()
-    for _ in range(4):
-        dy, info = minres(split, split.forward(r), rtol=rtol, maxiter=maxiter)
-        dx = split.back(dy)
-        x = x + dx
+    r, best, stalls = rhs, rhs_norm, 0
+    for _ in range(_REFINE_ROUNDS):
+        dy, _ = minres(split, split.forward(r), rtol=rtol, maxiter=_MINRES_MAXITER)
+        x = x + split.back(dy)
         r = rhs - op.apply(x)
-        if np.linalg.norm(r) <= 10 * rtol * (op.scale * np.linalg.norm(x) + rhs_norm):
+        norm = np.linalg.norm(r)
+        if norm <= 10 * rtol * (op.scale * np.linalg.norm(x) + rhs_norm):
             return x
-        if info != 0 and np.linalg.norm(dx) == 0.0:
+        stalls = 0 if norm < 0.5 * best else stalls + 1
+        best = min(best, norm)
+        if stalls == 2:
             break
-    res = np.linalg.norm(r) / rhs_norm
+    res = norm / rhs_norm
     if res > 1e-6:
         raise DegenerateSuperpositionError(
-            f"bordered solve stalled at relative residual {res:.3e}"
+            f"MINRES solve stalled at relative residual {res:.3e}"
         )
-    raise LinearSolverError(f"bordered solve reached only relative residual {res:.3e}")
+    raise LinearSolverError(f"MINRES solve reached only relative residual {res:.3e}")
 
 
 def _newton_step(pt: ExtendedPoint, alpha, V, f) -> np.ndarray:
@@ -400,13 +408,16 @@ def _difference_operator_norm(pt0: ExtendedPoint, pt1: ExtendedPoint, metric, f,
     return float(abs(thetas[top]))
 
 
+_SHADOWING_SAMPLES = 5  # random points of the delta-ball the Lipschitz bound is sampled at
+
+
 def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
-                          q: float, n_samples: int = 5, seed: int = 0) -> ShadowingReport:
+                          q: float, seed: int = 0) -> ShadowingReport:
     """Sampled check of the contraction conditions around pt0.
 
     Estimates the starting gradient norm, the inverse norm of the block
     second derivative (1/sigma_min) and a Lipschitz bound sampled over
-    n_samples random points in the delta-ball, then flags whether the
+    _SHADOWING_SAMPLES random points in the delta-ball, then flags whether the
     fixed-point conditions hold with the given (delta, q).
     """
     if not 0.0 < q < 1.0:
@@ -418,7 +429,7 @@ def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
     metric = gr.FourierOperator(grid, gr.potential_samples(V, grid))
     rng = np.random.default_rng(seed + 1)
     lipschitz = 0.0
-    for i in range(n_samples):
+    for i in range(_SHADOWING_SAMPLES):
         direction = Field(grid, rng.standard_normal(grid.M))
         dmu = float(rng.standard_normal())
         nrm = _h_norm(direction, dmu, V)

@@ -127,7 +127,10 @@ class Potential:
         )
 
 
-def positive_gauge(V: Potential, grid: GridSpec, margin: float = 0.5):
+_GAUGE_MARGIN = 0.5  # bottom of -Lap + V after positive_gauge shifts it
+
+
+def positive_gauge(V: Potential, grid: GridSpec):
     """Shift V so the discrete -Lap + V is positive definite.
 
     Returns (shifted potential, applied constant c); multipliers computed
@@ -136,7 +139,7 @@ def positive_gauge(V: Potential, grid: GridSpec, margin: float = 0.5):
     bottom = gr.operator_bottom_eigenvalue(V, grid)
     if bottom > 0.0:
         return V, 0.0
-    c = margin - bottom
+    c = _GAUGE_MARGIN - bottom
     return V.shifted(c), c
 
 

@@ -14,16 +14,17 @@ of the two indices the constraint sees and classifies nondegeneracy.
 Counts are matrix-free.  The free count, the gap and the near-zero
 eigenvalues come from a Fourier-preconditioned LOBPCG block of the lowest
 eigenvalues of L (Knyazev 2001), grown until its Ritz residuals certify the
-count.  z and the pairings u^T (L - s)^{-1} u come from MINRES solves, and
-the constrained count from the inertia of the bordered matrix
-[[L - s, u], [u^T, 0]].  Near-zero eigenvalues (within tau0) are reported
-and make counts provisional.
+count.  z and the pairings u^T (L - s)^{-1} u come from solves of
+(L - s) x = u, and the constrained count from the inertia of the bordered
+matrix [[L - s, u], [u^T, 0]].  Near-zero eigenvalues (within tau0) are
+reported and make counts provisional.
 
 The instability pencil (L1, L2^{-1}) on the tangent space is matrix-free
 too: its negative eigenvalues are counted by the certified constrained
 count (Sylvester inertia), the lowest one comes from Lanczos on the
-inverse pencil with bordered MINRES solves, and it is returned only when
-its residual bounds its error below its size.  One dense computation
+inverse pencil with bordered solves, and it is returned only when its
+residual bounds its error below its size.  Every solve here is
+gluing._solve_bordered run to the roundoff floor.  One dense computation
 remains: the full spectrum the spectrum command writes.
 """
 
@@ -35,8 +36,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, lobpcg
+from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg
 
+from . import gluing as gl
 from . import grid as gr
 from .errors import (
     LinearSolverError,
@@ -46,7 +48,7 @@ from .errors import (
     PreconditionError,
     UncertifiedCountError,
 )
-from .grid import Field, GridSpec, minres
+from .grid import Field, GridSpec
 from .stationary import ConstrainedCriticalPoint
 
 __all__ = [
@@ -68,9 +70,10 @@ _RITZ_TOL = 1e-12     # LOBPCG residual target as a fraction of the top eigenval
 _LOBPCG_MAXITER = 200
 _BLOCK_START, _BLOCK_CAP = 3, 64  # LOBPCG block size: first try, and the cap
 _SOLVE_RTOL = 1e-10   # sup-norm residual of a MINRES solve, relative to max(1, |rhs|)
-_REFINE_ROUNDS = 10   # MINRES rounds of a pencil solve
+_FLOOR_RTOL = 0.1 * np.finfo(float).eps  # MINRES rtol: every solve runs to the roundoff floor
 _LANCZOS_STEPS, _LANCZOS_RTOL = 100, 1e-10  # pencil Lanczos: step cap, Ritz residual target
 _POSITIVITY_TOL = 1e4 * np.finfo(float).eps  # roundoff band below zero, relative to the radius
+_KERNEL_CHECK_TOL = 1e-6  # sup norm of L2 phi above which phi is not in its kernel
 
 
 def _dense_operator(grid: GridSpec, V, lam: float, weight: np.ndarray) -> np.ndarray:
@@ -140,12 +143,9 @@ class RitzBlock:
         return above and not any(np.any((lo <= p) & (p <= hi)) for p in points)
 
 
-def _linear_operator(op):
+def _linear_operator(op: gr.FourierOperator):
     """(LinearOperator, LOBPCG preconditioner) of a grid.FourierOperator, whose
-    preconditioner is (k^2 + c)^{-1} with c = max(mean weight + 1, 1), or of
-    any symmetric operator (no preconditioner)."""
-    if not isinstance(op, gr.FourierOperator):
-        return aslinearoperator(op), None
+    preconditioner is (k^2 + c)^{-1} with c = max(mean weight + 1, 1)."""
     n = op.grid.M
     symbol = op.grid.wavenumbers**2 + max(float(np.mean(op.weight)) + 1.0, 1.0)
     L = LinearOperator((n, n), matvec=lambda x: op.apply(np.ravel(x)),
@@ -180,15 +180,16 @@ def _lowest_ritz(L, precond, start: np.ndarray, tol: float,
 class Linearization:
     """Symmetric L and constraint direction u, matrix-free.
 
-    L is a grid.FourierOperator, whose LOBPCG block is preconditioned by
-    (k^2 + c)^{-1} and whose MINRES solves run on its split form, or any
-    symmetric LinearOperator (unpreconditioned).  L is never formed.  The
-    radius, the zero threshold tau0 (used for both counts), the certified
-    Ritz block, the gap and the free count are set at construction;
-    z = L^{-1} u and the constrained count are computed on first use.
+    L is a grid.FourierOperator (only), whose LOBPCG block is preconditioned
+    by (k^2 + c)^{-1} and whose solves are gluing._solve_bordered, refined
+    MINRES on its split form, run to the roundoff floor.  L is never formed.
+    The radius, the zero threshold tau0 (used for both counts), the
+    certified Ritz block, the gap and the free count are set at
+    construction; z = L^{-1} u and the constrained count are computed on
+    first use.
     """
 
-    def __init__(self, op, u: Field):
+    def __init__(self, op: gr.FourierOperator, u: Field):
         self.op, self.u, self._rng = op, u, np.random.default_rng(0)
         n = len(u.values)
         self._L, self._precond = _linear_operator(op)
@@ -228,27 +229,11 @@ class Linearization:
         return block
 
     def _solve(self, s: float, rhs: np.ndarray):
-        """(x, sup-norm residual) for (L - s) x = rhs: MINRES on the split form
-        of a Fourier operator, refined on the true residual."""
-        if isinstance(self.op, gr.FourierOperator):
-            shifted = gr.FourierOperator(self.op.grid, self.op.weight - s)
-            split = shifted.minres_split()
-            system, forward, back, apply = split, split.forward, split.back, shifted.apply
-        else:
-            def apply(x):
-                return self._L.matvec(x) - s * x
-
-            system = LinearOperator(self._L.shape, matvec=apply, dtype=float)
-            forward = back = np.asarray
-        target = _SOLVE_RTOL * max(1.0, float(np.max(np.abs(rhs))))
-        x, r = np.zeros_like(rhs), rhs
-        for _ in range(3):
-            dy, _ = minres(system, forward(r), rtol=1e-13, maxiter=3000)
-            x = x + back(dy)
-            r = rhs - apply(x)
-            if np.max(np.abs(r)) <= target:
-                break
-        return x, float(np.max(np.abs(r)))
+        """(x, sup-norm residual) for (L - s) x = rhs, solved to the roundoff
+        floor."""
+        shifted = gr.FourierOperator(self.op.grid, self.op.weight - s)
+        x = gl._solve_bordered(shifted, rhs, rtol=_FLOOR_RTOL)
+        return x, float(np.max(np.abs(rhs - shifted.apply(x))))
 
     @cached_property
     def _solution(self):
@@ -447,29 +432,11 @@ class InstabilityResult:
 
 def _tangent_solve(op: gr.FourierOperator, rhs: np.ndarray) -> np.ndarray:
     """x orthogonal to the border b with P A x = rhs (rhs orthogonal to b, P
-    the orthogonal projector off b) for the operator A bordered by b.
-
-    MINRES on the split form, refined on the true residual until it reaches
-    the roundoff floor eps * scale * |x| or stops halving.  A solution along
-    a near-null direction of A is large and its small components carry the
-    pencil, so no fixed multiple of the floor will do; MINRES may also stop
-    at a least-squares solution there, which the next round repairs.
-    """
-    b = np.append(rhs, 0.0)
-    split = op.minres_split()
-    x = best = np.zeros_like(b)
-    r, best_norm, stalls = b, np.linalg.norm(b), 0
-    for _ in range(_REFINE_ROUNDS):
-        dy, _ = minres(split, split.forward(r), rtol=1e-13, maxiter=3000)
-        x = x + split.back(dy)
-        r = b - op.apply(x)
-        norm = np.linalg.norm(r)
-        stalls = 0 if norm < 0.5 * best_norm else stalls + 1
-        if norm < best_norm:
-            best, best_norm = x, norm
-        if norm <= np.finfo(float).eps * op.scale * np.linalg.norm(x) or stalls == 2:
-            break
-    return best[:-1]
+    the orthogonal projector off b) for the operator A bordered by b, solved
+    to the roundoff floor.  A solution along a near-null direction of A is
+    large and its small components carry the pencil, so no fixed multiple
+    of the floor will do."""
+    return gl._solve_bordered(op, np.append(rhs, 0.0), rtol=_FLOOR_RTOL)[:-1]
 
 
 def _tangent_kernel(lin: Linearization) -> list:
@@ -539,8 +506,7 @@ class _Pencil:
         return y / np.sqrt(y @ x)
 
 
-def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f,
-                           kernel_check_tol: float = 1e-6) -> InstabilityResult:
+def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f) -> InstabilityResult:
     """Construct the positive eigenvalue of the linearized flow at phi.
 
     Preconditions: phi positive, and the multiplier below the bottom of
@@ -575,7 +541,7 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f,
     L2 = gr.FourierOperator(grid, gr.potential_samples(V, grid) - lam
                             - np.abs(u.values) ** (f.p - 2.0))
     kernel_residual = float(np.max(np.abs(L2.apply(u.values))))
-    if kernel_residual > kernel_check_tol:
+    if kernel_residual > _KERNEL_CHECK_TOL:
         raise PreconditionError(
             f"wave is not in the kernel of the comparison operator "
             f"(residual {kernel_residual:.3e})"

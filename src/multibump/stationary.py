@@ -24,6 +24,9 @@ __all__ = [
     "normalized_flow",
 ]
 
+# ConstrainedCriticalPoint.certify: sup-norm residual and mass defect it accepts
+_CERTIFY_RESIDUAL_TOL, _CERTIFY_CONSTRAINT_TOL = 1e-8, 1e-10
+
 
 @dataclass(frozen=True)
 class ConstrainedCriticalPoint:
@@ -54,14 +57,15 @@ class ConstrainedCriticalPoint:
             potential_shift=float(potential_shift),
         )
 
-    def certify(self, residual_tol: float = 1e-8, constraint_tol: float = 1e-10) -> None:
-        if self.l2_residual_norm > residual_tol:
+    def certify(self) -> None:
+        if self.l2_residual_norm > _CERTIFY_RESIDUAL_TOL:
             raise PreconditionError(
-                f"residual {self.l2_residual_norm:.3e} exceeds {residual_tol:.1e}"
+                f"residual {self.l2_residual_norm:.3e} exceeds {_CERTIFY_RESIDUAL_TOL:.1e}"
             )
-        if self.constraint_violation > constraint_tol:
+        if self.constraint_violation > _CERTIFY_CONSTRAINT_TOL:
             raise PreconditionError(
-                f"constraint violation {self.constraint_violation:.3e} exceeds {constraint_tol:.1e}"
+                f"constraint violation {self.constraint_violation:.3e} exceeds "
+                f"{_CERTIFY_CONSTRAINT_TOL:.1e}"
             )
 
     @property

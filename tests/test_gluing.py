@@ -7,7 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from multibump import cli, gluing
-from multibump.errors import ContinuationNeededError, GluingFailedError, PreconditionError
+from multibump.errors import (
+    ContinuationNeededError,
+    DegenerateSuperpositionError,
+    GluingFailedError,
+    PreconditionError,
+)
 from multibump.gluing import (
     BumpConfig,
     ExtendedPoint,
@@ -20,7 +25,15 @@ from multibump.gluing import (
     shadowing_certificate,
     superpose,
 )
-from multibump.grid import Field, inner_h1v, inner_l2, norm_h1, translate
+from multibump.grid import (
+    Field,
+    FourierOperator,
+    GridSpec,
+    inner_h1v,
+    inner_l2,
+    norm_h1,
+    translate,
+)
 from multibump.model import energy
 from multibump.semiclassical import rescaled_solve
 
@@ -255,6 +268,18 @@ class TestDampedNewtonFailure:
         }))
         assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"),
                          "semiclassical"]) == 4
+
+
+def test_stalled_solve_stops_after_two_rounds(monkeypatch):
+    # the constant right-hand side lies in the kernel of -Lap: no MINRES
+    # round lowers the residual, and the second such round ends the solve
+    calls = []
+    minres = gluing.minres
+    monkeypatch.setattr(gluing, "minres", lambda *args, **kwargs: calls.append(1)
+                        or minres(*args, **kwargs))
+    with pytest.raises(DegenerateSuperpositionError, match="stalled"):
+        gluing._solve_bordered(FourierOperator(GridSpec(4, 128), 0.0), np.ones(128))
+    assert len(calls) == 2
 
 
 def _dense_bordered_jacobian(u, lam, V, f):

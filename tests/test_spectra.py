@@ -6,7 +6,6 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from pencil_oracle import dense_pencil, householder_vector, tangent_block
-from scipy.sparse.linalg import aslinearoperator
 
 from multibump import spectra
 from multibump.errors import (
@@ -101,7 +100,7 @@ class TestMorseCounts:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=hst.integers(0, 2**32 - 1), depth=hst.floats(0.5, 30.0))
-    # a constrained eigenvalue (1.5e-3) inside [-tau0, tau0] although the
+    # a constrained eigenvalue (1.4830e-3) inside [-tau0, tau0] although the
     # free gap is 0.28: the LOBPCG fallback on the complement of u runs
     @example(seed=3652725608, depth=13.979918075538166)
     def test_matches_dense_oracle(self, seed, depth, zero_f):
@@ -128,7 +127,13 @@ class TestMorseCounts:
         assert lin.gap == pytest.approx(np.min(np.abs(spectrum)), rel=1e-8, abs=1e-11)
         projected = _projected_eigenvalues(L, u.values)
         assert lin.constrained.count == np.count_nonzero(projected < -tau0)
-        assert len(lin.constrained.near_zero) == np.count_nonzero(np.abs(projected) <= tau0)
+        assert lin.constrained.near_zero == pytest.approx(
+            tuple(projected[np.abs(projected) <= tau0]), rel=1e-6, abs=1e-10)
+        eigenvalues = np.concatenate([spectrum, projected])
+        s = rng.uniform(spectrum[0] - 1.0, 1.0)
+        while np.min(np.abs(eigenvalues - s)) < 1e-6:
+            s = rng.uniform(spectrum[0] - 1.0, 1.0)
+        assert lin.count_below(s) == np.count_nonzero(projected < s)
         if lin.gap > tau0:
             z_dot_u = grid.h * u.values @ np.linalg.solve(L, u.values)
             assert inner_l2(lin.z, u) == pytest.approx(z_dot_u, rel=1e-8)
@@ -139,48 +144,6 @@ class TestMorseCounts:
 
 class TestPairingCount:
     """Bordered-matrix inertia count against the projected eigensolve."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=hst.integers(0, 2**32 - 1), n_neg=hst.integers(0, 4),
-           positive=hst.booleans())
-    def test_matches_projected_eigensolve(self, seed, n_neg, positive):
-        rng = np.random.default_rng(seed)
-        grid = GridSpec(1, 64)
-        spectrum = np.concatenate([
-            -rng.uniform(0.5, 5.0, n_neg), rng.uniform(0.5, 5.0, grid.M - n_neg),
-        ])
-        basis, _ = np.linalg.qr(rng.standard_normal((grid.M, grid.M)))
-        L = (basis * spectrum) @ basis.T
-        L = 0.5 * (L + L.T)
-        # (z, u) is the sum of c_i^2 / spectrum_i: weight on the negative
-        # modes sets its sign
-        c = rng.standard_normal(grid.M)
-        if positive:
-            c[:n_neg] *= 0.01
-        else:
-            c[:n_neg] = 30.0
-        u = Field(grid, basis @ c)
-        lin = Linearization(aslinearoperator(L), u)
-        assert lin.tau0 == pytest.approx(1e-6 * np.max(np.abs(spectrum)), rel=1e-9)
-        assert np.sign(inner_l2(lin.z, u)) == (1 if positive or n_neg == 0 else -1)
-
-        oracle = _projected_eigenvalues(L, u.values)
-        assert lin.constrained.count == np.count_nonzero(oracle < -lin.tau0)
-        assert not lin.constrained.provisional
-        s = rng.uniform(-5.0, 5.0)
-        assert lin.count_below(s) == np.count_nonzero(oracle < s)
-
-    def test_constrained_eigenvalue_in_band_falls_back(self):
-        # compressing diag(-1, 1 + 2e-7) onto (1, -1)/sqrt(2) leaves 1e-7,
-        # inside [-tau0, tau0] although no free eigenvalue is
-        grid = GridSpec(1, 64)
-        L = np.diag(np.concatenate([[-1.0, 1.0 + 2e-7], np.arange(2.0, 64.0)]))
-        u = Field(grid, np.concatenate([[1.0, 1.0], np.zeros(62)]))
-        lin = Linearization(aslinearoperator(L), u)
-        assert not lin.free.provisional and lin.free.count == 1
-        count = lin.constrained
-        assert count.count == 0 and count.provisional
-        assert count.near_zero == pytest.approx((1e-7,), abs=1e-12)
 
     def test_rank2_reduction_matches_dense_projection(self, smooth_field, vcos, f4):
         grid = GridSpec(8, 256)
@@ -408,9 +371,10 @@ class TestInstabilityLadder:
             assert result.mu == pytest.approx(-7.884e-9, rel=1e-2)
 
     def test_starved_solves_are_refused(self, point20, vcos, f4, monkeypatch):
-        # one MINRES round leaves L2t^{-1} x short along the near-null mode:
-        # the quotient reads -9.69e-9, 23 % off, and its bound shows it
-        monkeypatch.setattr(spectra, "_REFINE_ROUNDS", 1)
+        # solves accepted at backward error 1e-12 leave L2t^{-1} x short along
+        # the near-null mode: the quotient reads -9.69e-9, 23 % off, and its
+        # bound shows it
+        monkeypatch.setattr(spectra, "_FLOOR_RTOL", 1e-13)
         with pytest.raises(NoInstabilityDetected, match="is not resolved") as err:
             instability_eigenvalue(point20, vcos, f4)
         assert err.value.mu < 0

@@ -1,5 +1,6 @@
 """The benchmark's tracer still finds every name it patches in the program."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -90,3 +91,26 @@ def test_tracer_counts_one_minres_iteration_per_split_apply(monkeypatch):
         tracer.uninstall()
     assert tracer.calls["gluing.minres"] >= 1
     assert tracer.counts["gluing.minres.iters"] == applies[0] > 10
+
+
+def test_traced_instability_counts_its_minres_solves(monkeypatch, phi_super, V1, f8):
+    tracer = _tracer(monkeypatch)
+    tracer.install()
+    try:
+        spectra.instability_eigenvalue(phi_super, V1, f8)
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["gluing.minres.calls"] > 0
+
+
+def test_minres_is_called_only_where_the_tracer_counts_it():
+    # the tracer replaces the minres global of gluing and semiclassical; a
+    # call elsewhere, or through a module attribute, would run untraced
+    calls = set()
+    for path in Path(grid.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "minres":
+                calls.add((path.stem, type(func).__name__))
+    assert ("gluing", "Name") in calls
+    assert calls <= {("gluing", "Name"), ("semiclassical", "Name")}
