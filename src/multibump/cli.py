@@ -306,8 +306,16 @@ def _glue_row(ubar, cfg, alpha, V, f, newton_tol):
     return result, report, sigma
 
 
+def _glue_configs(config: RunConfig, n: int | None = None) -> list:
+    """The glue configurations; one bump has nothing to glue (exit 2)."""
+    configs = config.bump_configs(n)
+    if any(cfg.n < 2 for cfg in configs):
+        raise ConfigError("glue and sweep need at least two bumps (bumps.n, n_list or offsets)")
+    return configs
+
+
 def cmd_glue(config: RunConfig, out: Path) -> int:
-    configs = config.bump_configs()
+    configs = _glue_configs(config)
     alpha = config.mass()
     ubar, V, f = _ground_state(config, alpha / configs[0].n)
     _emit_point(ubar, V, f, config, out, "base_point")
@@ -512,6 +520,8 @@ def cmd_sweep(config: RunConfig, out: Path) -> int:
     """Separation sweep over one or more bump counts (superset of glue)."""
     bumps = dict(config.data.get("bumps", {}))
     n_list = bumps.get("n_list", [bumps.get("n", 2)])
+    for n in n_list:
+        _glue_configs(config, int(n))
     status = 4
     for n in n_list:
         sub = dict(config.data)

@@ -11,13 +11,18 @@ and counting on the tangent space of the mass sphere gives the
 constrained Morse index.  The sign of (z, u)_2 with L z = u decides which
 of the two indices the constraint sees and classifies nondegeneracy.
 
-Counts are matrix-free.  The free count, the gap and the near-zero
-eigenvalues come from a Fourier-preconditioned LOBPCG block of the lowest
-eigenvalues of L (Knyazev 2001), grown until its Ritz residuals certify the
-count.  z and the pairings u^T (L - s)^{-1} u come from solves of
-(L - s) x = u, and the constrained count from the inertia of the bordered
-matrix [[L - s, u], [u^T, 0]].  Near-zero eigenvalues (within tau0) are
-reported and make counts provisional.
+Counts are matrix-free.  The spectral radius, which sets tau0, comes from
+block-1 LOBPCG on the top of the spectrum, preconditioned by a top-end
+Fourier symbol and accepted only by its residual.  The free count, the gap
+and the near-zero eigenvalues come from a Fourier-preconditioned LOBPCG
+block of the lowest eigenvalues of L (Knyazev 2001), grown until its Ritz
+residuals certify the count, and run in chunks that stop once the values
+the outputs read are converged (Parlett 1998, ch. 10-11: a Ritz value lies
+within its residual of an eigenvalue).  z and the pairings
+u^T (L - s)^{-1} u come from solves of (L - s) x = u, and the constrained
+count from the inertia of the bordered matrix [[L - s, u], [u^T, 0]].
+Near-zero eigenvalues (within tau0) are reported and make counts
+provisional.
 
 The instability pencil (L1, L2^{-1}) on the tangent space is matrix-free
 too: its negative eigenvalues are counted by the certified constrained
@@ -36,7 +41,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg
+from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from . import gluing as gl
 from . import grid as gr
@@ -67,7 +72,8 @@ __all__ = [
 
 TAU0_RELATIVE = 1e-6  # zero threshold as a fraction of the spectral radius
 _RITZ_TOL = 1e-12     # LOBPCG residual target as a fraction of the top eigenvalue
-_LOBPCG_MAXITER = 200
+_LOBPCG_MAXITER = 200  # iterations per LOBPCG run, over all its chunks
+_CHUNK = 10           # LOBPCG iterations between two tests of a block's certificate
 _BLOCK_START, _BLOCK_CAP = 3, 64  # LOBPCG block size: first try, and the cap
 _SOLVE_RTOL = 1e-10   # sup-norm residual of a MINRES solve, relative to max(1, |rhs|)
 _FLOOR_RTOL = 0.1 * np.finfo(float).eps  # MINRES rtol: every solve runs to the roundoff floor
@@ -143,22 +149,56 @@ class RitzBlock:
         return above and not any(np.any((lo <= p) & (p <= hi)) for p in points)
 
 
-def _linear_operator(op: gr.FourierOperator):
+def _linear_operator(op: gr.FourierOperator, symbol: np.ndarray | None = None):
     """(LinearOperator, LOBPCG preconditioner) of a grid.FourierOperator, whose
-    preconditioner is (k^2 + c)^{-1} with c = max(mean weight + 1, 1)."""
+    preconditioner is the Fourier multiplier 1/symbol; the default symbol
+    k^2 + c, c = max(mean weight + 1, 1), serves the bottom of the spectrum."""
     n = op.grid.M
-    symbol = op.grid.wavenumbers**2 + max(float(np.mean(op.weight)) + 1.0, 1.0)
+    if symbol is None:
+        symbol = op.grid.wavenumbers**2 + max(float(np.mean(op.weight)) + 1.0, 1.0)
     L = LinearOperator((n, n), matvec=lambda x: op.apply(np.ravel(x)),
                        matmat=lambda X: op.apply(X.T).T, dtype=float)
     return L, lambda X: np.fft.irfft(np.fft.rfft(X.T) / symbol, n=n).T
 
 
+def _top_eigenvalue(op: gr.FourierOperator, start: np.ndarray) -> float:
+    """Largest eigenvalue of a FourierOperator from block-1 LOBPCG, preconditioned
+    at the top end by the symbol sigma - k^2 - mean weight, sigma = k_max^2 +
+    max weight + 1: positive for every k, and sigma lies above the top
+    eigenvalue (Weyl).  LOBPCG stops at residual _RITZ_TOL times k_max^2 +
+    mean weight, the Rayleigh quotient of the Nyquist mode and so a lower
+    bound of the top eigenvalue; the value is accepted only at residual
+    <= _RITZ_TOL |top|, else UncertifiedCountError.
+    """
+    k2, weight = op.grid.wavenumbers**2, op.weight
+    L, precond = _linear_operator(op, k2[-1] - k2 + float(np.max(weight) - np.mean(weight)) + 1.0)
+    nyquist = k2[-1] + float(np.mean(weight))
+    with warnings.catch_warnings():  # the residual test below decides
+        warnings.simplefilter("ignore", UserWarning)
+        values, vectors = lobpcg(L, start, M=precond, tol=_RITZ_TOL * max(nyquist, 0.0),
+                                 maxiter=_LOBPCG_MAXITER, largest=True)
+    top, x = float(values[0]), vectors[:, 0]
+    residual = float(np.linalg.norm(L @ x - top * x))
+    if not residual <= _RITZ_TOL * abs(top):
+        raise UncertifiedCountError(
+            f"spectral radius {top:.6e} not resolved (residual {residual:.3e})",
+            block_size=1, residual=residual,
+        )
+    return top
+
+
 def _lowest_ritz(L, precond, start: np.ndarray, tol: float,
-                 constraint: np.ndarray | None = None) -> RitzBlock:
-    """One LOBPCG run from the columns of start; with a constraint column, on
-    the compression P L P to its complement (P the orthogonal projector),
-    whose residuals vanish at its eigenpairs where those of L restricted to
-    the complement do not."""
+                 constraint: np.ndarray | None = None, settled=None) -> RitzBlock:
+    """LOBPCG from the columns of start; with a constraint column, on the
+    compression P L P to its complement (P the orthogonal projector), whose
+    residuals vanish at its eigenpairs where those of L restricted to the
+    complement do not.
+
+    Without settled, one run of up to _LOBPCG_MAXITER iterations.  With it,
+    runs of _CHUNK iterations, each restarted from the last block, up to the
+    same total; they stop at the first block whose residuals are all <= tol,
+    for which settled(block) holds, or that LOBPCG could not improve.
+    """
     op = L
     if constraint is not None:
         unit = constraint / np.linalg.norm(constraint)
@@ -169,37 +209,56 @@ def _lowest_ritz(L, precond, start: np.ndarray, tol: float,
             return X - unit @ (unit.T @ X)
 
         op = LinearOperator(L.shape, matvec=compressed, matmat=compressed, dtype=float)
-    with warnings.catch_warnings():  # the caller's test, not LOBPCG's own, decides
-        warnings.simplefilter("ignore", UserWarning)
-        values, vectors = lobpcg(op, start, M=precond, Y=constraint,
-                                 tol=tol, maxiter=_LOBPCG_MAXITER, largest=False)
-    residuals = op @ vectors - vectors * values
-    return RitzBlock(values, vectors, np.linalg.norm(residuals, axis=0))
+    chunk = _LOBPCG_MAXITER if settled is None else _CHUNK
+    vectors = start
+    for _ in range(_LOBPCG_MAXITER // chunk):
+        with warnings.catch_warnings():  # the caller's test, not LOBPCG's own, decides
+            warnings.simplefilter("ignore", UserWarning)
+            values, vectors, *history = lobpcg(
+                op, vectors, M=precond, Y=constraint, tol=tol, maxiter=chunk,
+                largest=False, retResidualNormsHistory=True)
+        if history:  # its last row: the residual norms of the returned pairs
+            residuals = np.atleast_1d(history[0][-1])
+        else:  # scipy's dense path for small problems keeps no history
+            residuals = np.linalg.norm(op @ vectors - vectors * values, axis=0)
+        block = RitzBlock(values, vectors, residuals)
+        # LOBPCG returns its best block; when that is the start, a restart
+        # from it would repeat the chunk
+        kept_start = not history or len(history[0]) == 2
+        if (np.all(residuals <= tol) or kept_start
+                or (settled is not None and settled(block))):
+            break
+    return block
 
 
 class Linearization:
     """Symmetric L and constraint direction u, matrix-free.
 
-    L is a grid.FourierOperator (only), whose LOBPCG block is preconditioned
-    by (k^2 + c)^{-1} and whose solves are gluing._solve_bordered, refined
-    MINRES on its split form, run to the roundoff floor.  L is never formed.
-    The radius, the zero threshold tau0 (used for both counts), the
-    certified Ritz block, the gap and the free count are set at
-    construction; z = L^{-1} u and the constrained count are computed on
-    first use.
+    L is a grid.FourierOperator (only), whose solves are
+    gluing._solve_bordered, refined MINRES on its split form, run to the
+    roundoff floor.  L is never formed.  The radius is the larger of the top
+    eigenvalue (block-1 LOBPCG preconditioned at the top end, accepted by its
+    residual) and minus the lowest Ritz value; tau0 (used for both counts) is
+    TAU0_RELATIVE times it.  The lowest eigenvalues come from a LOBPCG block
+    preconditioned by (k^2 + c)^{-1}, run in chunks that stop as soon as the
+    block certifies its points and every Ritz value an output reads (the gap
+    value, the near-zero values, the lowest one when it sets the radius) has
+    residual <= the Ritz tolerance; the other values need only clear the
+    certificate.  The radius, tau0, the certified block, the gap and the
+    free count are set at construction; z = L^{-1} u and the constrained
+    count are computed on first use.
     """
 
     def __init__(self, op: gr.FourierOperator, u: Field):
         self.op, self.u, self._rng = op, u, np.random.default_rng(0)
         n = len(u.values)
         self._L, self._precond = _linear_operator(op)
-        top = float(eigsh(self._L, k=1, which="LA", tol=1e-12, v0=self._rng.standard_normal(n),
-                          return_eigenvectors=False)[0])
-        self._ritz_tol = _RITZ_TOL * abs(top)
-        block = self._ritz(self._rng.standard_normal((n, min(_BLOCK_START, _BLOCK_CAP))))
-        self.radius = max(top, -float(block.values[0]))
+        # the top eigenvalue, until the lowest Ritz value of the block may exceed it
+        self.radius = _top_eigenvalue(op, self._rng.standard_normal((n, 1)))
+        self._ritz_tol = _RITZ_TOL * abs(self.radius)
+        self.block = self._certify(None)
+        self.radius = max(self.radius, -float(self.block.values[0]))
         self.tau0 = TAU0_RELATIVE * self.radius
-        self.block = self._certify(block, (-self.tau0, self.tau0))
         self.gap = float(np.min(np.abs(self.block.values)))
         self.free = _count_below_threshold(self.block.values, self.tau0)
 
@@ -209,19 +268,46 @@ class Linearization:
         return cls(gr.FourierOperator(u.grid, weight), u)
 
     def _ritz(self, start: np.ndarray, constraint: np.ndarray | None = None) -> RitzBlock:
-        return _lowest_ritz(self._L, self._precond, start, self._ritz_tol, constraint)
+        return _lowest_ritz(self._L, self._precond, start, self._ritz_tol, constraint,
+                            self._settled)
 
-    def _certify(self, block: RitzBlock, points, constraint=None) -> RitzBlock:
-        """Double the block, restarting from its vectors, until it certifies
-        the counts below points; UncertifiedCountError at the block cap."""
+    def _band(self, block: RitzBlock):
+        """(tau0, points) a block is held to: tau0 at the radius the block may
+        set itself, and the points being certified (else -tau0 and tau0)."""
+        tau0 = TAU0_RELATIVE * max(self.radius, -float(block.values[0]))
+        return tau0, self._points or (-tau0, tau0)
+
+    def _settled(self, block: RitzBlock) -> bool:
+        """True when the block certifies its points and every Ritz value an
+        output reads is converged to the Ritz tolerance: the one nearest zero
+        (the gap), those within tau0 (reported, and refined into kernel
+        vectors) and the lowest when it sets the radius."""
+        tau0, points = self._band(block)
+        values = block.values
+        read = np.abs(values) <= tau0
+        read[np.argmin(np.abs(values))] = True
+        read[0] |= -values[0] > self.radius
+        return block.certifies(points) and bool(np.all(block.residuals[read] <= self._ritz_tol))
+
+    def _certify(self, points, constraint=None, block: RitzBlock | None = None) -> RitzBlock:
+        """Run a LOBPCG block from _BLOCK_START random columns (or take block)
+        and double it, restarting from its vectors, until it is settled: it
+        certifies the counts below points (None: see _band) and the values
+        the outputs read are converged.  At the block cap a block that
+        certifies is taken as it is; else UncertifiedCountError."""
+        self._points = points
         n = len(self.u.values)
         limit = min(_BLOCK_CAP, n if constraint is None else (n - 1) // 5)
-        while not block.certifies(points):
+        if block is None:
+            block = self._ritz(self._rng.standard_normal((n, min(_BLOCK_START, limit))), constraint)
+        while not self._settled(block):
             size = len(block.values)
             if size >= limit:
+                if block.certifies(band := self._band(block)[1]):
+                    break
                 raise UncertifiedCountError(
                     f"Ritz block of {size} does not certify the count below "
-                    f"{max(points):.3e} (largest residual {np.max(block.residuals):.3e})",
+                    f"{max(band):.3e} (largest residual {np.max(block.residuals):.3e})",
                     block_size=size, residual=float(np.max(block.residuals)),
                 )
             fresh = self._rng.standard_normal((n, min(2 * size, limit) - size))
@@ -229,11 +315,11 @@ class Linearization:
         return block
 
     def _solve(self, s: float, rhs: np.ndarray):
-        """(x, sup-norm residual) for (L - s) x = rhs, solved to the roundoff
-        floor."""
+        """(x, residual rhs - (L - s) x) for (L - s) x = rhs, solved to the
+        roundoff floor."""
         shifted = gr.FourierOperator(self.op.grid, self.op.weight - s)
         x = gl._solve_bordered(shifted, rhs, rtol=_FLOOR_RTOL)
-        return x, float(np.max(np.abs(rhs - shifted.apply(x))))
+        return x, rhs - shifted.apply(x)
 
     @cached_property
     def _solution(self):
@@ -247,6 +333,7 @@ class Linearization:
                 f"spectral gap {self.gap:.3e} is below tau0 = {self.tau0:.3e}"
             )
         solution, residual = self._solution
+        residual = float(np.max(np.abs(residual)))
         if residual > _SOLVE_RTOL * max(1.0, np.max(np.abs(self.u.values))):
             raise NotFreelyNondegenerateError(f"z-solve residual {residual:.3e}")
         return Field(self.u.grid, solution)
@@ -256,14 +343,21 @@ class Linearization:
 
         Haynsworth inertia additivity on [[L - s, u], [u^T, 0]] gives
         #constrained below s = #free below s - 1 + [u^T (L - s)^{-1} u > 0];
-        the block grows until it certifies the free count below s.
+        the block grows until it certifies the free count below s (and still
+        the band [-tau0, tau0]).  The solve of (L - s) x = u stops at its
+        roundoff floor, which grows with |x| as s nears a free eigenvalue; the
+        pairing moves by at most |x| |r| (r its residual), and
+        LinearSolverError is raised only when that could flip its sign.
         """
-        self.block = self._certify(self.block, (s,))
+        self.block = self._certify((-self.tau0, self.tau0, s), block=self.block)
         u = self.u.values
         solution, residual = self._solve(s, u)
-        if residual > _SOLVE_RTOL * max(1.0, np.max(np.abs(u))):
-            raise LinearSolverError(f"pairing solve at s = {s:.3e} reached residual {residual:.3e}")
-        return int(np.count_nonzero(self.block.values < s)) - 1 + int(u @ solution > 0)
+        pairing = float(u @ solution)
+        error = float(np.linalg.norm(solution) * np.linalg.norm(residual))
+        if not abs(pairing) > error:
+            raise LinearSolverError(
+                f"pairing {pairing:.3e} at s = {s:.3e} is within its roundoff error {error:.3e}")
+        return int(np.count_nonzero(self.block.values < s)) - 1 + int(pairing > 0)
 
     @cached_property
     def constrained(self) -> MorseCount:
@@ -282,9 +376,7 @@ class Linearization:
             count = self.free.count - 1 + positive
             if count == self.count_below(-tau0 if positive else tau0):
                 return MorseCount(count=count, near_zero=(), tau0=tau0)
-        u = self.u.values[:, None]
-        start = self._rng.standard_normal((len(u), min(_BLOCK_START, _BLOCK_CAP)))
-        block = self._certify(self._ritz(start, u), (-tau0, tau0), u)
+        block = self._certify((-tau0, tau0), self.u.values[:, None])
         return _count_below_threshold(block.values, tau0)
 
 

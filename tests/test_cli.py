@@ -417,6 +417,20 @@ class TestExitCodes:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "glue"]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize("command, bumps", [
+        ("glue", {"n": 1, "separations": [8]}),
+        ("glue", {"offsets": [0]}),
+        ("sweep", {"n": 1, "separations": [8]}),
+        ("sweep", {"n_list": [2, 1], "separations": [8]}),
+        ("sweep", {"offsets": [0]}),
+    ])
+    def test_single_bump_glue_exits_2(self, command, bumps, tmp_path, capsys):
+        # one bump has no separation (+inf) to name its artifacts by
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, bumps=bumps))
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("configuration error: glue and sweep need")
+
 
 def _truncated(path, source):
     path.write_bytes(source.read_bytes()[:500])

@@ -18,6 +18,7 @@ from multibump.errors import (
 from multibump.gluing import BumpConfig, glue
 from multibump.grid import (
     Field,
+    FourierOperator,
     GridSpec,
     inner_l2,
     operator_bottom_eigenvalue,
@@ -70,6 +71,26 @@ def _projected_eigenvalues(L, u_vals):
     return np.linalg.eigvalsh(Q.T @ L @ Q)
 
 
+# the pinned example of test_matches_dense_oracle
+_PINNED_WELL = {"seed": 3652725608, "depth": 13.979918075538166}
+
+
+def _random_well(seed, depth):
+    """(u, w, rng): -Lap + w on GridSpec(4, 128) with a random smooth well w (a
+    few negative eigenvalues), a smooth u, and the generator for more draws."""
+    grid = GridSpec(4, 128)
+    rng = np.random.default_rng(seed)
+
+    def smooth(decay):
+        n = grid.M // 2 + 1
+        modes = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return np.fft.irfft(modes * np.exp(-np.arange(n) / decay), n=grid.M)
+
+    w = smooth(4.0)
+    w = depth * (w / np.max(np.abs(w)) - rng.uniform(0.0, 1.0))
+    return Field(grid, smooth(6.0)), w, rng
+
+
 class TestMorseCounts:
     def test_soliton_free_count(self, soliton24, V1, f4):
         count = Linearization.assemble(soliton24, 0.0, V1, f4).free
@@ -102,25 +123,16 @@ class TestMorseCounts:
     @given(seed=hst.integers(0, 2**32 - 1), depth=hst.floats(0.5, 30.0))
     # a constrained eigenvalue (1.4830e-3) inside [-tau0, tau0] although the
     # free gap is 0.28: the LOBPCG fallback on the complement of u runs
-    @example(seed=3652725608, depth=13.979918075538166)
+    @example(**_PINNED_WELL)
     def test_matches_dense_oracle(self, seed, depth, zero_f):
-        # -Lap + w with a random smooth well w: a few negative eigenvalues
-        grid = GridSpec(4, 128)
-        rng = np.random.default_rng(seed)
-
-        def smooth(decay):
-            n = grid.M // 2 + 1
-            modes = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            return np.fft.irfft(modes * np.exp(-np.arange(n) / decay), n=grid.M)
-
-        w = smooth(4.0)
-        w = depth * (w / np.max(np.abs(w)) - rng.uniform(0.0, 1.0))
-        u = Field(grid, smooth(6.0))
+        u, w, rng = _random_well(seed, depth)
+        grid = u.grid
         lin = Linearization.assemble(u, 0.0, w, zero_f)
 
         L = linearized_matrix(u, 0.0, w, zero_f)
         spectrum = np.linalg.eigvalsh(L)
         tau0 = lin.tau0
+        assert lin.radius == pytest.approx(np.max(np.abs(spectrum)), rel=1e-12)
         assert tau0 == pytest.approx(1e-6 * np.max(np.abs(spectrum)), rel=1e-9)
         assert lin.free.count == np.count_nonzero(spectrum < -tau0)
         assert len(lin.free.near_zero) == np.count_nonzero(np.abs(spectrum) <= tau0)
@@ -140,6 +152,42 @@ class TestMorseCounts:
         else:
             with pytest.raises(NotFreelyNondegenerateError):
                 lin.z
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6])
+    def test_count_below_next_to_a_free_eigenvalue(self, delta, zero_f):
+        # the pairing solve's roundoff floor grows like 1/delta, far below
+        # what would flip the pairing's sign
+        u, w, _ = _random_well(**_PINNED_WELL)
+        L = linearized_matrix(u, 0.0, w, zero_f)
+        s = np.linalg.eigvalsh(L)[0] + delta
+        count = Linearization.assemble(u, 0.0, w, zero_f).count_below(s)
+        assert count == np.count_nonzero(_projected_eigenvalues(L, u.values) < s) == 0
+
+
+class TestCertificateCost:
+    """The Linearization does the work its outputs read, and no more."""
+
+    def test_ground_state_work(self, ubar, vcos, f4, monkeypatch):
+        columns = []
+        apply = FourierOperator.apply
+
+        def counted(self, x):
+            columns.append(1 if x.ndim == 1 else len(x))
+            return apply(self, x)
+
+        monkeypatch.setattr(FourierOperator, "apply", counted)
+        lin = Linearization.assemble(ubar.u, ubar.lam, vcos, f4)
+        # an ARPACK radius and a block converged in every value took 396
+        assert sum(columns) <= 150
+        # the gap value is converged; the top one need only clear the band
+        gap = np.argmin(np.abs(lin.block.values))
+        assert lin.block.residuals[gap] <= lin._ritz_tol
+
+    def test_starved_radius_is_refused(self, ubar, vcos, f4, monkeypatch):
+        monkeypatch.setattr(spectra, "_LOBPCG_MAXITER", 2)
+        with pytest.raises(UncertifiedCountError, match="spectral radius") as err:
+            Linearization.assemble(ubar.u, ubar.lam, vcos, f4)
+        assert err.value.block_size == 1 and err.value.residual > 0.0
 
 
 class TestPairingCount:

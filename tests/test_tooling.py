@@ -103,14 +103,28 @@ def test_traced_instability_counts_its_minres_solves(monkeypatch, phi_super, V1,
     assert tracer.metrics()["gluing.minres.calls"] > 0
 
 
-def test_minres_is_called_only_where_the_tracer_counts_it():
-    # the tracer replaces the minres global of gluing and semiclassical; a
-    # call elsewhere, or through a module attribute, would run untraced
+def _call_sites(name):
+    """(module, call form) of every call of name in the package: "Name" for a
+    bare name, "Attribute" for a call through a module or object."""
     calls = set()
     for path in Path(grid.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             func = getattr(node, "func", None)
-            if getattr(func, "id", getattr(func, "attr", None)) == "minres":
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
                 calls.add((path.stem, type(func).__name__))
+    return calls
+
+
+def test_minres_is_called_only_where_the_tracer_counts_it():
+    # the tracer replaces the minres global of gluing and semiclassical; a
+    # call elsewhere, or through a module attribute, would run untraced
+    calls = _call_sites("minres")
     assert ("gluing", "Name") in calls
     assert calls <= {("gluing", "Name"), ("semiclassical", "Name")}
+
+
+def test_eigensolvers_are_called_only_where_they_belong():
+    # the tracer counts the eigsh global of grid (the spectrum bottom); every
+    # other sparse eigensolve is a LOBPCG run in spectra
+    assert _call_sites("eigsh") == {("grid", "Name")}
+    assert _call_sites("lobpcg") == {("spectra", "Name")}
