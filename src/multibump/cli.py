@@ -6,8 +6,10 @@ All tables are CSV with a header row; all scalar reports are JSON with
 the configuration hash and code version embedded so identical runs are
 byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 precondition failure,
-4 solver failure.
+Commands only raise: main prints a failure as one stderr line
+"<label>: <message>" and exits with the code its error class declares
+(errors.py): 2 configuration error, 3 precondition failure, 4 solver
+failure; 0 is success.
 """
 
 from __future__ import annotations
@@ -30,66 +32,15 @@ from . import semiclassical as sc
 from . import spectra as sp
 from . import stationary as st
 from .errors import (
-    AssumptionViolationError,
     ConfigError,
-    ContinuationNeededError,
-    CriticalExponentError,
-    DegenerateSuperpositionError,
     FitRejectedError,
-    FlowStalledError,
     GluingFailedError,
-    GridMismatchError,
-    IntegratorFaultError,
     InvalidFieldError,
-    LinearSolverError,
-    MassRangeError,
-    MisalignedTranslationError,
     MultibumpError,
-    NoInstabilityDetected,
-    NotFreelyNondegenerateError,
-    PositivityViolationError,
     PreconditionError,
-    SingularOperatorError,
-    UncertifiedCountError,
 )
 
 __all__ = ["RunConfig", "main"]
-
-# exit code and message prefix of every package error
-_EXIT_CODES = (
-    ((ConfigError,), 2, "configuration error"),
-    (
-        (
-            PreconditionError,
-            MassRangeError,
-            NoInstabilityDetected,
-            InvalidFieldError,
-            GridMismatchError,
-            MisalignedTranslationError,
-            SingularOperatorError,
-            AssumptionViolationError,
-            NotFreelyNondegenerateError,
-            PositivityViolationError,
-            CriticalExponentError,
-        ),
-        3,
-        "precondition failure",
-    ),
-    (
-        (
-            FlowStalledError,
-            GluingFailedError,
-            LinearSolverError,
-            ContinuationNeededError,
-            IntegratorFaultError,
-            FitRejectedError,
-            DegenerateSuperpositionError,
-            UncertifiedCountError,
-        ),
-        4,
-        "solver failure",
-    ),
-)
 
 _SCHEMA = {
     "grid": {"L", "M"},
@@ -277,13 +228,12 @@ def _ground_state(config: RunConfig, mass: float):
     return point, _working_potential(V, point), f
 
 
-def cmd_groundstate(config: RunConfig, out: Path) -> int:
+def cmd_groundstate(config: RunConfig, out: Path) -> None:
     point, Vw, f = _ground_state(config, config.mass())
     point.certify()
     _emit_point(point, Vw, f, config, out, "groundstate")
     report = sp.classify(point.u, point.lam, Vw, f)
     _write_json(out / "groundstate_spectrum.json", {**report.to_dict(), **_metadata(config)})
-    return 0
 
 
 def _symmetric_offsets(n: int, d: int) -> tuple:
@@ -314,7 +264,9 @@ def _glue_configs(config: RunConfig, n: int | None = None) -> list:
     return configs
 
 
-def cmd_glue(config: RunConfig, out: Path) -> int:
+def _glue_sweep(config: RunConfig, out: Path) -> int:
+    """Glue at every configured separation, write glue_sweep.csv and the
+    converged points; returns the number of rows that converged."""
     configs = _glue_configs(config)
     alpha = config.mass()
     ubar, V, f = _ground_state(config, alpha / configs[0].n)
@@ -342,7 +294,12 @@ def cmd_glue(config: RunConfig, out: Path) -> int:
         ["d", "newton_iters", "dist_h1", "dlambda", "sigma_min", "m", "m_f", "status"],
         rows,
     )
-    return 0 if n_ok >= 1 else 4
+    return n_ok
+
+
+def cmd_glue(config: RunConfig, out: Path) -> None:
+    if not _glue_sweep(config, out):
+        raise GluingFailedError("no separation converged; see glue_sweep.csv")
 
 
 def _read_field(field_file: str) -> gr.Field:
@@ -358,18 +315,16 @@ def _read_field(field_file: str) -> gr.Field:
 _FIELD_RESIDUAL_TOL = 1e-6
 
 
-def cmd_spectrum(config: RunConfig, out: Path, field_file: str) -> int:
+def cmd_spectrum(config: RunConfig, out: Path, field_file: str) -> None:
     V, f = config.potential(), config.nonlinearity()
     u = _read_field(field_file)
     lam = st.lagrange_multiplier(u, V, f)
     res = md.l2_residual(u, lam, V, f)
     res_norm = float(np.max(np.abs(res.values)))
     if res_norm > _FIELD_RESIDUAL_TOL:
-        print(
-            f"field is not a critical point: residual {res_norm:.3e} > {_FIELD_RESIDUAL_TOL:.1e}",
-            file=sys.stderr,
+        raise PreconditionError(
+            f"field is not a critical point: residual {res_norm:.3e} > {_FIELD_RESIDUAL_TOL:.1e}"
         )
-        return 3
     report = sp.classify(u, lam, V, f)
     _write_json(
         out / "spectrum.json",
@@ -382,11 +337,10 @@ def cmd_spectrum(config: RunConfig, out: Path, field_file: str) -> int:
         ["index", "value"],
         [[i, float(v)] for i, v in enumerate(eigenvalues)],
     )
-    return 0
 
 
 def cmd_evolve(config: RunConfig, out: Path, field_file: str,
-               snapshot_stride: int = 0) -> int:
+               snapshot_stride: int = 0) -> None:
     V, f = config.potential(), config.nonlinearity()
     phi = _read_field(field_file)
     lam = st.lagrange_multiplier(phi, V, f)
@@ -440,10 +394,9 @@ def cmd_evolve(config: RunConfig, out: Path, field_file: str,
     _write_json(out / "evolve.json", payload)
     for i, (t, snap) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
         np.save(out / f"snapshot_{i:04d}.npy", snap)
-    return 0
 
 
-def cmd_semiclassical(config: RunConfig, out: Path) -> int:
+def cmd_semiclassical(config: RunConfig, out: Path) -> None:
     grid = config.grid()
     V, f = config.potential(), config.nonlinearity()
     semi = config.data.get("semiclassical", {})
@@ -478,7 +431,6 @@ def cmd_semiclassical(config: RunConfig, out: Path) -> int:
     )
     if "bumps" in config.data:
         _semiclassical_end_to_end(config, out, family, V, f)
-    return 0
 
 
 def _semiclassical_end_to_end(config: RunConfig, out: Path, family, V, f) -> None:
@@ -516,22 +468,23 @@ def _semiclassical_end_to_end(config: RunConfig, out: Path, family, V, f) -> Non
     )
 
 
-def cmd_sweep(config: RunConfig, out: Path) -> int:
-    """Separation sweep over one or more bump counts (superset of glue)."""
+def cmd_sweep(config: RunConfig, out: Path) -> None:
+    """Separation sweep over one or more bump counts (superset of glue);
+    fails only if no separation converged for any of them."""
     bumps = dict(config.data.get("bumps", {}))
     n_list = bumps.get("n_list", [bumps.get("n", 2)])
     for n in n_list:
         _glue_configs(config, int(n))
-    status = 4
+    n_ok = 0
     for n in n_list:
         sub = dict(config.data)
         sub_bumps = dict(bumps)
         sub_bumps.pop("n_list", None)
         sub_bumps["n"] = int(n)
         sub["bumps"] = sub_bumps
-        rc = cmd_glue(RunConfig(sub), out / f"n{n}")
-        status = min(status, rc)
-    return status
+        n_ok += _glue_sweep(RunConfig(sub), out / f"n{n}")
+    if not n_ok:
+        raise GluingFailedError(f"no separation converged for any n in {n_list}")
 
 
 def _add_common_flags(parser, suppress=False):
@@ -562,33 +515,21 @@ def main(argv=None) -> int:
         parser.error("--config is required")
     try:
         config = RunConfig.load(args.config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    out = Path(args.out or os.environ.get("MULTIBUMP_OUT") or config.data.get("output", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        if args.command == "groundstate":
-            return cmd_groundstate(config, out)
-        if args.command == "glue":
-            return cmd_glue(config, out)
-        if args.command == "sweep":
-            return cmd_sweep(config, out)
-        if args.command == "spectrum":
-            return cmd_spectrum(config, out, args.field_file)
+        out = Path(args.out or os.environ.get("MULTIBUMP_OUT") or config.data.get("output", "out"))
+        out.mkdir(parents=True, exist_ok=True)
+        # a module global at call time, so that a patched cli.cmd_* is the one run
+        command = globals()[f"cmd_{args.command}"]
         if args.command == "evolve":
-            return cmd_evolve(config, out, args.field_file, snapshot_stride=args.snapshot_stride)
-        if args.command == "semiclassical":
-            return cmd_semiclassical(config, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+            command(config, out, args.field_file, snapshot_stride=args.snapshot_stride)
+        elif args.command == "spectrum":
+            command(config, out, args.field_file)
+        else:
+            command(config, out)
     except MultibumpError as exc:
-        for kinds, code, label in _EXIT_CODES:
-            if isinstance(exc, kinds):
-                message = str(exc).replace("\n", " ")
-                print(f"{label}: {message}", file=sys.stderr)
-                return code
-        raise
+        message = str(exc).replace("\n", " ")
+        print(f"{exc.label}: {message}", file=sys.stderr)
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

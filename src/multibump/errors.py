@@ -1,23 +1,40 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack.
+
+Each error declares, through one of three private bases, the CLI's exit
+code for it and the label of the one stderr line that reports it:
+2 configuration error, 3 precondition failure, 4 solver failure.
+"""
 
 
 class MultibumpError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; only its subclasses are raised."""
 
 
-class InvalidFieldError(MultibumpError):
+class _ConfigurationFailure(MultibumpError):
+    exit_code, label = 2, "configuration error"
+
+
+class _PreconditionFailure(MultibumpError):
+    exit_code, label = 3, "precondition failure"
+
+
+class _SolverFailure(MultibumpError):
+    exit_code, label = 4, "solver failure"
+
+
+class InvalidFieldError(_PreconditionFailure):
     """A field contains non-finite entries."""
 
 
-class GridMismatchError(MultibumpError):
+class GridMismatchError(_PreconditionFailure):
     """Two fields live on different grids."""
 
 
-class MisalignedTranslationError(MultibumpError):
+class MisalignedTranslationError(_PreconditionFailure):
     """Requested translation is not an exact number of grid points."""
 
 
-class SingularOperatorError(MultibumpError):
+class SingularOperatorError(_PreconditionFailure):
     """A resolvent shift sits at or above the bottom of the spectrum.
 
     Carries the offending gap (bottom eigenvalue minus shift).
@@ -28,15 +45,15 @@ class SingularOperatorError(MultibumpError):
         self.gap = gap
 
 
-class AssumptionViolationError(MultibumpError):
+class AssumptionViolationError(_PreconditionFailure):
     """The discrete operator -Lap + V is not positive definite."""
 
 
-class LinearSolverError(MultibumpError):
+class LinearSolverError(_SolverFailure):
     """An iterative linear solve failed to reach its tolerance."""
 
 
-class FlowStalledError(MultibumpError):
+class FlowStalledError(_SolverFailure):
     """The normalized gradient flow hit its iteration cap.
 
     Carries the last projected-gradient norm.
@@ -47,7 +64,7 @@ class FlowStalledError(MultibumpError):
         self.last_residual = last_residual
 
 
-class GluingFailedError(MultibumpError):
+class GluingFailedError(_SolverFailure):
     """Newton on the extended Lagrangian diverged."""
 
     def __init__(self, message, separation=None, residual_history=None):
@@ -56,15 +73,15 @@ class GluingFailedError(MultibumpError):
         self.residual_history = list(residual_history or [])
 
 
-class DegenerateSuperpositionError(MultibumpError):
+class DegenerateSuperpositionError(_SolverFailure):
     """The bordered system at the current iterate is numerically singular."""
 
 
-class NotFreelyNondegenerateError(MultibumpError):
+class NotFreelyNondegenerateError(_PreconditionFailure):
     """The linearized operator has a near-zero eigenvalue; z is undefined."""
 
 
-class NoInstabilityDetected(MultibumpError):
+class NoInstabilityDetected(_PreconditionFailure):
     """No negative eigenvalue of the constrained quotient is returned.
 
     Raised when the constrained Morse index is 0 (the quotient has no
@@ -78,19 +95,19 @@ class NoInstabilityDetected(MultibumpError):
         self.mu = mu
 
 
-class PositivityViolationError(MultibumpError):
+class PositivityViolationError(_PreconditionFailure):
     """The comparison operator is not positive definite on the tangent space."""
 
 
-class PreconditionError(MultibumpError):
+class PreconditionError(_PreconditionFailure):
     """An operation was called outside its documented preconditions."""
 
 
-class CriticalExponentError(MultibumpError):
+class CriticalExponentError(_PreconditionFailure):
     """The exponent sits exactly at the mass-critical value."""
 
 
-class MassRangeError(MultibumpError):
+class MassRangeError(_PreconditionFailure):
     """Requested per-bump mass lies outside the family's mass curve."""
 
     def __init__(self, message, mass_range=None):
@@ -98,23 +115,23 @@ class MassRangeError(MultibumpError):
         self.mass_range = mass_range
 
 
-class ContinuationNeededError(MultibumpError):
+class ContinuationNeededError(_SolverFailure):
     """Direct Newton solve diverged; step the parameter down from a converged point."""
 
 
-class IntegratorFaultError(MultibumpError):
+class IntegratorFaultError(_SolverFailure):
     """Time integration violated a conservation tolerance."""
 
 
-class FitRejectedError(MultibumpError):
+class FitRejectedError(_SolverFailure):
     """The requested fit window is outside the linear growth regime."""
 
 
-class ConfigError(MultibumpError):
+class ConfigError(_ConfigurationFailure):
     """A run configuration is malformed or violates a parse-time invariant."""
 
 
-class UncertifiedCountError(MultibumpError):
+class UncertifiedCountError(_SolverFailure):
     """A Ritz block reached its size cap without certifying a Morse count.
 
     Carries the last block size and its largest Ritz residual.

@@ -37,7 +37,6 @@ __all__ = [
     "ExtendedPoint",
     "superpose",
     "extended_gradient",
-    "bordered_apply",
     "damped_newton",
     "newton_correct",
     "glue",
@@ -110,24 +109,6 @@ def extended_gradient_norm(pt: ExtendedPoint, alpha: float, V, f) -> float:
     return float(np.sqrt(max(gr.inner_h1v(g_field, g_field, V), 0.0) + g_scalar**2))
 
 
-def bordered_apply(pt: ExtendedPoint, V, f):
-    """Second derivative of the extended functional at pt, as a callable.
-
-    Returns apply(v, mu) = (v - S(f'(u) v) - lambda S v - mu S u, -(u, v)_2),
-    symmetric as a block operator in the preconditioned-metric plus R pairing.
-    """
-    u, lam = pt.u, pt.lam
-    fpu = f.fprime(u.values)
-
-    def apply(v: Field, mu: float) -> tuple[Field, float]:
-        forcing = Field(u.grid, fpu * v.values + lam * v.values + mu * u.values)
-        out_field = v - gr.resolvent_solve(forcing, V)
-        out_scalar = -gr.inner_l2(u, v)
-        return out_field, out_scalar
-
-    return apply
-
-
 # -- bordered linear solves ---------------------------------------------------
 
 
@@ -188,16 +169,17 @@ def _newton_step(pt: ExtendedPoint, alpha, V, f) -> np.ndarray:
     return _solve_bordered(_jacobian(pt, gr.potential_samples(V, grid), f), rhs)
 
 
-def damped_newton(x: np.ndarray, merit, step, tol: float, fail):
+def damped_newton(x: np.ndarray, merit, step, tol: float, fail, eta=None):
     """Damped Newton on a stacked vector x (u, or u and lambda when bordered).
 
     Each step tries x + t step(x) for t = 1, 1/2, ..., 2^-6 and takes the
     first trial whose merit is below the current one; if none is, it takes
     the 2^-7 step anyway.  Three such forced steps in a row, or 40 steps
     without merit(x) <= tol, raise fail(message, merit history), which
-    returns the exception.  Returns (x, steps, merit history).
+    returns the exception.  eta, if given, is merit(x) as the caller already
+    evaluated it.  Returns (x, steps, merit history).
     """
-    eta = merit(x)
+    eta = merit(x) if eta is None else eta
     history = [eta]
     forced = 0
     while eta > tol:
@@ -239,9 +221,9 @@ _INITIAL_RESIDUAL_CAP = 0.5
 
 
 def newton_correct(pt0: ExtendedPoint, alpha: float, V, f, tol: float = 1e-10,
-                   separation: float = np.inf):
+                   separation: float = np.inf, eta0=None):
     """Damped Newton (damped_newton) on grad G = 0 from an arbitrary starting
-    point, merit the extended-gradient norm.
+    point, merit the extended-gradient norm (eta0 its value at pt0, if known).
 
     Returns (extended point, iterations, residual history).  Divergence
     and step exhaustion raise GluingFailedError carrying the history.
@@ -258,6 +240,7 @@ def newton_correct(pt0: ExtendedPoint, alpha: float, V, f, tol: float = 1e-10,
         tol,
         lambda message, residuals: GluingFailedError(
             message, separation=separation, residual_history=residuals),
+        eta0,
     )
     return point(x), iterations, history
 
@@ -296,7 +279,7 @@ def glue(ubar: st.ConstrainedCriticalPoint, cfg: BumpConfig, alpha: float, V, f,
             residual_history=[eta0],
         )
     pt, iterations, history = newton_correct(pt0, alpha, V, f, tol=tol,
-                                             separation=cfg.separation)
+                                             separation=cfg.separation, eta0=eta0)
     point = st.ConstrainedCriticalPoint.measure(pt.u, pt.lam, alpha, V, f)
     return GlueResult(
         point=point,

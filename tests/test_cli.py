@@ -1,5 +1,6 @@
 """Harness: config validation, artifacts, determinism, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -159,7 +160,7 @@ class TestSpectrumCommand:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("solver failure: Ritz block of 1 ")
 
-    def test_tampered_field_exits_3(self, groundstate_run):
+    def test_tampered_field_exits_3(self, groundstate_run, capsys):
         from multibump.grid import read_field_binary, write_field_binary, Field
 
         tmp, cfg, out = groundstate_run
@@ -171,6 +172,9 @@ class TestSpectrumCommand:
         rc = main(["--config", cfg, "--out", str(tmp / "spectrum_out2"),
                    "spectrum", str(tampered)])
         assert rc == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("precondition failure: field is not a critical point")
 
 
 class TestGlueCommand:
@@ -203,6 +207,16 @@ class TestGlueCommand:
         statuses = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert any(s.startswith("failed") for s in statuses)
         assert any(s == "ok" for s in statuses)
+
+    def test_nothing_converged_exits_4_with_one_line(self, tmp_path, capsys):
+        data = dict(BASE_CONFIG, mass=9.0, bumps={"n": 2, "separations": [2]})
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "glue"]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver failure: ")
+        rows = (out / "glue_sweep.csv").read_text().strip().splitlines()
+        assert rows[1:] == ["2.0,-1,nan,nan,nan,-1,-1,failed:GluingFailedError"]
 
 
 class TestEvolveCommand:
@@ -273,6 +287,17 @@ class TestSweepCommand:
         rc = main(["--config", cfg, "--out", str(out), "sweep"])
         assert rc == 0
         assert (out / "n2" / "glue_sweep.csv").exists()
+
+    def test_nothing_converged_runs_every_n_then_exits_4(self, tmp_path, capsys):
+        data = dict(BASE_CONFIG, mass=9.0, bumps={"n_list": [2, 3], "separations": [2]})
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "sweep"]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver failure: ")
+        for n in (2, 3):
+            rows = (out / f"n{n}" / "glue_sweep.csv").read_text().strip().splitlines()
+            assert len(rows) == 2 and rows[1].endswith(",failed:GluingFailedError")
 
     def test_jobs_flag_is_gone(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -376,7 +401,71 @@ def _error_classes(base=errors.MultibumpError):
         yield from _error_classes(sub)
 
 
+_CONFIG, _PRECONDITION, _SOLVER = (
+    (2, "configuration error"), (3, "precondition failure"), (4, "solver failure"))
+# every package error with its exit code and stderr label
+EXIT_CODES = {
+    "ConfigError": _CONFIG,
+    "PreconditionError": _PRECONDITION,
+    "MassRangeError": _PRECONDITION,
+    "NoInstabilityDetected": _PRECONDITION,
+    "InvalidFieldError": _PRECONDITION,
+    "GridMismatchError": _PRECONDITION,
+    "MisalignedTranslationError": _PRECONDITION,
+    "SingularOperatorError": _PRECONDITION,
+    "AssumptionViolationError": _PRECONDITION,
+    "NotFreelyNondegenerateError": _PRECONDITION,
+    "PositivityViolationError": _PRECONDITION,
+    "CriticalExponentError": _PRECONDITION,
+    "FlowStalledError": _SOLVER,
+    "GluingFailedError": _SOLVER,
+    "LinearSolverError": _SOLVER,
+    "ContinuationNeededError": _SOLVER,
+    "IntegratorFaultError": _SOLVER,
+    "FitRejectedError": _SOLVER,
+    "DegenerateSuperpositionError": _SOLVER,
+    "UncertifiedCountError": _SOLVER,
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_error_exits_with_its_code_and_label(self, name, tmp_path, capsys, monkeypatch):
+        code, label = EXIT_CODES[name]
+        error = getattr(errors, name)
+        assert (error.exit_code, error.label) == (code, label)
+
+        def fail(config, out):
+            raise error("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_groundstate", fail)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "groundstate"]) == code
+        assert capsys.readouterr().err == f"{label}: first line second line\n"
+
+    def test_every_error_declares_a_code(self):
+        public = {name for name, obj in vars(errors).items()
+                  if isinstance(obj, type) and issubclass(obj, errors.MultibumpError)
+                  and not name.startswith("_")}
+        assert public - {"MultibumpError"} == set(EXIT_CODES)
+        for error in _error_classes():
+            assert (error.exit_code, error.label) in EXIT_CODES.values(), error.__name__
+
+    def test_only_main_writes_to_stderr(self):
+        def stderr_uses(node):
+            return sum(getattr(sub, "attr", getattr(sub, "id", None)) == "stderr"
+                       for sub in ast.walk(node))
+
+        total, in_main = 0, 0
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            total += stderr_uses(tree)
+            if path.name == "cli.py":
+                main_def, = (node for node in tree.body
+                             if isinstance(node, ast.FunctionDef) and node.name == "main")
+                in_main = stderr_uses(main_def)
+        assert total == in_main == 1
+
     @pytest.mark.parametrize("error", sorted(_error_classes(), key=lambda c: c.__name__),
                              ids=lambda c: c.__name__)
     def test_every_package_error_maps_to_a_code(self, error, tmp_path, capsys, monkeypatch):

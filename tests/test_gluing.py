@@ -16,7 +16,6 @@ from multibump.errors import (
 from multibump.gluing import (
     BumpConfig,
     ExtendedPoint,
-    bordered_apply,
     bordered_sigma_min,
     extended_gradient,
     extended_gradient_norm,
@@ -36,11 +35,6 @@ from multibump.grid import (
 )
 from multibump.model import energy
 from multibump.semiclassical import rescaled_solve
-
-
-def _ext_inner(a, b, V):
-    """Block pairing <(v, mu), (w, nu)> in the preconditioned metric plus R."""
-    return inner_h1v(a[0], b[0], V) + a[1] * b[1]
 
 
 class TestBumpConfig:
@@ -131,47 +125,6 @@ class TestExtendedGradient:
             assert errs[0] < 1e-6
 
 
-class TestBorderedApply:
-    def test_zero_maps_to_zero(self, ubar, vcos, f4):
-        apply = bordered_apply(ExtendedPoint(ubar.u, ubar.lam), vcos, f4)
-        out_f, out_s = apply(Field.zeros(ubar.u.grid), 0.0)
-        assert np.max(np.abs(out_f.values)) == 0.0 and out_s == 0.0
-
-    def test_block_symmetry(self, ubar, vcos, f4, smooth_field):
-        grid = ubar.u.grid
-        apply = bordered_apply(ExtendedPoint(ubar.u, ubar.lam), vcos, f4)
-        rng = np.random.default_rng(1)
-        for seed in range(5):
-            v = smooth_field(grid, seed=200 + seed)
-            w = smooth_field(grid, seed=300 + seed)
-            mu, nu = rng.standard_normal(2)
-            lhs = _ext_inner(apply(v, mu), (w, nu), vcos)
-            rhs = _ext_inner((v, mu), apply(w, nu), vcos)
-            assert lhs == pytest.approx(rhs, abs=1e-9, rel=1e-9)
-
-    def test_finite_difference_of_gradient(self, ubar, vcos, f4, smooth_field):
-        grid = ubar.u.grid
-        pt = ExtendedPoint(ubar.u, ubar.lam)
-        apply = bordered_apply(pt, vcos, f4)
-        v = smooth_field(grid, seed=7)
-        mu = 0.3
-        out_f, out_s = apply(v, mu)
-        errs = []
-        for t in (1e-4, 5e-5):
-            gp = extended_gradient(
-                ExtendedPoint(pt.u + t * v, pt.lam + t * mu), ubar.mass, vcos, f4
-            )
-            gm = extended_gradient(
-                ExtendedPoint(pt.u + (-t) * v, pt.lam - t * mu), ubar.mass, vcos, f4
-            )
-            fd_f = (gp[0].values - gm[0].values) / (2 * t)
-            fd_s = (gp[1] - gm[1]) / (2 * t)
-            err = np.max(np.abs(fd_f - out_f.values)) + abs(fd_s - out_s)
-            errs.append(err)
-        assert errs[1] < errs[0] / 2.0 + 1e-12
-        assert errs[0] < 1e-5
-
-
 class TestGlue:
     def test_single_bump_refinement_is_fixed_point(self, ubar, vcos, f4):
         result = glue(ubar, BumpConfig(1, (0,)), ubar.mass, vcos, f4)
@@ -198,6 +151,23 @@ class TestGlue:
     def test_multiplier_gap_decreases(self, glued_two):
         gaps = [glued_two[d].dlambda for d in sorted(glued_two)]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_starting_merit_is_evaluated_once(self, ubar, glued_two, vcos, f4, monkeypatch):
+        # the cap check's value is damped_newton's first merit, not recomputed
+        cfg = BumpConfig(2, (-6, 6))
+        v0 = superpose(ubar.u, cfg).values
+        at_start = []
+        merit = gluing.extended_gradient_norm
+
+        def counted(pt, *args):
+            at_start.append(np.array_equal(pt.u.values, v0))
+            return merit(pt, *args)
+
+        monkeypatch.setattr(gluing, "extended_gradient_norm", counted)
+        result = glue(ubar, cfg, 9.0, vcos, f4)
+        assert at_start.count(True) == 1
+        assert len(at_start) == len(result.residual_history)  # one trial per full step
+        assert np.array_equal(result.point.u.values, glued_two[12].point.u.values)
 
     def test_mass_mismatch_rejected(self, ubar, vcos, f4):
         with pytest.raises(PreconditionError):
