@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -83,23 +83,21 @@ _KERNEL_CHECK_TOL = 1e-6  # sup norm of L2 phi above which phi is not in its ker
 
 
 def _dense_operator(grid: GridSpec, V, lam: float, weight: np.ndarray) -> np.ndarray:
-    """Dense symmetric discretization of -Lap + V - lambda - weight."""
-    mat = _dense_neglap(grid).copy()
+    """Dense symmetric discretization of -Lap + V - lambda - weight, in one
+    allocation and cached nowhere.  -Lap is the circulant of the symmetrized
+    first column 0.5 (c[k] + c[-k]), c = irfft(k^2): entry by entry the same
+    floating-point sum as 0.5 (C + C^T) for C = circulant(c), and exactly
+    symmetric."""
+    c = np.fft.irfft(grid.wavenumbers**2, n=grid.M)
+    mat = scipy.linalg.circulant(0.5 * (c + np.roll(c[::-1], 1)))
     mat.flat[:: grid.M + 1] += gr.potential_samples(V, grid) - lam - weight
     return mat
 
 
-@lru_cache(maxsize=4)
-def _dense_neglap(grid: GridSpec) -> np.ndarray:
-    """Spectral -d^2/dx^2 as a dense (circulant) matrix, read-only."""
-    neglap = scipy.linalg.circulant(np.fft.irfft(grid.wavenumbers**2, n=grid.M))
-    neglap = 0.5 * (neglap + neglap.T)
-    neglap.setflags(write=False)
-    return neglap
-
-
 def linearized_matrix(u: Field, lam: float, V, f) -> np.ndarray:
-    """Dense symmetric discretization of -Lap + V - lambda - f'(u)."""
+    """Dense symmetric discretization of -Lap + V - lambda - f'(u), a new
+    writable M x M array (see _dense_operator).  It feeds the spectrum
+    command's eigenvalue table and the tests' dense oracles."""
     return _dense_operator(u.grid, V, lam, f.fprime(u.values))
 
 

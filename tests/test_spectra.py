@@ -1,5 +1,7 @@
 """Morse counts, the pairing criterion, classification, and instability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +24,7 @@ from multibump.grid import (
     GridSpec,
     inner_l2,
     operator_bottom_eigenvalue,
+    potential_samples,
     resolvent_solve,
 )
 from multibump.model import Potential, hessian_form
@@ -63,6 +66,35 @@ class TestLinearizedMatrix:
             v = smooth_field(grid24, seed=600 + seed)
             quad_form = grid24.h * float(v.values @ L @ v.values)
             assert quad_form == pytest.approx(form(v, v), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("M", [768, 1536])
+    def test_bit_identical_to_symmetrized_circulant(self, M, vcos, f4, smooth_field):
+        # the plain two-matrix form, written out: the table must not move by a bit
+        grid = GridSpec(24, M)
+        u = smooth_field(grid, seed=7)
+        C = scipy.linalg.circulant(np.fft.irfft(grid.wavenumbers**2, n=M))
+        expected = 0.5 * (C + C.T)
+        expected.flat[:: M + 1] += potential_samples(vcos, grid) - 0.1 - f4.fprime(u.values)
+        L = linearized_matrix(u, 0.1, vcos, f4)
+        assert np.array_equal(L, expected)
+        assert np.array_equal(L, L.T)
+
+    def test_one_matrix_allocated_and_none_kept(self, vcos, f4, smooth_field):
+        # a grid no other test builds a matrix on, so nothing is warm
+        grid = GridSpec(12, 1152)
+        u = smooth_field(grid, seed=8)
+        matrix_bytes = 8 * grid.M**2
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            L = linearized_matrix(u, 0.1, vcos, f4)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            del L
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * matrix_bytes
+        assert kept <= 0.01 * matrix_bytes
 
 
 def _projected_eigenvalues(L, u_vals):

@@ -125,6 +125,10 @@ def test_minres_is_called_only_where_the_tracer_counts_it():
 
 def test_eigensolvers_are_called_only_where_they_belong():
     # the tracer counts the eigsh global of grid (the spectrum bottom); every
-    # other sparse eigensolve is a LOBPCG run in spectra
+    # other sparse eigensolve is a LOBPCG run in spectra.  The one dense
+    # eigensolve is the spectrum table's np.linalg.eigvalsh in cli, the call
+    # that the tracer's dense metrics and the eigensolve_sizes spy observe
     assert _call_sites("eigsh") == {("grid", "Name")}
     assert _call_sites("lobpcg") == {("spectra", "Name")}
+    assert _call_sites("eigvalsh") == {("cli", "Attribute")}
+    assert _call_sites("eigh") == set()
