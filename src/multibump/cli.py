@@ -42,121 +42,143 @@ from .errors import (
 
 __all__ = ["RunConfig", "main"]
 
-_SCHEMA = {
-    "grid": {"L", "M"},
-    "potential": {"kind", "amplitude", "shift", "constant", "table"},
-    "nonlinearity": {"p"},
-    "mass": None,
-    "bumps": {"n", "offsets", "separations", "n_list"},
-    "solver": {"flow_tol", "newton_tol", "flow_step", "center"},
-    "dynamics": {
-        "dt",
-        "t_end",
-        "perturbation_amplitude",
-        "perturbation_kind",
-        "seed",
-        "record_stride",
-    },
-    "semiclassical": {"eps_list", "m_V"},
-    "output": None,
+
+def _rule(says: str, test):
+    """A predicate on a configured value; says is what it accepts."""
+    test.says = says
+    return test
+
+
+# JSON numbers load as int or float, so type() keeps bool (true/false) out
+_number = _rule("a finite number",
+                lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_positive = _rule("a finite number > 0", lambda v: _number(v) and v > 0)
+_whole = _rule("a whole number", lambda v: _number(v) and float(v).is_integer())
+_integer = _rule("an integer", lambda v: type(v) is int)
+_string = _rule("a string", lambda v: type(v) is str)
+
+
+def _at_least(low: int):
+    return _rule(f"an integer >= {low}", lambda v: _integer(v) and v >= low)
+
+
+def _one_of(*choices):
+    return _rule(f"one of {list(choices)}", lambda v: v in choices)
+
+
+def _list_of(rule):
+    return _rule(f"a non-empty list, each {rule.says}",
+                 lambda v: type(v) is list and len(v) > 0 and all(map(rule, v)))
+
+
+# Each key a configuration may hold: section -> key -> (rule, default), or
+# (rule, default) for the top-level mass and output; a default of None is read
+# only where given.  Rules hold what the constructors do not check themselves.
+_TABLE = {
+    "grid": {"L": (_integer, 24), "M": (_integer, 1536)},
+    "potential": {"kind": (_one_of("constant", "cosine", "tabulated"), "constant"),
+                  "amplitude": (_number, 0.5), "shift": (_number, 0.0),
+                  "constant": (_number, 1.0), "table": (_list_of(_number), None)},
+    "nonlinearity": {"p": (_number, 4.0)},
+    "mass": (_positive, 1.0),
+    "bumps": {"n": (_at_least(1), 2), "offsets": (_list_of(_number), None),
+              "separations": (_list_of(_whole), [8, 12, 16]),
+              "n_list": (_list_of(_at_least(1)), None)},
+    "solver": {"flow_tol": (_positive, 1e-6), "newton_tol": (_positive, 1e-10),
+               "flow_step": (_positive, 0.8), "center": (_number, 0.0)},
+    "dynamics": {"dt": (_number, 1e-3), "t_end": (_number, 10.0),
+                 "perturbation_amplitude": (_number, 0.0),
+                 # by default "none" at zero amplitude, else "eigenvector" (cmd_evolve)
+                 "perturbation_kind": (_one_of("none", "eigenvector", "random"), None),
+                 "seed": (_at_least(0), 0), "record_stride": (_at_least(1), 20)},
+    "semiclassical": {"eps_list": (_list_of(_number), [0.2, 0.1, 0.05]), "m_V": (_integer, 0)},
+    "output": (_string, "out"),
 }
 
 
+def _check(name: str, rule, value) -> None:
+    if not rule(value):
+        raise ConfigError(f"{name} must be {rule.says}, got {value!r}")
+
+
+def _built(section: str, make):
+    """make(), its ValueError a configuration error in the named section."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"invalid {section} section: {exc}") from exc
+
+
 class RunConfig:
-    """Validated run configuration (unknown keys rejected)."""
+    """A run configuration checked against _TABLE; construction also builds
+    the grid, potential, nonlinearity and bump configurations, so whatever
+    they refuse exits 2 before any solve.  data stays the dict as loaded
+    (hash() reads it): get() supplies the defaults."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise ConfigError("configuration root must be an object")
-        unknown = set(data) - set(_SCHEMA)
+        unknown = set(data) - set(_TABLE)
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-        for key, allowed in _SCHEMA.items():
-            if allowed is None or key not in data:
+        for section, value in data.items():
+            keys = _TABLE[section]
+            if isinstance(keys, tuple):
+                _check(section, keys[0], value)
                 continue
-            section = data[key]
-            if not isinstance(section, dict):
-                raise ConfigError(f"section {key!r} must be an object")
-            extra = set(section) - allowed
+            if not isinstance(value, dict):
+                raise ConfigError(f"section {section!r} must be an object")
+            extra = set(value) - set(keys)
             if extra:
-                raise ConfigError(f"unknown keys in {key!r}: {sorted(extra)}")
+                raise ConfigError(f"unknown keys in {section!r}: {sorted(extra)}")
+            for key, item in value.items():
+                _check(f"{section}.{key}", keys[key][0], item)
         self.data = data
-        self._validate()
+        self.grid = _built("grid",
+                           lambda: gr.GridSpec(self.get("grid", "L"), self.get("grid", "M")))
+        L, M = self.grid.L, self.grid.M
+        if M % (2 * L) != 0:
+            raise ConfigError(
+                f"grid.M = {M} must be a multiple of 2L = {2 * L} so that unit "
+                "translations are exact grid shifts"
+            )
+        self.potential = _built("potential", self._potential)
+        self.nonlinearity = _built("nonlinearity",
+                                   lambda: md.Nonlinearity(self.get("nonlinearity", "p")))
+        for n in [self.get("bumps", "n"), *(self.get("bumps", "n_list") or [])]:
+            _built("bumps", lambda: self.bump_configs(n))
 
     @classmethod
     def load(cls, path) -> "RunConfig":
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
         return cls(data)
 
-    def _validate(self):
-        g = self.data.get("grid", {})
-        L, M = g.get("L", 24), g.get("M", 1536)
-        if not (isinstance(L, int) and L > 0):
-            raise ConfigError(f"grid.L must be a positive integer, got {L!r}")
-        if not (isinstance(M, int) and M >= 64 and M % 2 == 0):
-            raise ConfigError(f"grid.M must be an even integer >= 64, got {M!r}")
-        if M % (2 * L) != 0:
-            raise ConfigError(
-                f"grid.M = {M} must be a multiple of 2L = {2 * L} so that unit "
-                "translations are exact grid shifts"
-            )
-        p = self.data.get("nonlinearity", {}).get("p", 4.0)
-        if not p > 2:
-            raise ConfigError(f"nonlinearity.p must exceed 2, got {p}")
-        alpha = self.data.get("mass", 1.0)
-        if not alpha > 0:
-            raise ConfigError(f"mass must be positive, got {alpha}")
-        kind = self.data.get("potential", {}).get("kind", "constant")
-        if kind not in ("constant", "cosine", "tabulated"):
-            raise ConfigError(f"unknown potential kind {kind!r}")
-        try:
-            for n in self.data.get("bumps", {}).get("n_list", [None]):
-                self.bump_configs(None if n is None else int(n))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid bumps section: {exc}") from exc
+    def get(self, section: str, key: str | None = None):
+        """The configured value of section.key (of the top-level scalar
+        section when key is None), else its default from _TABLE."""
+        if key is None:
+            return self.data.get(section, _TABLE[section][1])
+        return self.data.get(section, {}).get(key, _TABLE[section][key][1])
 
-    # -- constructors -------------------------------------------------------
-
-    def grid(self) -> gr.GridSpec:
-        g = self.data.get("grid", {})
-        return gr.GridSpec(g.get("L", 24), g.get("M", 1536))
-
-    def potential(self) -> md.Potential:
-        pot = self.data.get("potential", {"kind": "constant", "constant": 1.0})
-        kind = pot.get("kind", "constant")
+    def _potential(self) -> md.Potential:
+        kind, shift = self.get("potential", "kind"), self.get("potential", "shift")
         if kind == "constant":
-            return md.Potential.const(pot.get("constant", 1.0))
+            return md.Potential.const(self.get("potential", "constant"))
         if kind == "cosine":
-            return md.Potential.cosine(pot.get("amplitude", 0.5), pot.get("shift", 0.0))
-        return md.Potential.tabulated(pot["table"], pot.get("shift", 0.0))
+            return md.Potential.cosine(self.get("potential", "amplitude"), shift)
+        return md.Potential.tabulated(self.get("potential", "table"), shift)
 
-    def nonlinearity(self) -> md.Nonlinearity:
-        return md.Nonlinearity(self.data.get("nonlinearity", {}).get("p", 4.0))
-
-    def mass(self) -> float:
-        return float(self.data.get("mass", 1.0))
-
-    def bump_configs(self, n: int | None = None) -> list:
+    def bump_configs(self, n: int) -> list:
         """Glue configurations: the explicit offsets, else n bumps per separation."""
-        bumps = self.data.get("bumps", {})
-        if "separations" not in bumps and "offsets" in bumps:
-            offsets = tuple(bumps["offsets"])
-            return [gl.BumpConfig(len(offsets), offsets)]
-        n = int(bumps.get("n", 2)) if n is None else n
-        separations = bumps.get("separations", [8, 12, 16])
-        return [gl.BumpConfig(n, _symmetric_offsets(n, int(d))) for d in separations]
-
-    def solver(self) -> dict:
-        s = dict(self.data.get("solver", {}))
-        s.setdefault("flow_tol", 1e-6)
-        s.setdefault("newton_tol", 1e-10)
-        s.setdefault("flow_step", 0.8)
-        s.setdefault("center", 0.0)
-        return s
+        offsets = self.get("bumps", "offsets")
+        if offsets is not None and "separations" not in self.data["bumps"]:
+            return [gl.BumpConfig(len(offsets), tuple(offsets))]
+        return [gl.BumpConfig(n, _symmetric_offsets(n, int(d)))
+                for d in self.get("bumps", "separations")]
 
     def hash(self) -> str:
         canon = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
@@ -210,26 +232,19 @@ def _emit_point(point, V, f, config, out: Path, stem: str) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _working_potential(V, point):
-    """Potential in the gauge the point was solved in."""
-    return V.shifted(point.potential_shift) if point.potential_shift else V
-
-
 def _ground_state(config: RunConfig, mass: float):
-    """The configured ground state of the given mass, with the potential in
-    its working gauge and the nonlinearity."""
-    V, f = config.potential(), config.nonlinearity()
-    s = config.solver()
-    point = gl.ground_state(
-        config.grid(), mass, V, f,
-        center=s["center"], flow_tol=s["flow_tol"], newton_tol=s["newton_tol"],
-        flow_step=s["flow_step"],
-    )
-    return point, _working_potential(V, point), f
+    """The configured ground state of the given mass, and the potential in
+    the gauge it was solved in."""
+    V = config.potential
+    # the solver keys are ground_state's keyword arguments
+    point = gl.ground_state(config.grid, mass, V, config.nonlinearity,
+                            **{key: config.get("solver", key) for key in _TABLE["solver"]})
+    return point, V.shifted(point.potential_shift) if point.potential_shift else V
 
 
 def cmd_groundstate(config: RunConfig, out: Path) -> None:
-    point, Vw, f = _ground_state(config, config.mass())
+    point, Vw = _ground_state(config, config.get("mass"))
+    f = config.nonlinearity
     point.certify()
     _emit_point(point, Vw, f, config, out, "groundstate")
     report = sp.classify(point.u, point.lam, Vw, f)
@@ -243,20 +258,15 @@ def _symmetric_offsets(n: int, d: int) -> tuple:
 
 
 def _glue_row(ubar, cfg, alpha, V, f, newton_tol):
-    from dataclasses import replace
-
     result = gl.glue(ubar, cfg, alpha, V, f, tol=newton_tol)
-    if ubar.potential_shift:
-        result.point = replace(result.point, potential_shift=ubar.potential_shift)
-    point = result.point
-    report = sp.classify(point.u, point.lam, V, f)
+    report = sp.classify(result.point.u, result.point.lam, V, f)
     sigma = gl.bordered_sigma_min(
         gl.ExtendedPoint(gl.superpose(ubar.u, cfg), ubar.lam), V, f
     )
     return result, report, sigma
 
 
-def _glue_configs(config: RunConfig, n: int | None = None) -> list:
+def _glue_configs(config: RunConfig, n: int) -> list:
     """The glue configurations; one bump has nothing to glue (exit 2)."""
     configs = config.bump_configs(n)
     if any(cfg.n < 2 for cfg in configs):
@@ -267,11 +277,12 @@ def _glue_configs(config: RunConfig, n: int | None = None) -> list:
 def _glue_sweep(config: RunConfig, out: Path) -> int:
     """Glue at every configured separation, write glue_sweep.csv and the
     converged points; returns the number of rows that converged."""
-    configs = _glue_configs(config)
-    alpha = config.mass()
-    ubar, V, f = _ground_state(config, alpha / configs[0].n)
+    configs = _glue_configs(config, config.get("bumps", "n"))
+    alpha = config.get("mass")
+    ubar, V = _ground_state(config, alpha / configs[0].n)
+    f = config.nonlinearity
     _emit_point(ubar, V, f, config, out, "base_point")
-    newton_tol = config.solver()["newton_tol"]
+    newton_tol = config.get("solver", "newton_tol")
 
     rows, n_ok = [], 0
     for cfg in configs:
@@ -316,7 +327,7 @@ _FIELD_RESIDUAL_TOL = 1e-6
 
 
 def cmd_spectrum(config: RunConfig, out: Path, field_file: str) -> None:
-    V, f = config.potential(), config.nonlinearity()
+    V, f = config.potential, config.nonlinearity
     u = _read_field(field_file)
     lam = st.lagrange_multiplier(u, V, f)
     res = md.l2_residual(u, lam, V, f)
@@ -341,15 +352,11 @@ def cmd_spectrum(config: RunConfig, out: Path, field_file: str) -> None:
 
 def cmd_evolve(config: RunConfig, out: Path, field_file: str,
                snapshot_stride: int = 0) -> None:
-    V, f = config.potential(), config.nonlinearity()
+    V, f = config.potential, config.nonlinearity
     phi = _read_field(field_file)
     lam = st.lagrange_multiplier(phi, V, f)
-    dyn = config.data.get("dynamics", {})
-    dt = float(dyn.get("dt", 1e-3))
-    t_end = float(dyn.get("t_end", 10.0))
-    amp = float(dyn.get("perturbation_amplitude", 0.0))
-    kind = dyn.get("perturbation_kind", "none" if amp == 0 else "eigenvector")
-    stride = int(dyn.get("record_stride", 20))
+    amp = config.get("dynamics", "perturbation_amplitude")
+    kind = config.get("dynamics", "perturbation_kind") or ("none" if amp == 0 else "eigenvector")
 
     mass = gr.inner_l2(phi, phi)
     point = st.ConstrainedCriticalPoint.measure(phi, lam, mass, V, f)
@@ -360,19 +367,18 @@ def cmd_evolve(config: RunConfig, out: Path, field_file: str,
         seed_vals = seed_vals + amp * inst.v.values
         rate_expected = inst.rho
     elif kind == "random":
-        rng = np.random.default_rng(int(dyn.get("seed", 0)))
+        rng = np.random.default_rng(config.get("dynamics", "seed"))
         noise = rng.standard_normal(len(seed_vals)) * np.exp(-np.abs(phi.grid.x))
         noise /= np.sqrt(phi.grid.h) * np.linalg.norm(noise)
         seed_vals = seed_vals + amp * noise
-    elif kind != "none":
-        raise ConfigError(f"unknown perturbation kind {kind!r}")
     if amp > 0:
         seed_vals *= np.sqrt(mass) / (np.sqrt(phi.grid.h) * np.linalg.norm(seed_vals))
 
     traj = dy.propagate(
         dy.ComplexField(phi.grid, seed_vals.astype(complex)), V, f,
-        dt=dt, t_end=t_end, reference=(phi, lam),
-        record_stride=stride, snapshot_stride=snapshot_stride,
+        dt=config.get("dynamics", "dt"), t_end=config.get("dynamics", "t_end"),
+        reference=(phi, lam), record_stride=config.get("dynamics", "record_stride"),
+        snapshot_stride=snapshot_stride,
     )
     _write_csv(
         out / "evolve_trace.csv",
@@ -397,15 +403,11 @@ def cmd_evolve(config: RunConfig, out: Path, field_file: str,
 
 
 def cmd_semiclassical(config: RunConfig, out: Path) -> None:
-    grid = config.grid()
-    V, f = config.potential(), config.nonlinearity()
-    semi = config.data.get("semiclassical", {})
-    eps_list = semi.get("eps_list", [0.2, 0.1, 0.05])
-    m_V = int(semi.get("m_V", 0))
-    family = sc.continue_family(grid, eps_list, V, f.p)
+    V, f = config.potential, config.nonlinearity
+    family = sc.continue_family(config.grid, config.get("semiclassical", "eps_list"), V, f.p)
     z_rows = sc.z_eps_check(family)
     t_rows = sc.translation_mode_estimate(family, V)
-    m_rows = sc.morse_check(family, m_V)
+    m_rows = sc.morse_check(family, config.get("semiclassical", "m_V"))
     rows = []
     for member, zr, tr, mr in zip(family.members, z_rows, t_rows, m_rows):
         rows.append([
@@ -440,9 +442,8 @@ def _semiclassical_end_to_end(config: RunConfig, out: Path, family, V, f) -> Non
     translation lattice (1/eps integral), otherwise the translated wells
     cannot be realized as exact grid shifts.
     """
-    n = int(config.data["bumps"].get("n", 2))
-    alpha = config.mass()
-    eps_n, base = sc.select_mass_epsilon(alpha, n, family)
+    n = config.get("bumps", "n")
+    eps_n, base = sc.select_mass_epsilon(config.get("mass"), n, family)
     stride = 1.0 / eps_n
     if abs(stride - round(stride)) > 1e-9:
         raise PreconditionError(
@@ -471,18 +472,15 @@ def _semiclassical_end_to_end(config: RunConfig, out: Path, family, V, f) -> Non
 def cmd_sweep(config: RunConfig, out: Path) -> None:
     """Separation sweep over one or more bump counts (superset of glue);
     fails only if no separation converged for any of them."""
-    bumps = dict(config.data.get("bumps", {}))
-    n_list = bumps.get("n_list", [bumps.get("n", 2)])
+    n_list = config.get("bumps", "n_list") or [config.get("bumps", "n")]
     for n in n_list:
-        _glue_configs(config, int(n))
+        _glue_configs(config, n)
+    # each n runs, and hashes its artifacts, as the configuration with bumps.n = n
+    bumps = {key: value for key, value in config.data.get("bumps", {}).items() if key != "n_list"}
     n_ok = 0
     for n in n_list:
-        sub = dict(config.data)
-        sub_bumps = dict(bumps)
-        sub_bumps.pop("n_list", None)
-        sub_bumps["n"] = int(n)
-        sub["bumps"] = sub_bumps
-        n_ok += _glue_sweep(RunConfig(sub), out / f"n{n}")
+        sub = RunConfig({**config.data, "bumps": {**bumps, "n": n}})
+        n_ok += _glue_sweep(sub, out / f"n{n}")
     if not n_ok:
         raise GluingFailedError(f"no separation converged for any n in {n_list}")
 
@@ -515,8 +513,11 @@ def main(argv=None) -> int:
         parser.error("--config is required")
     try:
         config = RunConfig.load(args.config)
-        out = Path(args.out or os.environ.get("MULTIBUMP_OUT") or config.data.get("output", "out"))
-        out.mkdir(parents=True, exist_ok=True)
+        out = Path(args.out or os.environ.get("MULTIBUMP_OUT") or config.get("output"))
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {out} as the output directory: {exc}") from exc
         # a module global at call time, so that a patched cli.cmd_* is the one run
         command = globals()[f"cmd_{args.command}"]
         if args.command == "evolve":

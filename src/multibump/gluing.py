@@ -280,7 +280,7 @@ def glue(ubar: st.ConstrainedCriticalPoint, cfg: BumpConfig, alpha: float, V, f,
         )
     pt, iterations, history = newton_correct(pt0, alpha, V, f, tol=tol,
                                              separation=cfg.separation, eta0=eta0)
-    point = st.ConstrainedCriticalPoint.measure(pt.u, pt.lam, alpha, V, f)
+    point = st.ConstrainedCriticalPoint.measure(pt.u, pt.lam, alpha, V, f, ubar.potential_shift)
     return GlueResult(
         point=point,
         iterations=iterations,
@@ -307,8 +307,7 @@ def _gram(metric: gr.FourierOperator):
     return lambda x: np.append(h * metric.apply(x[:M]), x[M])
 
 
-def bordered_sigma_min(pt: ExtendedPoint, V, f, iters: int = 50,
-                       rtol: float = 1e-6, seed: int = 0) -> float:
+def bordered_sigma_min(pt: ExtendedPoint, V, f) -> float:
     """Smallest singular value of the block second derivative T at pt.
 
     T is symmetric in the preconditioned metric h(Gv, v) + mu^2 with
@@ -318,24 +317,24 @@ def bordered_sigma_min(pt: ExtendedPoint, V, f, iters: int = 50,
     resolved.  Each step applies T^{-1} as one strong-form bordered solve:
     T (v, mu) = y is reduced to it by applying G to the field part of y.
     Stops when the Ritz value theta of largest modulus has Ritz residual at
-    most rtol |theta| and returns 1/|theta|; iters caps the steps and seed
-    sets the start vector.
+    most _LANCZOS_RTOL |theta| and returns 1/|theta|; _LANCZOS_STEPS caps
+    the steps, from a fixed random start vector.
 
     The inner solves stop at backward error 1e-11, one MINRES round each,
     not at roundoff: a backward error delta of each apply of T^{-1} moves
     its extreme eigenvalue by about delta cond(T) relative, far below the
-    Ritz target rtol.
+    Ritz target _LANCZOS_RTOL.
     """
     grid = pt.u.grid
     M, h = grid.M, grid.h
     vs = gr.potential_samples(V, grid)
     jacobian, gram = _jacobian(pt, vs, f), _gram(gr.FourierOperator(grid, vs))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     start = np.append(rng.standard_normal(M), rng.standard_normal())
     start /= _h_norm(Field(grid, start[:M]), start[M], V)  # also checks that -Lap + V > 0
     thetas, _, top = gr.lanczos(
-        lambda q, gq: _solve_bordered(jacobian, gq / h, rtol=1e-11), gram, start, iters,
-        _largest_modulus, rtol,
+        lambda q, gq: _solve_bordered(jacobian, gq / h, rtol=1e-11), gram, start,
+        _LANCZOS_STEPS, _largest_modulus, _LANCZOS_RTOL,
     )
     return float(1.0 / abs(thetas[top]))
 
@@ -371,8 +370,8 @@ def _difference_operator_norm(pt0: ExtendedPoint, pt1: ExtendedPoint, metric, f,
     D (v, mu) = (-S[(f'(u1) - f'(u0) + lambda1 - lambda0) v + mu (u1 - u0)],
     -(u1 - u0, v)_2) with S = G^{-1}, self-adjoint in the metric, so its norm
     is its eigenvalue of largest modulus.  Lanczos in the metric, one CG
-    solve with G per step, stopped at Ritz residual 1e-6 relative or after
-    50 steps; seed sets the start vector.
+    solve with G per step, stopped at Ritz residual _LANCZOS_RTOL relative or
+    after _LANCZOS_STEPS steps; seed sets the start vector.
     """
     grid = pt0.u.grid
     M, h = grid.M, grid.h
@@ -387,15 +386,16 @@ def _difference_operator_norm(pt0: ExtendedPoint, pt1: ExtendedPoint, metric, f,
     rng = np.random.default_rng(seed)
     start = np.append(rng.standard_normal(M), rng.standard_normal())
     start /= np.sqrt(np.dot(gram(start), start))
-    thetas, _, top = gr.lanczos(apply, gram, start, 50, _largest_modulus, 1e-6)
+    thetas, _, top = gr.lanczos(apply, gram, start, _LANCZOS_STEPS, _largest_modulus, _LANCZOS_RTOL)
     return float(abs(thetas[top]))
 
 
+_LANCZOS_STEPS, _LANCZOS_RTOL = 50, 1e-6  # Lanczos of the diagnostics: step cap, Ritz residual
 _SHADOWING_SAMPLES = 5  # random points of the delta-ball the Lipschitz bound is sampled at
 
 
 def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
-                          q: float, seed: int = 0) -> ShadowingReport:
+                          q: float) -> ShadowingReport:
     """Sampled check of the contraction conditions around pt0.
 
     Estimates the starting gradient norm, the inverse norm of the block
@@ -407,10 +407,10 @@ def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
         raise PreconditionError(f"contraction rate must satisfy 0 < q < 1, got {q}")
     grid = pt0.u.grid
     h_norm = extended_gradient_norm(pt0, alpha, V, f)
-    sigma = bordered_sigma_min(pt0, V, f, seed=seed)
+    sigma = bordered_sigma_min(pt0, V, f)
     inverse_norm = 1.0 / sigma
     metric = gr.FourierOperator(grid, gr.potential_samples(V, grid))
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(1)
     lipschitz = 0.0
     for i in range(_SHADOWING_SAMPLES):
         direction = Field(grid, rng.standard_normal(grid.M))
@@ -421,7 +421,7 @@ def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
             pt0.u + (radius / nrm) * direction, pt0.lam + radius * dmu / nrm
         )
         lipschitz = max(
-            lipschitz, _difference_operator_norm(pt0, pt1, metric, f, seed=seed + 2 + i)
+            lipschitz, _difference_operator_norm(pt0, pt1, metric, f, seed=2 + i)
         )
     return ShadowingReport(
         gradient_norm=h_norm,

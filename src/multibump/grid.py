@@ -293,7 +293,7 @@ class FourierOperator:
         """The split form MINRES runs on: c = max(mean weight + 1, 1)."""
         return self.split(max(float(np.mean(self.weight)) + 1.0, 1.0))
 
-    def cg(self, rhs: np.ndarray, tol: float = 1e-12, max_iter: int = 4000) -> np.ndarray:
+    def cg(self, rhs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """CG for an SPD operator on its split form, c = max(mean weight, 0.05),
         so the split operator is a compact perturbation of the identity.
 
@@ -313,7 +313,7 @@ class FourierOperator:
         rr = np.dot(r, r)
         d = r.copy()
         best_true = np.inf
-        for _ in range(max_iter):
+        for _ in range(4000):
             Ad = split.apply(d)
             dAd = np.dot(d, Ad)
             if dAd <= 0.0:
@@ -567,8 +567,8 @@ def _require_positive_bottom(vs: np.ndarray, grid: GridSpec) -> float:
     return bottom
 
 
-def resolvent_solve(g: Field, V, shift: float = 0.0, tol: float = 1e-13) -> Field:
-    """Solve (-Lap + V - shift) z = g.
+def resolvent_solve(g: Field, V, shift: float = 0.0) -> Field:
+    """Solve (-Lap + V - shift) z = g, to sup-norm residual 1e-13 |g|.
 
     The shift must lie strictly below the bottom of the discrete spectrum
     of -Lap + V; otherwise a SingularOperatorError carrying the offending
@@ -582,7 +582,7 @@ def resolvent_solve(g: Field, V, shift: float = 0.0, tol: float = 1e-13) -> Fiel
             f"shift {shift:.6g} is not below the spectrum bottom {bottom:.6g}",
             gap=gap,
         )
-    return Field(g.grid, FourierOperator(g.grid, vs - shift).cg(g.values, tol=tol))
+    return Field(g.grid, FourierOperator(g.grid, vs - shift).cg(g.values, tol=1e-13))
 
 
 # -- serialization -----------------------------------------------------------

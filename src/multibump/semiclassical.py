@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 MASS_CRITICAL_P = 6.0  # 2 + 4/N at N = 1
+_MASS_MATCH_TOL = 1e-8  # |mass - alpha/n| at which select_mass_epsilon accepts eps
 
 
 def scaled_potential(V: Potential, eps: float) -> Potential:
@@ -357,13 +358,12 @@ def morse_check(family: EpsilonFamily, m_V: int) -> list[dict]:
     return rows
 
 
-def select_mass_epsilon(alpha: float, n: int, family: EpsilonFamily,
-                        tol: float = 1e-8, max_iter: int = 60):
+def select_mass_epsilon(alpha: float, n: int, family: EpsilonFamily):
     """Find eps with unrescaled mass alpha/n by interpolation plus re-solves.
 
     The family's mass curve brackets the target; a secant iteration with
-    one Newton re-solve per step drives |mass - alpha/n| below tol.
-    Returns (eps, solved point at eps).
+    one Newton re-solve per step drives |mass - alpha/n| below
+    _MASS_MATCH_TOL in at most 60 steps.  Returns (eps, solved point at eps).
     """
     target = alpha / n
     masses = family.unrescaled_masses
@@ -385,12 +385,12 @@ def select_mass_epsilon(alpha: float, n: int, family: EpsilonFamily,
         return pt, eps * pt.mass
 
     pt_a, mass_a = solve_at(eps_a, u_seed)
-    if abs(mass_a - target) <= tol:
+    if abs(mass_a - target) <= _MASS_MATCH_TOL:
         return eps_a, pt_a
     eps_b = eps_a * (1.0 + 1e-3)
     pt_b, mass_b = solve_at(eps_b, pt_a.u)
-    for _ in range(max_iter):
-        if abs(mass_b - target) <= tol:
+    for _ in range(60):
+        if abs(mass_b - target) <= _MASS_MATCH_TOL:
             return eps_b, pt_b
         slope = (mass_b - mass_a) / (eps_b - eps_a)
         eps_next = eps_b + (target - mass_b) / slope

@@ -470,21 +470,17 @@ class ZTranslateReport:
 
 
 def z_translate_check(ubar: ConstrainedCriticalPoint,
-                      glued: ConstrainedCriticalPoint, cfg, V, f,
-                      window: float | None = None) -> ZTranslateReport:
+                      glued: ConstrainedCriticalPoint, cfg, V, f) -> ZTranslateReport:
     """Compare back-translated z of the glued point with the single-bump z.
 
-    Returns the worst windowed L2 error over the bumps and the mismatch
-    of (u_glued, z_glued)_2 against n * (ubar, z_ubar)_2.
+    Returns the worst L2 error over the bumps, in the window |x| <=
+    min(separation, L) / 2, and the mismatch of (u_glued, z_glued)_2
+    against n * (ubar, z_ubar)_2.
     """
     grid = glued.u.grid
     z_bar = z_vector(ubar.u, ubar.lam, V, f)
     z_glued = z_vector(glued.u, glued.lam, V, f)
-    if window is None:
-        window = min(cfg.separation / 2.0, grid.L / 2.0)
-        if not np.isfinite(window):
-            window = grid.L / 2.0
-    mask = np.abs(grid.x) <= window
+    mask = np.abs(grid.x) <= min(cfg.separation, grid.L) / 2.0  # one bump: separation inf
     worst = 0.0
     for a in cfg.offsets:
         back = gr.translate(z_glued, -a)

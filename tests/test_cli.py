@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from multibump import cli, errors
 from multibump.cli import RunConfig, main
@@ -34,6 +36,23 @@ def write_config(tmp_path, data, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+# every place a value can sit: each table key, a top-level scalar (key None),
+# and keys the table does not hold
+_PLACES = [
+    (section, key)
+    for section, keys in cli._TABLE.items()
+    for key in (keys if isinstance(keys, dict) else [None])
+] + [("grid", "extra"), ("bumps", "d"), ("unknown_section", None)]
+# integers bounded so that no example builds a long offset tuple; short
+# lists of small integers pass most list rules and reach the constructors
+_JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers(-1000, 1000) | hst.floats() | hst.text(max_size=4),
+    lambda inner: hst.lists(inner, max_size=4) | hst.dictionaries(hst.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8,
+) | hst.lists(hst.integers(-30, 30), min_size=1, max_size=4)
 
 
 class TestRunConfig:
@@ -69,6 +88,24 @@ class TestRunConfig:
         bad = write_config(tmp_path, {"mass": -1.0})
         rc = main(["--config", bad, "--out", str(tmp_path / "o"), "groundstate"])
         assert rc == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.lists(hst.tuples(hst.sampled_from(_PLACES), _JSON_VALUES), max_size=4))
+    def test_constructs_or_raises_config_error(self, draws):
+        # JSON-like values at table keys and at unknown ones: nothing but a
+        # ConfigError may escape the constructor
+        data = json.loads(json.dumps(BASE_CONFIG))
+        for (section, key), value in draws:
+            if key is None:
+                data[section] = value
+            else:
+                if not isinstance(data.get(section), dict):
+                    data[section] = {}
+                data[section][key] = value
+        try:
+            RunConfig(data)
+        except ConfigError:
+            pass
 
 
 def _run_cli(argv, code=None, **env_vars):
@@ -428,6 +465,45 @@ EXIT_CODES = {
 }
 
 
+_RANDOM = {"perturbation_amplitude": 1e-5, "perturbation_kind": "random"}
+# (command, configuration patch, the key its refusal names)
+_MALFORMED = [
+    # each of these exited 1 with a traceback
+    ("groundstate", {"mass": "abc"}, "mass"),
+    ("groundstate", {"nonlinearity": {"p": "x"}}, "nonlinearity.p"),
+    ("groundstate", {"nonlinearity": {"p": None}}, "nonlinearity.p"),
+    ("groundstate", {"potential": {"kind": "cosine", "amplitude": "x"}}, "potential.amplitude"),
+    ("groundstate", {"potential": {"kind": "cosine", "amplitude": float("nan")}},
+     "potential.amplitude"),
+    ("groundstate", {"potential": {"kind": "tabulated"}}, "potential"),
+    ("groundstate", {"potential": {"kind": "tabulated", "table": [1.0]}}, "potential"),
+    ("groundstate", {"potential": {"kind": "tabulated", "table": [1.0, "nan"]}},
+     "potential.table"),
+    ("groundstate", {"solver": {"center": 0.5, "flow_step": "x"}}, "solver.flow_step"),
+    ("groundstate", {"solver": {"center": "x"}}, "solver.center"),
+    ("semiclassical", {"semiclassical": {"eps_list": ["x"]}}, "semiclassical.eps_list"),
+    ("semiclassical", {"semiclassical": {"eps_list": 0.2}}, "semiclassical.eps_list"),
+    ("semiclassical", {"semiclassical": {"m_V": "x"}}, "semiclassical.m_V"),
+    ("evolve", {"dynamics": {"record_stride": 0}}, "dynamics.record_stride"),
+    ("evolve", {"dynamics": {**_RANDOM, "seed": -1}}, "dynamics.seed"),
+    ("glue", {"mass": 9.0, "bumps": {"n": 2, "separations": []}}, "bumps.separations"),
+    ("semiclassical", {"grid": {"L": 20, "M": 1280},
+                       "potential": {"kind": "cosine", "amplitude": -0.3, "shift": 0.3},
+                       "semiclassical": {"eps_list": [0.2]},
+                       "bumps": {"n": 0, "offsets": [0, 8]}}, "bumps.n"),
+    # each of these ran (exit 0), or failed later with exit 3 or 4
+    ("evolve", {"dynamics": {"record_stride": -3}}, "dynamics.record_stride"),
+    ("groundstate", {"output": 5}, "output"),
+    ("groundstate", {"solver": {"center": 0.5, "newton_tol": 0.0}}, "solver.newton_tol"),
+    ("groundstate", {"solver": {"center": 0.5, "flow_tol": -1e-6}}, "solver.flow_tol"),
+    ("groundstate", {"solver": {"center": 0.5, "flow_step": 0}}, "solver.flow_step"),
+    ("sweep", {"mass": 9.0, "bumps": {"n_list": [], "separations": [10]}}, "bumps.n_list"),
+    ("glue", {"mass": 9.0, "bumps": {"n": 2, "separations": [6.5]}}, "bumps.separations"),
+    ("groundstate", {"mass": float("inf")}, "mass"),
+    ("semiclassical", {"semiclassical": {"eps_list": []}}, "semiclassical.eps_list"),
+]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("name", sorted(EXIT_CODES))
     def test_error_exits_with_its_code_and_label(self, name, tmp_path, capsys, monkeypatch):
@@ -497,6 +573,7 @@ class TestExitCodes:
             {"n": 0},
             {"n": 2, "separations": [0]},
             {"n_list": ["two"]},
+            {"n": 0, "n_list": [2]},
         ],
     )
     def test_invalid_bumps_exit_2(self, bumps, tmp_path, capsys):
@@ -505,6 +582,43 @@ class TestExitCodes:
         cfg = write_config(tmp_path, data)
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "glue"]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("command, patch, names", _MALFORMED,
+                             ids=[f"{command}-{names}-{i}" for i, (command, _, names)
+                                  in enumerate(_MALFORMED)])
+    def test_malformed_config_exits_2(self, command, patch, names, groundstate_run, tmp_path,
+                                      capsys):
+        # refused before any solve, in one line that names the key
+        cfg = write_config(tmp_path, {**BASE_CONFIG, **patch})
+        field = [str(groundstate_run[2] / "groundstate_field.bin")] if command == "evolve" else []
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), command, *field]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert names in err
+
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe{",                        # not UTF-8
+        b'{"mass": ' + b"1" * 5000 + b"}",  # past the integer conversion limit
+        b"[" * 100000 + b"]" * 100000,      # past the recursion limit
+    ], ids=["not_utf8", "long_integer", "deep_nesting"])
+    def test_unreadable_config_exits_2(self, text, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(text)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "groundstate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read configuration ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["is_a_file", "under_a_file"])
+    def test_unusable_output_directory_exits_2(self, under_file, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if under_file else blocker
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["--config", cfg, "--out", str(out), "groundstate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     @pytest.mark.parametrize("command, bumps", [
         ("glue", {"n": 1, "separations": [8]}),

@@ -169,6 +169,17 @@ class TestGlue:
         assert len(at_start) == len(result.residual_history)  # one trial per full step
         assert np.array_equal(result.point.u.values, glued_two[12].point.u.values)
 
+    def test_glued_point_keeps_the_base_gauge(self, ubar, glued_two, vcos, f4):
+        # the base point as solved for vcos - 2 in the gauge vcos: lam_user
+        # is lam - 2 for it and for every point glued from it
+        from dataclasses import replace
+
+        shifted = replace(ubar, potential_shift=2.0)
+        point = glue(shifted, BumpConfig(2, (-6, 6)), 9.0, vcos, f4).point
+        assert np.array_equal(point.u.values, glued_two[12].point.u.values)
+        assert point.potential_shift == 2.0
+        assert point.lam_user == point.lam - 2.0
+
     def test_mass_mismatch_rejected(self, ubar, vcos, f4):
         with pytest.raises(PreconditionError):
             glue(ubar, BumpConfig(2, (-6, 6)), 9.5, vcos, f4)
