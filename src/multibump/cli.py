@@ -55,7 +55,7 @@ _number = _rule("a finite number",
 _positive = _rule("a finite number > 0", lambda v: _number(v) and v > 0)
 _whole = _rule("a whole number", lambda v: _number(v) and float(v).is_integer())
 _integer = _rule("an integer", lambda v: type(v) is int)
-_string = _rule("a string", lambda v: type(v) is str)
+_nonempty_string = _rule("a non-empty string", lambda v: type(v) is str and v != "")
 
 
 def _at_least(low: int):
@@ -92,7 +92,7 @@ _TABLE = {
                  "perturbation_kind": (_one_of("none", "eigenvector", "random"), None),
                  "seed": (_at_least(0), 0), "record_stride": (_at_least(1), 20)},
     "semiclassical": {"eps_list": (_list_of(_number), [0.2, 0.1, 0.05]), "m_V": (_integer, 0)},
-    "output": (_string, "out"),
+    "output": (_nonempty_string, "out"),
 }
 
 
@@ -145,7 +145,13 @@ class RunConfig:
         self.potential = _built("potential", self._potential)
         self.nonlinearity = _built("nonlinearity",
                                    lambda: md.Nonlinearity(self.get("nonlinearity", "p")))
-        for n in [self.get("bumps", "n"), *(self.get("bumps", "n_list") or [])]:
+        # superpose admits distinct integer offsets |a| < L - 1 only: 2L - 3 of them
+        n_max, bumps = 2 * L - 3, data.get("bumps", {})
+        for key, n in [("n", self.get("bumps", "n")),
+                       *(("n_list", n) for n in bumps.get("n_list", []))]:
+            if key in bumps and n > n_max:
+                raise ConfigError(f"bumps.{key} must be at most 2L - 3 = {n_max} on this "
+                                  f"grid (L = {L}), got {n}")
             _built("bumps", lambda: self.bump_configs(n))
 
     @classmethod
@@ -371,7 +377,7 @@ def cmd_evolve(config: RunConfig, out: Path, field_file: str,
         noise = rng.standard_normal(len(seed_vals)) * np.exp(-np.abs(phi.grid.x))
         noise /= np.sqrt(phi.grid.h) * np.linalg.norm(noise)
         seed_vals = seed_vals + amp * noise
-    if amp > 0:
+    if amp != 0:
         seed_vals *= np.sqrt(mass) / (np.sqrt(phi.grid.h) * np.linalg.norm(seed_vals))
 
     traj = dy.propagate(

@@ -34,17 +34,6 @@ class MisalignedTranslationError(_PreconditionFailure):
     """Requested translation is not an exact number of grid points."""
 
 
-class SingularOperatorError(_PreconditionFailure):
-    """A resolvent shift sits at or above the bottom of the spectrum.
-
-    Carries the offending gap (bottom eigenvalue minus shift).
-    """
-
-    def __init__(self, message, gap=None):
-        super().__init__(message)
-        self.gap = gap
-
-
 class AssumptionViolationError(_PreconditionFailure):
     """The discrete operator -Lap + V is not positive definite."""
 

@@ -25,6 +25,7 @@ from . import grid as gr
 from . import model as md
 from . import stationary as st
 from .errors import (
+    AssumptionViolationError,
     DegenerateSuperpositionError,
     GluingFailedError,
     LinearSolverError,
@@ -251,8 +252,10 @@ def glue(ubar: st.ConstrainedCriticalPoint, cfg: BumpConfig, alpha: float, V, f,
     discrete constrained critical point by damped Newton on grad G = 0.
 
     Requires alpha = n * ubar.mass (the total mass splits evenly over the
-    bumps) and enough separation that the starting extended-gradient norm
-    is below _INITIAL_RESIDUAL_CAP.
+    bumps), a positive definite -Lap + V (the metric and preconditioner of
+    every solve below; AssumptionViolationError otherwise) and enough
+    separation that the starting extended-gradient norm is below
+    _INITIAL_RESIDUAL_CAP.
     """
     if abs(alpha - cfg.n * ubar.mass) > 1e-12 * max(1.0, alpha):
         raise PreconditionError(
@@ -260,6 +263,10 @@ def glue(ubar: st.ConstrainedCriticalPoint, cfg: BumpConfig, alpha: float, V, f,
         )
     grid = ubar.u.grid
     bottom = gr.operator_bottom_eigenvalue(V, grid)
+    if bottom <= 0.0:
+        raise AssumptionViolationError(
+            f"-Lap + V has bottom eigenvalue {bottom:.6g} <= 0; shift the potential"
+        )
     if cfg.n > 1:
         kappa = np.sqrt(max(bottom - ubar.lam, 1e-6))
         reach = max(abs(a) for a in cfg.offsets) + 10.0 / kappa
@@ -311,8 +318,9 @@ def bordered_sigma_min(pt: ExtendedPoint, V, f) -> float:
     """Smallest singular value of the block second derivative T at pt.
 
     T is symmetric in the preconditioned metric h(Gv, v) + mu^2 with
-    G = -Lap + V; 1/sigma_min estimates the inverse norm in the contraction
-    bound.  Lanczos on T^{-1} in that metric, with full reorthogonalization,
+    G = -Lap + V positive definite (glue checks that; this does not);
+    1/sigma_min estimates the inverse norm in the contraction bound.
+    Lanczos on T^{-1} in that metric, with full reorthogonalization,
     so a cluster of small singular values (n nearly decoupled bumps) is
     resolved.  Each step applies T^{-1} as one strong-form bordered solve:
     T (v, mu) = y is reduced to it by applying G to the field part of y.
@@ -331,7 +339,7 @@ def bordered_sigma_min(pt: ExtendedPoint, V, f) -> float:
     jacobian, gram = _jacobian(pt, vs, f), _gram(gr.FourierOperator(grid, vs))
     rng = np.random.default_rng(0)
     start = np.append(rng.standard_normal(M), rng.standard_normal())
-    start /= _h_norm(Field(grid, start[:M]), start[M], V)  # also checks that -Lap + V > 0
+    start /= _h_norm(Field(grid, start[:M]), start[M], V)
     thetas, _, top = gr.lanczos(
         lambda q, gq: _solve_bordered(jacobian, gq / h, rtol=1e-11), gram, start,
         _LANCZOS_STEPS, _largest_modulus, _LANCZOS_RTOL,

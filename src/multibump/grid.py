@@ -25,7 +25,6 @@ from .errors import (
     InvalidFieldError,
     LinearSolverError,
     MisalignedTranslationError,
-    SingularOperatorError,
 )
 
 __all__ = [
@@ -216,13 +215,12 @@ def norm_l2(u: Field) -> float:
 def inner_h1v(u: Field, v: Field, V) -> float:
     """Form pairing integral(u' v' + V u v), evaluated as (-Lap u + V u, v)_2.
 
-    Requires the discrete operator -Lap + V to be positive definite; this
-    is checked once per (grid, V) pair and cached.
+    An inner product only when the discrete -Lap + V is positive definite,
+    which is not checked here: the callers that bring a potential in
+    (model.positive_gauge, gluing.glue) establish it.
     """
     _check_same_grid(u, v)
-    vs = potential_samples(V, u.grid)
-    _require_positive_bottom(vs, u.grid)
-    lhs = FourierOperator(u.grid, vs).apply(u.values)
+    lhs = FourierOperator(u.grid, potential_samples(V, u.grid)).apply(u.values)
     return float(u.grid.h * np.dot(lhs, v.values))
 
 
@@ -531,7 +529,7 @@ def lanczos(apply, gram, start: np.ndarray, steps: int, select, rtol: float):
     return thetas, vecs, wanted
 
 
-# -- resolvent of -Lap + V - shift ------------------------------------------
+# -- resolvent of -Lap + V ----------------------------------------------------
 
 def operator_bottom_eigenvalue(V, grid: GridSpec) -> float:
     """Smallest eigenvalue of the discrete periodic -Lap + V.
@@ -543,7 +541,7 @@ def operator_bottom_eigenvalue(V, grid: GridSpec) -> float:
     return _bottom_eigenvalue(grid, potential_samples(V, grid).tobytes())
 
 
-@lru_cache(maxsize=16)  # a continuation adds one potential per eps
+@lru_cache(maxsize=16)  # each ground state and each glue asks again for its (grid, V)
 def _bottom_eigenvalue(grid: GridSpec, samples: bytes) -> float:
     vs = np.frombuffer(samples)
     safe_shift = float(vs.min()) - 1.0
@@ -556,33 +554,15 @@ def _bottom_eigenvalue(grid: GridSpec, samples: bytes) -> float:
     return safe_shift + 1.0 / float(vals[0])
 
 
-def _require_positive_bottom(vs: np.ndarray, grid: GridSpec) -> float:
-    from .errors import AssumptionViolationError
+def resolvent_solve(g: Field, V) -> Field:
+    """Solve (-Lap + V) z = g, to sup-norm residual 1e-13 |g|.
 
-    bottom = operator_bottom_eigenvalue(vs, grid)
-    if bottom <= 0.0:
-        raise AssumptionViolationError(
-            f"-Lap + V has bottom eigenvalue {bottom:.6g} <= 0; shift the potential"
-        )
-    return bottom
-
-
-def resolvent_solve(g: Field, V, shift: float = 0.0) -> Field:
-    """Solve (-Lap + V - shift) z = g, to sup-norm residual 1e-13 |g|.
-
-    The shift must lie strictly below the bottom of the discrete spectrum
-    of -Lap + V; otherwise a SingularOperatorError carrying the offending
-    gap is raised.
+    -Lap + V must be positive definite; that is checked where the potential
+    enters (model.positive_gauge, gluing.glue), not here.  CG raises
+    LinearSolverError when it meets a direction of nonpositive curvature.
     """
     vs = potential_samples(V, g.grid)
-    bottom = operator_bottom_eigenvalue(vs, g.grid)
-    gap = bottom - shift
-    if gap <= 1e-12:
-        raise SingularOperatorError(
-            f"shift {shift:.6g} is not below the spectrum bottom {bottom:.6g}",
-            gap=gap,
-        )
-    return Field(g.grid, FourierOperator(g.grid, vs - shift).cg(g.values, tol=1e-13))
+    return Field(g.grid, FourierOperator(g.grid, vs).cg(g.values, tol=1e-13))
 
 
 # -- serialization -----------------------------------------------------------

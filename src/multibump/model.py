@@ -89,19 +89,6 @@ class Potential:
     def sample(self, grid: GridSpec) -> np.ndarray:
         return self.evaluate(grid.x)
 
-    def bounds(self) -> tuple[float, float]:
-        """Min/max over one period (cosine, tabulated) or a dense probe (callable)."""
-        if self.kind == "constant":
-            return self.constant, self.constant
-        if self.kind == "cosine":
-            lo = 1.0 - abs(self.amplitude) + self.shift
-            hi = 1.0 + abs(self.amplitude) + self.shift
-            return lo, hi
-        if self.kind == "tabulated":
-            return float(self.table.min()) + self.shift, float(self.table.max()) + self.shift
-        probe = self.evaluate(np.linspace(-64.0, 64.0, 65536))
-        return float(probe.min()), float(probe.max())
-
     def curvature_at(self, x0: float) -> float:
         """Second derivative at x0 (analytic for cosine, zero for constant)."""
         if self.kind == "constant":

@@ -78,6 +78,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(data)
 
+    def test_bump_counts_bounded_by_the_box(self):
+        # L = 4: superpose admits the offsets |a| < 3, so at most 2L - 3 = 5 bumps
+        small = {**BASE_CONFIG, "grid": {"L": 4, "M": 256}}
+        RunConfig({**small, "bumps": {"n": 5, "separations": [1]}})
+        RunConfig({**small, "bumps": {"n_list": [2, 5], "separations": [1]}})
+        for key, bumps in [("n", {"n": 6}), ("n", {"n": 1000, "offsets": [0, 1]}),
+                           ("n_list", {"n_list": [2, 6]})]:
+            with pytest.raises(ConfigError, match=f"bumps.{key} must be at most 2L - 3 = 5"):
+                RunConfig({**small, "bumps": bumps})
+        # the default bumps.n is not bounded: a run without bumps needs none
+        RunConfig({**BASE_CONFIG, "grid": {"L": 2, "M": 64}})
+
     def test_hash_stable_under_key_order(self):
         a = RunConfig(dict(BASE_CONFIG)).hash()
         reordered = json.loads(json.dumps(BASE_CONFIG, sort_keys=True))
@@ -287,6 +299,22 @@ class TestEvolveCommand:
         assert ((tmp_path / "threads1" / "evolve.json").read_bytes()
                 == (tmp_path / "threads2" / "evolve.json").read_bytes())
 
+    @pytest.mark.parametrize("amplitude", [1e-3, -1e-3])
+    def test_perturbed_start_keeps_the_base_mass(self, amplitude, tmp_path):
+        data = {"grid": {"L": 8, "M": 256}, "potential": {"kind": "constant", "constant": 1.0},
+                "nonlinearity": {"p": 4.0}, "mass": 2.0,
+                "dynamics": {"dt": 1e-3, "t_end": 0.002, "record_stride": 1,
+                             "perturbation_amplitude": amplitude,
+                             "perturbation_kind": "random"}}
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg, "--out", str(tmp_path / "gs"), "groundstate"]) == 0
+        field = tmp_path / "gs" / "groundstate_field.bin"
+        assert main(["--config", cfg, "--out", str(tmp_path / "evo"), "evolve", str(field)]) == 0
+        rows = (tmp_path / "evo" / "evolve_trace.csv").read_text().splitlines()
+        base = read_field_binary(field)
+        base_mass = base.grid.h * float(np.dot(base.values, base.values))
+        assert float(rows[1].split(",")[1]) == pytest.approx(base_mass, rel=1e-12, abs=0)
+
     def test_partial_last_step_exits_3(self, groundstate_run, tmp_path, capsys):
         _, _, out = groundstate_run
         data = dict(BASE_CONFIG)
@@ -449,7 +477,6 @@ EXIT_CODES = {
     "InvalidFieldError": _PRECONDITION,
     "GridMismatchError": _PRECONDITION,
     "MisalignedTranslationError": _PRECONDITION,
-    "SingularOperatorError": _PRECONDITION,
     "AssumptionViolationError": _PRECONDITION,
     "NotFreelyNondegenerateError": _PRECONDITION,
     "PositivityViolationError": _PRECONDITION,
@@ -501,6 +528,11 @@ _MALFORMED = [
     ("glue", {"mass": 9.0, "bumps": {"n": 2, "separations": [6.5]}}, "bumps.separations"),
     ("groundstate", {"mass": float("inf")}, "mass"),
     ("semiclassical", {"semiclassical": {"eps_list": []}}, "semiclassical.eps_list"),
+    # these wrote into the working directory, or solved a ground state and then exited 4
+    ("groundstate", {"output": ""}, "output"),
+    ("glue", {"grid": {"L": 4, "M": 256}, "bumps": {"n": 9, "separations": [1]}}, "bumps.n"),
+    ("sweep", {"grid": {"L": 4, "M": 256}, "bumps": {"n_list": [2, 9], "separations": [1]}},
+     "bumps.n_list"),
 ]
 
 

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from multibump import cli, gluing
 from multibump.errors import (
+    AssumptionViolationError,
     ContinuationNeededError,
     DegenerateSuperpositionError,
     GluingFailedError,
@@ -183,6 +184,16 @@ class TestGlue:
     def test_mass_mismatch_rejected(self, ubar, vcos, f4):
         with pytest.raises(PreconditionError):
             glue(ubar, BumpConfig(2, (-6, 6)), 9.5, vcos, f4)
+
+    def test_nonpositive_operator_refused_before_any_solve(self, ubar, vcos, f4, monkeypatch):
+        # -Lap + vcos - 2 has its bottom below zero: no metric, no preconditioner
+        def solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the positivity check")
+
+        monkeypatch.setattr(gluing.gr, "resolvent_solve", solve)
+        monkeypatch.setattr(gluing, "newton_correct", solve)
+        with pytest.raises(AssumptionViolationError):
+            glue(ubar, BumpConfig(2, (-6, 6)), 9.0, vcos.shifted(-2.0), f4)
 
     def test_overlapping_bumps_fail_loudly(self, ubar, vcos, f4):
         with pytest.raises((GluingFailedError, PreconditionError)):

@@ -10,12 +10,10 @@ from scipy.sparse.linalg import aslinearoperator
 from scipy.sparse.linalg import minres as scipy_minres
 
 from multibump.errors import (
-    AssumptionViolationError,
     GridMismatchError,
     InvalidFieldError,
     LinearSolverError,
     MisalignedTranslationError,
-    SingularOperatorError,
 )
 from multibump.grid import (
     Field,
@@ -171,31 +169,26 @@ class TestInnerProducts:
             u = smooth_field(grid24, seed=seed)
             assert inner_h1v(u, u, vcos) >= gamma * inner_l2(u, u) - 1e-10
 
-    def test_h1v_requires_positive_operator(self, grid24, smooth_field):
-        u = smooth_field(grid24, seed=1)
-        with pytest.raises(AssumptionViolationError):
-            inner_h1v(u, u, Potential.const(-2.0))
-
 
 class TestResolvent:
     def test_constants(self, grid24, V1):
-        z = resolvent_solve(Field(grid24, np.ones(grid24.M)), V1, 0.0)
+        z = resolvent_solve(Field(grid24, np.ones(grid24.M)), V1)
         assert_allclose(z.values, 1.0, atol=1e-12)
 
     def test_eigenfunction(self, grid40, V1):
         kap = np.pi / grid40.L
         g = Field.from_function(grid40, lambda x: (1 + kap**2) * np.cos(kap * x))
-        z = resolvent_solve(g, V1, 0.0)
+        z = resolvent_solve(g, V1)
         assert np.max(np.abs(z.values - np.cos(kap * grid40.x))) < 1e-10
 
     def test_soliton_identity(self, grid40, soliton40, V1):
         # (-dxx + 1) applied to sqrt(2) sech equals its cube
-        z = resolvent_solve(Field(grid40, soliton40.values**3), V1, 0.0)
+        z = resolvent_solve(Field(grid40, soliton40.values**3), V1)
         assert np.max(np.abs(z.values - soliton40.values)) < 1e-8
 
     def test_consistency(self, grid24, vcos, smooth_field):
         g = smooth_field(grid24, seed=9)
-        z = resolvent_solve(g, vcos, 0.25)
+        z = resolvent_solve(g, vcos.shifted(-0.25))
         vs = vcos.sample(grid24)
         back = laplacian_apply(z).values + (vs - 0.25) * z.values
         assert np.max(np.abs(back - g.values)) < 1e-10
@@ -205,12 +198,6 @@ class TestResolvent:
         lhs = inner_l2(resolvent_solve(g, vcos), f_)
         rhs = inner_l2(g, resolvent_solve(f_, vcos))
         assert lhs == pytest.approx(rhs, abs=1e-10, rel=1e-10)
-
-    def test_shift_above_spectrum_raises(self, grid24, V1, smooth_field):
-        g = smooth_field(grid24, seed=12)
-        with pytest.raises(SingularOperatorError) as err:
-            resolvent_solve(g, V1, 1.5)
-        assert err.value.gap is not None and err.value.gap <= 0
 
     def test_gradient_representation_link(self, grid24, vcos, smooth_field):
         # S applied to the strong residual at lambda = 0 equals u - S f(u)

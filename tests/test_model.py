@@ -21,14 +21,12 @@ class TestPotential:
     def test_constant(self, grid24):
         V = Potential.const(2.0)
         assert np.all(V.sample(grid24) == 2.0)
-        assert V.bounds() == (2.0, 2.0)
         assert V.curvature_at(0.3) == 0.0
 
     def test_cosine(self, grid24):
         V = Potential.cosine(0.5, shift=0.1)
         vals = V.sample(grid24)
         assert vals[0] == pytest.approx(1.0 + 0.5 + 0.1)  # x = -24 is an integer
-        assert V.bounds() == (0.6, 1.6)
         assert V.curvature_at(0.0) == pytest.approx(-0.5 * (2 * np.pi) ** 2)
 
     def test_tabulated_periodic(self, grid24):

@@ -276,7 +276,7 @@ class TestZVector:
     def test_linear_hook_positive_pairing(self, grid24, vcos, zero_f, smooth_field):
         u = smooth_field(grid24, seed=7)
         z = z_vector(u, -0.5, vcos, zero_f)
-        reference = resolvent_solve(u, vcos, -0.5)
+        reference = resolvent_solve(u, vcos.shifted(0.5))
         assert np.max(np.abs(z.values - reference.values)) < 1e-9
         assert inner_l2(z, u) > 0
 

@@ -132,3 +132,11 @@ def test_eigensolvers_are_called_only_where_they_belong():
     assert _call_sites("lobpcg") == {("spectra", "Name")}
     assert _call_sites("eigvalsh") == {("cli", "Attribute")}
     assert _call_sites("eigh") == set()
+
+
+def test_spectrum_bottom_is_asked_only_where_a_potential_enters():
+    # -Lap + V > 0 is checked where V enters (positive_gauge, glue) and by
+    # the instability construction's multiplier test; grid's metric and
+    # resolvent take it as given
+    modules = {module for module, _ in _call_sites("operator_bottom_eigenvalue")}
+    assert modules == {"model", "gluing", "spectra"}
