@@ -84,8 +84,8 @@ _TABLE = {
     "bumps": {"n": (_at_least(1), 2), "offsets": (_list_of(_number), None),
               "separations": (_list_of(_whole), [8, 12, 16]),
               "n_list": (_list_of(_at_least(1)), None)},
-    "solver": {"flow_tol": (_positive, 1e-6), "newton_tol": (_positive, 1e-10),
-               "flow_step": (_positive, 0.8), "center": (_number, 0.0)},
+    # the solver tolerances are constants of gluing, stationary and grid
+    "solver": {"center": (_number, 0.0)},
     "dynamics": {"dt": (_number, 1e-3), "t_end": (_number, 10.0),
                  "perturbation_amplitude": (_number, 0.0),
                  # by default "none" at zero amplitude, else "eigenvector" (cmd_evolve)
@@ -128,9 +128,9 @@ class RunConfig:
                 continue
             if not isinstance(value, dict):
                 raise ConfigError(f"section {section!r} must be an object")
-            extra = set(value) - set(keys)
+            extra = sorted(f"{section}.{key}" for key in set(value) - set(keys))
             if extra:
-                raise ConfigError(f"unknown keys in {section!r}: {sorted(extra)}")
+                raise ConfigError(f"unknown configuration keys: {extra}")
             for key, item in value.items():
                 _check(f"{section}.{key}", keys[key][0], item)
         self.data = data
@@ -242,9 +242,8 @@ def _ground_state(config: RunConfig, mass: float):
     """The configured ground state of the given mass, and the potential in
     the gauge it was solved in."""
     V = config.potential
-    # the solver keys are ground_state's keyword arguments
     point = gl.ground_state(config.grid, mass, V, config.nonlinearity,
-                            **{key: config.get("solver", key) for key in _TABLE["solver"]})
+                            center=config.get("solver", "center"))
     return point, V.shifted(point.potential_shift) if point.potential_shift else V
 
 
@@ -263,8 +262,8 @@ def _symmetric_offsets(n: int, d: int) -> tuple:
     return tuple(start + d * i for i in range(n))
 
 
-def _glue_row(ubar, cfg, alpha, V, f, newton_tol):
-    result = gl.glue(ubar, cfg, alpha, V, f, tol=newton_tol)
+def _glue_row(ubar, cfg, alpha, V, f):
+    result = gl.glue(ubar, cfg, alpha, V, f)
     report = sp.classify(result.point.u, result.point.lam, V, f)
     sigma = gl.bordered_sigma_min(
         gl.ExtendedPoint(gl.superpose(ubar.u, cfg), ubar.lam), V, f
@@ -288,13 +287,12 @@ def _glue_sweep(config: RunConfig, out: Path) -> int:
     ubar, V = _ground_state(config, alpha / configs[0].n)
     f = config.nonlinearity
     _emit_point(ubar, V, f, config, out, "base_point")
-    newton_tol = config.get("solver", "newton_tol")
 
     rows, n_ok = [], 0
     for cfg in configs:
         d = cfg.separation
         try:
-            result, report, sigma = _glue_row(ubar, cfg, alpha, V, f, newton_tol)
+            result, report, sigma = _glue_row(ubar, cfg, alpha, V, f)
         except MultibumpError as exc:
             rows.append([d, -1, float("nan"), float("nan"), float("nan"), -1, -1, f"failed:{type(exc).__name__}"])
             continue

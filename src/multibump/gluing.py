@@ -17,7 +17,7 @@ operator, grid.SplitOperator), with no Schur-complement splitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,13 +113,6 @@ def extended_gradient_norm(pt: ExtendedPoint, alpha: float, V, f) -> float:
 # -- bordered linear solves ---------------------------------------------------
 
 
-def _jacobian(pt: ExtendedPoint, vs: np.ndarray, f) -> gr.FourierOperator:
-    """Strong-form second derivative of G at pt: -Lap + V - lambda - f'(u),
-    bordered by u."""
-    u = pt.u
-    return gr.FourierOperator(u.grid, vs - pt.lam - f.fprime(u.values), border=u.values)
-
-
 _REFINE_ROUNDS = 10     # MINRES rounds of one refined solve
 _MINRES_MAXITER = 3000  # iterations of one round
 
@@ -167,7 +160,7 @@ def _newton_step(pt: ExtendedPoint, alpha, V, f) -> np.ndarray:
     u, grid = pt.u, pt.u.grid
     strong = md.l2_residual(u, pt.lam, V, f)
     rhs = np.append(-strong.values, 0.5 * (gr.inner_l2(u, u) - alpha) / grid.h)
-    return _solve_bordered(_jacobian(pt, gr.potential_samples(V, grid), f), rhs)
+    return _solve_bordered(md.linearized_operator(u, pt.lam, V, f, bordered=True), rhs)
 
 
 def damped_newton(x: np.ndarray, merit, step, tol: float, fail, eta=None):
@@ -219,12 +212,16 @@ class GlueResult:
 
 # starting extended-gradient norm above which glue asks for more separation
 _INITIAL_RESIDUAL_CAP = 0.5
+# extended-gradient norm at which Newton stops: every glued point and ground
+# state is refined to it
+_NEWTON_TOL = 1e-10
 
 
-def newton_correct(pt0: ExtendedPoint, alpha: float, V, f, tol: float = 1e-10,
+def newton_correct(pt0: ExtendedPoint, alpha: float, V, f, tol: float = _NEWTON_TOL,
                    separation: float = np.inf, eta0=None):
     """Damped Newton (damped_newton) on grad G = 0 from an arbitrary starting
-    point, merit the extended-gradient norm (eta0 its value at pt0, if known).
+    point until the merit, the extended-gradient norm, is at most tol (eta0
+    its value at pt0, if known).
 
     Returns (extended point, iterations, residual history).  Divergence
     and step exhaustion raise GluingFailedError carrying the history.
@@ -246,10 +243,10 @@ def newton_correct(pt0: ExtendedPoint, alpha: float, V, f, tol: float = 1e-10,
     return point(x), iterations, history
 
 
-def glue(ubar: st.ConstrainedCriticalPoint, cfg: BumpConfig, alpha: float, V, f,
-         tol: float = 1e-10) -> GlueResult:
+def glue(ubar: st.ConstrainedCriticalPoint, cfg: BumpConfig, alpha: float, V, f) -> GlueResult:
     """Correct the superposition of translated copies of ubar to an exact
-    discrete constrained critical point by damped Newton on grad G = 0.
+    discrete constrained critical point by damped Newton on grad G = 0, to
+    extended-gradient norm _NEWTON_TOL.
 
     Requires alpha = n * ubar.mass (the total mass splits evenly over the
     bumps), a positive definite -Lap + V (the metric and preconditioner of
@@ -285,8 +282,8 @@ def glue(ubar: st.ConstrainedCriticalPoint, cfg: BumpConfig, alpha: float, V, f,
             separation=cfg.separation,
             residual_history=[eta0],
         )
-    pt, iterations, history = newton_correct(pt0, alpha, V, f, tol=tol,
-                                             separation=cfg.separation, eta0=eta0)
+    pt, iterations, history = newton_correct(pt0, alpha, V, f, separation=cfg.separation,
+                                             eta0=eta0)
     point = st.ConstrainedCriticalPoint.measure(pt.u, pt.lam, alpha, V, f, ubar.potential_shift)
     return GlueResult(
         point=point,
@@ -335,8 +332,8 @@ def bordered_sigma_min(pt: ExtendedPoint, V, f) -> float:
     """
     grid = pt.u.grid
     M, h = grid.M, grid.h
-    vs = gr.potential_samples(V, grid)
-    jacobian, gram = _jacobian(pt, vs, f), _gram(gr.FourierOperator(grid, vs))
+    jacobian = md.linearized_operator(pt.u, pt.lam, V, f, bordered=True)
+    gram = _gram(gr.FourierOperator(grid, gr.potential_samples(V, grid)))
     rng = np.random.default_rng(0)
     start = np.append(rng.standard_normal(M), rng.standard_normal())
     start /= _h_norm(Field(grid, start[:M]), start[M], V)
@@ -371,7 +368,7 @@ class ShadowingReport:
 
 
 def _difference_operator_norm(pt0: ExtendedPoint, pt1: ExtendedPoint, metric, f,
-                              seed: int = 0) -> float:
+                              seed: int) -> float:
     """|| d(grad G)(pt1) - d(grad G)(pt0) || in the metric of bordered_sigma_min.
 
     metric is G = -Lap + V as a FourierOperator.  The difference is linear:
@@ -388,7 +385,7 @@ def _difference_operator_norm(pt0: ExtendedPoint, pt1: ExtendedPoint, metric, f,
     gram = _gram(metric)
 
     def apply(q, gq):
-        field = -metric.cg(weight * q[:M] + q[M] * du, tol=1e-13)
+        field = -metric.cg(weight * q[:M] + q[M] * du)
         return np.append(field, -h * np.dot(du, q[:M]))
 
     rng = np.random.default_rng(seed)
@@ -446,23 +443,20 @@ def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
 # -- convenience pipeline ------------------------------------------------------
 
 
-def ground_state(grid: GridSpec, alpha: float, V, f, center: float = 0.0,
-                 flow_tol: float = 1e-6, newton_tol: float = 1e-10,
-                 flow_step: float = 0.8) -> st.ConstrainedCriticalPoint:
+def ground_state(grid: GridSpec, alpha: float, V, f,
+                 center: float = 0.0) -> st.ConstrainedCriticalPoint:
     """Locate a local constrained minimizer and refine it to full precision.
 
-    Normalized gradient flow from a translated closed-form profile seeds
-    the single-bump Newton refinement.  If -Lap + V is not positive
-    definite the potential is shifted up first; the applied constant is
-    recorded on the returned point so the user-gauge multiplier stays
-    available as point.lam_user.
+    The normalized gradient flow (stationary.normalized_flow, stopped at its
+    coarse tolerance) from a closed-form profile centered at center seeds
+    the single-bump glue, whose Newton refinement runs to _NEWTON_TOL.  If
+    -Lap + V is not positive definite the potential is shifted up first;
+    the applied constant is recorded on the returned point so the
+    user-gauge multiplier stays available as point.lam_user.
     """
-    from dataclasses import replace
-
     V_work, shift = md.positive_gauge(V, grid)
     vbar = max(gr.operator_bottom_eigenvalue(V_work, grid), 0.2)
     guess = st.limit_profile(grid, f.p, vbar=vbar, center=center)
-    coarse = st.normalized_flow(guess, alpha, V_work, f, step=flow_step, tol=flow_tol)
-    refined = glue(coarse, BumpConfig(n=1, offsets=(0,)), alpha, V_work, f,
-                   tol=newton_tol)
+    coarse = st.normalized_flow(guess, alpha, V_work, f)
+    refined = glue(coarse, BumpConfig(n=1, offsets=(0,)), alpha, V_work, f)
     return replace(refined.point, potential_shift=shift)

@@ -247,6 +247,8 @@ def norm_h2(u: Field) -> float:
 
 # -- the operator -Lap + diag(weight) and its split form ---------------------
 
+_CG_TOL = 1e-13  # sup-norm residual of a CG solve, relative to |rhs|
+
 
 class FourierOperator:
     """-Lap + diag(weight) on a grid, or with border=u the symmetric block
@@ -287,24 +289,31 @@ class FourierOperator:
         """S A S in orthonormal real Fourier coordinates, S = (k^2 + c)^{-1/2}."""
         return SplitOperator(self, c)
 
-    def minres_split(self) -> SplitOperator:
-        """The split form MINRES runs on: c = max(mean weight + 1, 1)."""
-        return self.split(max(float(np.mean(self.weight)) + 1.0, 1.0))
+    @property
+    def minres_shift(self) -> float:
+        """c = max(mean weight + 1, 1): the shift of the split form MINRES runs
+        on, and of the Fourier preconditioner (k^2 + c)^{-1} of the bottom of
+        the spectrum."""
+        return max(float(np.mean(self.weight)) + 1.0, 1.0)
 
-    def cg(self, rhs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def minres_split(self) -> SplitOperator:
+        """The split form MINRES runs on: c = minres_shift."""
+        return self.split(self.minres_shift)
+
+    def cg(self, rhs: np.ndarray) -> np.ndarray:
         """CG for an SPD operator on its split form, c = max(mean weight, 0.05),
         so the split operator is a compact perturbation of the identity.
 
-        Terminates on the true residual in the sup norm; requests below the
-        roundoff floor of the spectral operator (machine eps times its scale)
-        are satisfied at that floor.
+        Terminates on the true residual in the sup norm, at _CG_TOL |rhs|;
+        a target below the roundoff floor of the spectral operator (machine
+        eps times its scale) is satisfied at that floor.
         """
         split = self.split(max(float(np.mean(self.weight)), 0.05))
         op_scale = self.scale
         scale = float(np.max(np.abs(rhs)))
         if scale == 0.0:
             return np.zeros_like(rhs)
-        target = tol * scale
+        target = _CG_TOL * scale
 
         r = split.forward(rhs)
         y = np.zeros_like(r)
@@ -546,8 +555,7 @@ def _bottom_eigenvalue(grid: GridSpec, samples: bytes) -> float:
     vs = np.frombuffer(samples)
     safe_shift = float(vs.min()) - 1.0
     shifted = FourierOperator(grid, vs - safe_shift)
-    op = LinearOperator((grid.M, grid.M), matvec=lambda w: shifted.cg(w, tol=1e-13),
-                        dtype=float)
+    op = LinearOperator((grid.M, grid.M), matvec=shifted.cg, dtype=float)
     rng = np.random.default_rng(0)
     v0 = np.ones(grid.M) + 1e-3 * rng.standard_normal(grid.M)
     vals = eigsh(op, k=1, which="LA", tol=1e-12, v0=v0, return_eigenvectors=False)
@@ -555,14 +563,14 @@ def _bottom_eigenvalue(grid: GridSpec, samples: bytes) -> float:
 
 
 def resolvent_solve(g: Field, V) -> Field:
-    """Solve (-Lap + V) z = g, to sup-norm residual 1e-13 |g|.
+    """Solve (-Lap + V) z = g, to sup-norm residual _CG_TOL |g|.
 
     -Lap + V must be positive definite; that is checked where the potential
     enters (model.positive_gauge, gluing.glue), not here.  CG raises
     LinearSolverError when it meets a direction of nonpositive curvature.
     """
     vs = potential_samples(V, g.grid)
-    return Field(g.grid, FourierOperator(g.grid, vs).cg(g.values, tol=1e-13))
+    return Field(g.grid, FourierOperator(g.grid, vs).cg(g.values))
 
 
 # -- serialization -----------------------------------------------------------

@@ -27,6 +27,7 @@ __all__ = [
     "energy",
     "l2_residual",
     "h1_gradient",
+    "linearized_operator",
     "hessian_form",
     "positive_gauge",
 ]
@@ -187,6 +188,15 @@ def h1_gradient(u: Field, V, f: Nonlinearity) -> Field:
     return u - sf
 
 
+def linearized_operator(u: Field, lam: float, V, f: Nonlinearity,
+                        bordered: bool = False) -> gr.FourierOperator:
+    """The linearization -Lap + V - lambda - f'(u) at (u, lambda) as a
+    grid.FourierOperator, bordered by u when bordered (the second derivative
+    of the extended functional G in strong form)."""
+    weight = gr.potential_samples(V, u.grid) - lam - f.fprime(u.values)
+    return gr.FourierOperator(u.grid, weight, border=u.values if bordered else None)
+
+
 class HessianForm:
     """Second-derivative bilinear form at (u, lambda).
 
@@ -196,8 +206,7 @@ class HessianForm:
 
     def __init__(self, u: Field, lam: float, V, f: Nonlinearity):
         self.grid = u.grid
-        weight = gr.potential_samples(V, u.grid) - lam - f.fprime(u.values)
-        self.operator = gr.FourierOperator(u.grid, weight)
+        self.operator = linearized_operator(u, lam, V, f)
 
     def __call__(self, v: Field, w: Field) -> float:
         if v.grid != self.grid or w.grid != self.grid:

@@ -146,13 +146,12 @@ def _rescaled_solve_counted(grid: GridSpec, eps: float, V: Potential, p: float,
     _check_normalization(V)
     f = Nonlinearity(p)
     Veps = scaled_potential(V, eps)
-    vs = gr.potential_samples(Veps, grid)
-    base = gr.FourierOperator(grid, vs)
+    base = gr.FourierOperator(grid, gr.potential_samples(Veps, grid))
     guess = u_init.values if u_init is not None else st.limit_profile(grid, p, 1.0).values
     u_vals, iters, _ = gl.damped_newton(
         guess,
         lambda u: np.max(np.abs(base.apply(u) - f.f(u))),
-        lambda u: gl._solve_bordered(gr.FourierOperator(grid, vs - f.fprime(u)),
+        lambda u: gl._solve_bordered(md.linearized_operator(Field(grid, u), 0.0, Veps, f),
                                      f.f(u) - base.apply(u), rtol=1e-13),
         1e-11,
         lambda message, _: ContinuationNeededError(f"free Newton: {message}"),
@@ -257,7 +256,7 @@ def criterion_value(p: float, grid: GridSpec | None = None) -> CriterionResult:
     # zero; in split coordinates it is h q q^T with q = S psi
     system = LinearOperator(split.shape, dtype=float,
                             matvec=lambda y: split.apply(y) + grid.h * np.dot(q, y) * q)
-    y, info = minres(system, split.forward(u0.values), rtol=1e-13, maxiter=3000)
+    y, info = minres(system, split.forward(u0.values), rtol=1e-13, maxiter=gl._MINRES_MAXITER)
     z = split.back(y)
     residual = float(np.max(np.abs(op.apply(z) + grid.h * np.dot(psi, z) * psi - u0.values)))
     if info != 0 or residual > 1e-10 * max(1.0, float(np.max(np.abs(u0.values)))):

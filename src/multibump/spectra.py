@@ -45,6 +45,7 @@ from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from . import gluing as gl
 from . import grid as gr
+from . import model as md
 from .errors import (
     LinearSolverError,
     NoInstabilityDetected,
@@ -53,7 +54,7 @@ from .errors import (
     PreconditionError,
     UncertifiedCountError,
 )
-from .grid import Field, GridSpec
+from .grid import Field
 from .stationary import ConstrainedCriticalPoint
 
 __all__ = [
@@ -63,10 +64,7 @@ __all__ = [
     "SpectralReport",
     "InstabilityResult",
     "linearized_matrix",
-    "z_vector",
     "classify",
-    "z_translate_check",
-    "ZTranslateReport",
     "instability_eigenvalue",
 ]
 
@@ -82,23 +80,18 @@ _POSITIVITY_TOL = 1e4 * np.finfo(float).eps  # roundoff band below zero, relativ
 _KERNEL_CHECK_TOL = 1e-6  # sup norm of L2 phi above which phi is not in its kernel
 
 
-def _dense_operator(grid: GridSpec, V, lam: float, weight: np.ndarray) -> np.ndarray:
-    """Dense symmetric discretization of -Lap + V - lambda - weight, in one
-    allocation and cached nowhere.  -Lap is the circulant of the symmetrized
-    first column 0.5 (c[k] + c[-k]), c = irfft(k^2): entry by entry the same
-    floating-point sum as 0.5 (C + C^T) for C = circulant(c), and exactly
-    symmetric."""
-    c = np.fft.irfft(grid.wavenumbers**2, n=grid.M)
-    mat = scipy.linalg.circulant(0.5 * (c + np.roll(c[::-1], 1)))
-    mat.flat[:: grid.M + 1] += gr.potential_samples(V, grid) - lam - weight
-    return mat
-
-
 def linearized_matrix(u: Field, lam: float, V, f) -> np.ndarray:
     """Dense symmetric discretization of -Lap + V - lambda - f'(u), a new
-    writable M x M array (see _dense_operator).  It feeds the spectrum
-    command's eigenvalue table and the tests' dense oracles."""
-    return _dense_operator(u.grid, V, lam, f.fprime(u.values))
+    writable M x M array built in one allocation and cached nowhere.  -Lap is
+    the circulant of the symmetrized first column 0.5 (c[k] + c[-k]),
+    c = irfft(k^2): entry by entry the same floating-point sum as
+    0.5 (C + C^T) for C = circulant(c), and exactly symmetric.  It feeds the
+    spectrum command's eigenvalue table and the tests' dense oracles."""
+    grid = u.grid
+    c = np.fft.irfft(grid.wavenumbers**2, n=grid.M)
+    mat = scipy.linalg.circulant(0.5 * (c + np.roll(c[::-1], 1)))
+    mat.flat[:: grid.M + 1] += md.linearized_operator(u, lam, V, f).weight
+    return mat
 
 
 @dataclass(frozen=True)
@@ -150,10 +143,10 @@ class RitzBlock:
 def _linear_operator(op: gr.FourierOperator, symbol: np.ndarray | None = None):
     """(LinearOperator, LOBPCG preconditioner) of a grid.FourierOperator, whose
     preconditioner is the Fourier multiplier 1/symbol; the default symbol
-    k^2 + c, c = max(mean weight + 1, 1), serves the bottom of the spectrum."""
+    k^2 + op.minres_shift serves the bottom of the spectrum."""
     n = op.grid.M
     if symbol is None:
-        symbol = op.grid.wavenumbers**2 + max(float(np.mean(op.weight)) + 1.0, 1.0)
+        symbol = op.grid.wavenumbers**2 + op.minres_shift
     L = LinearOperator((n, n), matvec=lambda x: op.apply(np.ravel(x)),
                        matmat=lambda X: op.apply(X.T).T, dtype=float)
     return L, lambda X: np.fft.irfft(np.fft.rfft(X.T) / symbol, n=n).T
@@ -262,8 +255,7 @@ class Linearization:
 
     @classmethod
     def assemble(cls, u: Field, lam: float, V, f) -> "Linearization":
-        weight = gr.potential_samples(V, u.grid) - lam - f.fprime(u.values)
-        return cls(gr.FourierOperator(u.grid, weight), u)
+        return cls(md.linearized_operator(u, lam, V, f), u)
 
     def _ritz(self, start: np.ndarray, constraint: np.ndarray | None = None) -> RitzBlock:
         return _lowest_ritz(self._L, self._precond, start, self._ritz_tol, constraint,
@@ -378,11 +370,6 @@ class Linearization:
         return _count_below_threshold(block.values, tau0)
 
 
-def z_vector(u: Field, lam: float, V, f) -> Field:
-    """Solve L z = u, defined whenever L has no near-zero eigenvalue."""
-    return Linearization.assemble(u, lam, V, f).z
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     """Morse data and nondegeneracy classification at a critical point.
@@ -456,43 +443,6 @@ def classify(u: Field, lam: float, V, f) -> SpectralReport:
         block_size=len(lin.block.values),
         ritz_residual=float(np.max(lin.block.residuals)),
         eigenvalues=lin.block.values,
-    )
-
-
-@dataclass(frozen=True)
-class ZTranslateReport:
-    """Locality check of z at a multibump point against the single-bump z."""
-
-    window_error: float
-    scalar_discrepancy: float
-    scalar_glued: float
-    scalar_expected: float
-
-
-def z_translate_check(ubar: ConstrainedCriticalPoint,
-                      glued: ConstrainedCriticalPoint, cfg, V, f) -> ZTranslateReport:
-    """Compare back-translated z of the glued point with the single-bump z.
-
-    Returns the worst L2 error over the bumps, in the window |x| <=
-    min(separation, L) / 2, and the mismatch of (u_glued, z_glued)_2
-    against n * (ubar, z_ubar)_2.
-    """
-    grid = glued.u.grid
-    z_bar = z_vector(ubar.u, ubar.lam, V, f)
-    z_glued = z_vector(glued.u, glued.lam, V, f)
-    mask = np.abs(grid.x) <= min(cfg.separation, grid.L) / 2.0  # one bump: separation inf
-    worst = 0.0
-    for a in cfg.offsets:
-        back = gr.translate(z_glued, -a)
-        diff = (back.values - z_bar.values)[mask]
-        worst = max(worst, float(np.sqrt(grid.h * np.sum(diff**2))))
-    scalar_glued = gr.inner_l2(glued.u, z_glued)
-    scalar_expected = cfg.n * gr.inner_l2(ubar.u, z_bar)
-    return ZTranslateReport(
-        window_error=worst,
-        scalar_discrepancy=abs(scalar_glued - scalar_expected),
-        scalar_glued=scalar_glued,
-        scalar_expected=scalar_expected,
     )
 
 

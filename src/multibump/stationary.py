@@ -26,6 +26,8 @@ __all__ = [
 
 # ConstrainedCriticalPoint.certify: sup-norm residual and mass defect it accepts
 _CERTIFY_RESIDUAL_TOL, _CERTIFY_CONSTRAINT_TOL = 1e-8, 1e-10
+# normalized_flow: gradient norm it stops at, first trial step, iteration cap
+_FLOW_TOL, _FLOW_STEP, _FLOW_MAX_ITER = 1e-6, 0.8, 5000
 
 
 @dataclass(frozen=True)
@@ -117,14 +119,14 @@ def _project_out_normal(g: Field, u: Field, Su: Field) -> Field:
     return g - coef * Su
 
 
-def normalized_flow(u_init: Field, alpha: float, V, f, step: float = 0.8,
-                    tol: float = 1e-6, max_iter: int = 5000) -> ConstrainedCriticalPoint:
+def normalized_flow(u_init: Field, alpha: float, V, f) -> ConstrainedCriticalPoint:
     """Projected gradient descent on the energy with mass renormalization.
 
-    Fixed step with backtracking halving whenever a step raises the
-    energy.  Stops when the projected preconditioned-gradient norm drops
-    below tol; raises FlowStalledError (carrying the last norm) at the
-    iteration cap.
+    Each step first tries _FLOW_STEP and halves it whenever the step raises
+    the energy.  Stops when the projected preconditioned-gradient norm drops
+    to _FLOW_TOL, a coarse seed for the Newton refinement that sets the
+    final accuracy; raises FlowStalledError (carrying the last norm) after
+    _FLOW_MAX_ITER iterations.
     """
     if alpha <= 0.0:
         raise PreconditionError(f"mass must be positive, got {alpha}")
@@ -135,15 +137,15 @@ def normalized_flow(u_init: Field, alpha: float, V, f, step: float = 0.8,
     u = Field(grid, u_init.values * (np.sqrt(alpha) / nrm))
     e_now = md.energy(u, V, f)
     gnorm = np.inf
-    for _ in range(max_iter):
+    for _ in range(_FLOW_MAX_ITER):
         gradient = md.h1_gradient(u, V, f)
         Su = gr.resolvent_solve(u, V)
         g = _project_out_normal(gradient, u, Su)
         gnorm = np.sqrt(max(gr.inner_h1v(g, g, V), 0.0))
-        if gnorm <= tol:
+        if gnorm <= _FLOW_TOL:
             lam = lagrange_multiplier(u, V, f)
             return ConstrainedCriticalPoint.measure(u, lam, alpha, V, f)
-        s = step
+        s = _FLOW_STEP
         for _ in range(30):
             trial = u - s * g
             trial = Field(grid, trial.values * (np.sqrt(alpha) / gr.norm_l2(trial)))
@@ -153,6 +155,6 @@ def normalized_flow(u_init: Field, alpha: float, V, f, step: float = 0.8,
             s *= 0.5
         u, e_now = trial, e_trial
     raise FlowStalledError(
-        f"flow did not reach tol {tol:.1e} in {max_iter} iterations",
+        f"flow did not reach tol {_FLOW_TOL:.1e} in {_FLOW_MAX_ITER} iterations",
         last_residual=gnorm,
     )

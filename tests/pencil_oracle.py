@@ -11,7 +11,18 @@ eigenvalue is then refined in the original coordinates.
 import numpy as np
 import scipy.linalg
 
-from multibump.spectra import _dense_operator, linearized_matrix
+from multibump.spectra import linearized_matrix
+
+
+class _Ratio:
+    """Stands in for the nonlinearity in linearized_matrix: its fprime is
+    f(s)/s = |s|^(p-2), the weight of the comparison operator L2."""
+
+    def __init__(self, p: float):
+        self.p = p
+
+    def fprime(self, s):
+        return np.abs(s) ** (self.p - 2.0)
 
 
 def householder_vector(u_vals: np.ndarray) -> np.ndarray:
@@ -51,7 +62,7 @@ def dense_pencil(point, V, f, refine: int = 3):
     u, grid = point.u.values, point.u.grid
     hv = householder_vector(u)
     L1t = tangent_block(linearized_matrix(point.u, point.lam, V, f), hv)
-    L2t = tangent_block(_dense_operator(grid, V, point.lam, np.abs(u) ** (f.p - 2.0)), hv)
+    L2t = tangent_block(linearized_matrix(point.u, point.lam, V, _Ratio(f.p)), hv)
     C = np.linalg.cholesky(L2t)
     S = C.T @ L1t @ C
     vals, vecs = np.linalg.eigh(0.5 * (S + S.T))

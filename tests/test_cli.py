@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,12 @@ _JSON_VALUES = hst.recursive(
 class TestRunConfig:
     def test_accepts_base(self):
         RunConfig(dict(BASE_CONFIG))
+
+    def test_accepts_the_readme_example(self):
+        # the README's example holds only keys the table knows, with valid values
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example, = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        RunConfig(json.loads(example))
 
     @pytest.mark.parametrize(
         "patch",
@@ -315,6 +322,19 @@ class TestEvolveCommand:
         base_mass = base.grid.h * float(np.dot(base.values, base.values))
         assert float(rows[1].split(",")[1]) == pytest.approx(base_mass, rel=1e-12, abs=0)
 
+    def test_snapshot_stride_writes_snapshots(self, groundstate_run, tmp_path):
+        _, _, out = groundstate_run
+        data = dict(BASE_CONFIG, dynamics={"dt": 1e-3, "t_end": 0.01, "record_stride": 1})
+        cfg = write_config(tmp_path, data)
+        run_out = tmp_path / "evo"
+        assert main(["--config", cfg, "--out", str(run_out), "--snapshot-stride", "4",
+                     "evolve", str(out / "groundstate_field.bin")]) == 0
+        # steps 0, 4 and 8 of the 10, and the last one
+        snapshots = sorted(run_out.glob("snapshot_*.npy"))
+        assert [path.name for path in snapshots] == [f"snapshot_{i:04d}.npy" for i in range(4)]
+        for path in snapshots:
+            assert np.load(path).shape == (1024,)
+
     def test_partial_last_step_exits_3(self, groundstate_run, tmp_path, capsys):
         _, _, out = groundstate_run
         data = dict(BASE_CONFIG)
@@ -340,6 +360,28 @@ class TestEvolveCommand:
         assert proc.stderr.splitlines() == [
             "precondition failure: field contains non-finite entries"
         ]
+
+
+class TestOutputDirectory:
+    """--out, else MULTIBUMP_OUT, else the configured output."""
+
+    def _run(self, tmp_path, monkeypatch, flags):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_groundstate", lambda config, out: seen.append(out))
+        monkeypatch.setenv("MULTIBUMP_OUT", str(tmp_path / "env"))
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, output=str(tmp_path / "configured")))
+        assert main(["--config", cfg, *flags, "groundstate"]) == 0
+        assert not (tmp_path / "configured").exists()
+        return seen
+
+    def test_environment_sets_it_without_out(self, tmp_path, monkeypatch):
+        assert self._run(tmp_path, monkeypatch, []) == [tmp_path / "env"]
+        assert (tmp_path / "env").is_dir()
+
+    def test_out_overrides_the_environment(self, tmp_path, monkeypatch):
+        flags = ["--out", str(tmp_path / "flag")]
+        assert self._run(tmp_path, monkeypatch, flags) == [tmp_path / "flag"]
+        assert (tmp_path / "flag").is_dir() and not (tmp_path / "env").exists()
 
 
 class TestSweepCommand:
@@ -493,7 +535,8 @@ EXIT_CODES = {
 
 
 _RANDOM = {"perturbation_amplitude": 1e-5, "perturbation_kind": "random"}
-# (command, configuration patch, the key its refusal names)
+# (command, configuration patch, the key its refusal names); solver.flow_step,
+# flow_tol and newton_tol are no longer keys, and are refused as unknown ones
 _MALFORMED = [
     # each of these exited 1 with a traceback
     ("groundstate", {"mass": "abc"}, "mass"),

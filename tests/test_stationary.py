@@ -68,26 +68,31 @@ class TestLagrangeMultiplier:
 class TestNormalizedFlow:
     def test_finds_local_minimizer(self, grid24, vcos, f4):
         guess = limit_profile(grid24, 4.0, center=0.5)
-        point = normalized_flow(guess, 4.5, vcos, f4, tol=1e-6)
+        point = normalized_flow(guess, 4.5, vcos, f4)
         assert point.constraint_violation < 1e-10
         # multiplier sits below the operator's spectrum bottom
         assert point.lam < operator_bottom_eigenvalue(vcos, grid24)
         # positivity of the minimizer
         assert point.u.values.min() > 0
 
-    def test_mass_exact_after_renormalization(self, grid24, vcos, f4):
+    def test_mass_exact_after_renormalization(self, grid24, vcos, f4, monkeypatch):
+        monkeypatch.setattr("multibump.stationary._FLOW_TOL", 1e-4)
         guess = limit_profile(grid24, 4.0, center=0.5)
-        point = normalized_flow(guess, 4.5, vcos, f4, tol=1e-4)
+        point = normalized_flow(guess, 4.5, vcos, f4)
         assert abs(inner_l2(point.u, point.u) - 4.5) < 1e-12 * 4.5
 
-    def test_fixed_point_returns_immediately(self, ubar, vcos, f4):
-        point = normalized_flow(ubar.u, ubar.mass, vcos, f4, tol=1e-5, max_iter=2)
+    def test_fixed_point_returns_immediately(self, ubar, vcos, f4, monkeypatch):
+        monkeypatch.setattr("multibump.stationary._FLOW_TOL", 1e-5)
+        monkeypatch.setattr("multibump.stationary._FLOW_MAX_ITER", 2)
+        point = normalized_flow(ubar.u, ubar.mass, vcos, f4)
         assert abs(point.lam - ubar.lam) < 1e-6
 
-    def test_stall_raises_with_residual(self, grid24, vcos, f4):
+    def test_stall_raises_with_residual(self, grid24, vcos, f4, monkeypatch):
+        monkeypatch.setattr("multibump.stationary._FLOW_TOL", 1e-14)
+        monkeypatch.setattr("multibump.stationary._FLOW_MAX_ITER", 3)
         guess = limit_profile(grid24, 4.0, center=0.5)
         with pytest.raises(FlowStalledError) as err:
-            normalized_flow(guess, 4.5, vcos, f4, tol=1e-14, max_iter=3)
+            normalized_flow(guess, 4.5, vcos, f4)
         assert err.value.last_residual is not None
 
     def test_rejects_zero_start(self, grid24, vcos, f4):
