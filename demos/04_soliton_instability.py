@@ -32,7 +32,7 @@ amp = 1e-4
 seed = phi8.u.values + amp * inst.v.values
 seed *= np.sqrt(phi8.mass) / np.sqrt(grid.h * np.sum(seed**2))
 traj = propagate(ComplexField(grid, seed.astype(complex)), V, f8,
-                 dt=2e-4, t_end=0.8, reference=(phi8.u, phi8.lam), record_stride=10)
+                 dt=2e-4, t_end=0.8, reference=phi8.u, record_stride=10)
 d = traj.orbit_dist
 window = (d > 2e-3) & (d < 1e-2)
 t_sel = traj.times[window]
@@ -62,7 +62,7 @@ noise /= np.sqrt(grid.h) * np.linalg.norm(noise)
 seed4 = phi4.u.values + 1e-5 * noise
 seed4 *= np.sqrt(phi4.mass) / (np.sqrt(grid.h) * np.linalg.norm(seed4))
 control = propagate(ComplexField(grid, seed4.astype(complex)), V, f4,
-                    dt=1e-3, t_end=50.0, reference=(phi4.u, phi4.lam),
+                    dt=1e-3, t_end=50.0, reference=phi4.u,
                     record_stride=100)
 print(f"perturbed control: orbit distance stays below "
       f"{control.orbit_dist.max():.2e} up to t = 50")

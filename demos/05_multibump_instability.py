@@ -46,7 +46,7 @@ seed = result.point.u.values + amp * (
 )
 seed *= np.sqrt(9.0) / np.sqrt(grid.h * np.sum(np.abs(seed) ** 2))
 traj = propagate(ComplexField(grid, seed), V, f, dt=1e-3, t_end=50.0,
-                 reference=(result.point.u, result.point.lam), record_stride=200)
+                 reference=result.point.u, record_stride=200)
 d_tr, t_tr = traj.orbit_dist, traj.times
 print("t      orbit distance   local rate")
 for i in range(0, len(t_tr) - 25, 50):

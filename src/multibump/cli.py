@@ -381,7 +381,7 @@ def cmd_evolve(config: RunConfig, out: Path, field_file: str,
     traj = dy.propagate(
         dy.ComplexField(phi.grid, seed_vals.astype(complex)), V, f,
         dt=config.get("dynamics", "dt"), t_end=config.get("dynamics", "t_end"),
-        reference=(phi, lam), record_stride=config.get("dynamics", "record_stride"),
+        reference=phi, record_stride=config.get("dynamics", "record_stride"),
         snapshot_stride=snapshot_stride,
     )
     _write_csv(

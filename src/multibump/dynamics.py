@@ -82,17 +82,16 @@ def complex_energy(psi: ComplexField, V, f) -> float:
     )
 
 
-def orbit_distance(psi: ComplexField, phi: Field, lam: float) -> float:
+def orbit_distance(psi: ComplexField, phi: Field) -> float:
     """H1 distance of psi to the phase orbit of the standing wave phi.
 
     The reference orbit is phi times a unit phase; the minimizing phase
     has the closed form theta = arg of the complex H1 pairing
     c = integral(psi' conj(phi)' + psi conj(phi)), so the squared distance
     is |psi|_H1^2 + |phi|_H1^2 - 2|c|.  All three come from one transform
-    of psi and one of phi.  lam only labels the orbit (it rotates the phase
-    in time without changing the set swept).
+    of psi and one of phi.  The multiplier of phi does not enter: it
+    rotates the phase in time without changing the set swept.
     """
-    del lam
     if psi.grid != phi.grid:
         raise PreconditionError("psi and phi live on different grids")
     grid = psi.grid
@@ -128,7 +127,7 @@ _DT_CAP = 0.05           # largest time step
 
 
 def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
-              reference: tuple[Field, float] | None = None,
+              reference: Field | None = None,
               record_stride: int = 1, snapshot_stride: int = 0) -> TrajectoryRecord:
     """Strang split-step evolution from psi0 up to t_end.
 
@@ -140,7 +139,7 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
     as ifft(H coeffs) before that multiplication.  The result is the plain
     Strang scheme up to roundoff.
 
-    reference, when given as (phi, lambda), adds an orbit-distance trace.
+    reference, when given as a standing wave phi, adds an orbit-distance trace.
     t_end must be a whole number of steps (to 1e-9 relative).  Raises
     IntegratorFaultError if at a record the field is not finite or the
     relative particle-number drift exceeds _MASS_DRIFT_TOL.
@@ -163,8 +162,7 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
     energies = [complex_energy(psi0, V, f)]
     dists = []
     if reference is not None:
-        phi_ref, lam_ref = reference
-        dists.append(orbit_distance(psi0, phi_ref, lam_ref))
+        dists.append(orbit_distance(psi0, reference))
     snap_times, snaps = [], []
     if snapshot_stride:
         snap_times.append(0.0)
@@ -196,7 +194,7 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
             masses.append(m)
             energies.append(complex_energy(current, V, f))
             if reference is not None:
-                dists.append(orbit_distance(current, phi_ref, lam_ref))
+                dists.append(orbit_distance(current, reference))
             if snapshot_stride and (step % snapshot_stride == 0 or step == n_steps):
                 snap_times.append(t)
                 snaps.append(psi.copy())

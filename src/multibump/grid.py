@@ -151,17 +151,10 @@ def _check_same_grid(u: Field, v: Field) -> None:
 def potential_samples(V, grid: GridSpec) -> np.ndarray:
     """Sample a potential on the grid.
 
-    Accepts anything with a ``sample(grid)`` method, a callable of x, or
-    an array of length M.
+    Accepts an object with a ``sample(grid)`` method (a model.Potential) or
+    an array of M samples.
     """
-    if hasattr(V, "sample"):
-        vals = np.asarray(V.sample(grid), dtype=float)
-    elif callable(V):
-        vals = np.asarray(V(grid.x), dtype=float)
-    else:
-        vals = np.asarray(V, dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(grid.M, float(vals))
+    vals = np.asarray(V.sample(grid) if hasattr(V, "sample") else V, dtype=float)
     if vals.shape != (grid.M,):
         raise ValueError(f"potential samples have shape {vals.shape}, expected ({grid.M},)")
     if not np.all(np.isfinite(vals)):

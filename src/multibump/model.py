@@ -158,15 +158,6 @@ class Nonlinearity:
         """Density form: f(s) = g(|s|^2) s, so g(d) = d^((p-2)/2)."""
         return density ** (0.5 * (self.p - 2.0))
 
-    @property
-    def mass_critical(self) -> float:
-        """Critical exponent 2 + 4/N for N = 1."""
-        return 6.0
-
-    @property
-    def is_subcritical(self) -> bool:
-        return self.p < self.mass_critical
-
 
 def energy(u: Field, V, f: Nonlinearity) -> float:
     """E(u) = 1/2 integral(u'^2 + V u^2) - integral(F(u))."""

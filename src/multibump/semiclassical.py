@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from . import gluing as gl
 from . import grid as gr
@@ -234,11 +233,11 @@ def criterion_value(p: float, grid: GridSpec | None = None) -> CriterionResult:
     """Pairing (z, u0)_2 for the limit profile against its closed form.
 
     z solves (-Lap + 1 - (p-1) u0^(p-2)) z = u0 on the complement of the
-    translation mode (the kernel is deflated with the analytic derivative
-    of the profile, not a numerical eigenvector), by MINRES on the split
-    form with the residual verified on the operator.  The closed form is
-    (1/4 - 1/(p-2)) |u0|_2^2, negative below the critical exponent 6 and
-    positive above it.
+    translation mode: the operator is bordered by the analytic derivative
+    of the profile (not a numerical eigenvector), and the bordered system
+    is solved by MINRES on its split form with the residual verified on
+    the operator.  The closed form is (1/4 - 1/(p-2)) |u0|_2^2, negative
+    below the critical exponent 6 and positive above it.
     """
     if p == MASS_CRITICAL_P:
         raise CriticalExponentError("the pairing vanishes at the critical exponent 6")
@@ -247,22 +246,17 @@ def criterion_value(p: float, grid: GridSpec | None = None) -> CriterionResult:
     f = Nonlinearity(p)
     u0 = st.limit_profile(grid, p, 1.0)
     mode = st.limit_profile_derivative(grid, p, 1.0)
-    psi = mode.values / (np.sqrt(grid.h) * np.linalg.norm(mode.values))
+    psi = mode.values / np.linalg.norm(mode.values)
 
-    op = gr.FourierOperator(grid, 1.0 - f.fprime(u0.values))
+    op = gr.FourierOperator(grid, 1.0 - f.fprime(u0.values), border=psi)
     split = op.minres_split()
-    q = split.forward(psi)
-    # the rank-one shift h psi psi^T moves the deflated direction away from
-    # zero; in split coordinates it is h q q^T with q = S psi
-    system = LinearOperator(split.shape, dtype=float,
-                            matvec=lambda y: split.apply(y) + grid.h * np.dot(q, y) * q)
-    y, info = minres(system, split.forward(u0.values), rtol=1e-13, maxiter=gl._MINRES_MAXITER)
-    z = split.back(y)
-    residual = float(np.max(np.abs(op.apply(z) + grid.h * np.dot(psi, z) * psi - u0.values)))
+    rhs = np.append(u0.values, 0.0)
+    y, info = minres(split, split.forward(rhs), rtol=1e-13, maxiter=gl._MINRES_MAXITER)
+    x = split.back(y)
+    residual = float(np.max(np.abs(op.apply(x) - rhs)))
     if info != 0 or residual > 1e-10 * max(1.0, float(np.max(np.abs(u0.values)))):
         raise LinearSolverError(f"deflated pairing solve reached residual {residual:.3e}")
-    z = z - grid.h * np.dot(psi, z) * psi
-    numeric = float(grid.h * np.dot(z, u0.values))
+    numeric = float(grid.h * np.dot(x[:-1], u0.values))
     mass = gr.inner_l2(u0, u0)
     analytic = (0.25 - 1.0 / (p - 2.0)) * mass
     return CriterionResult(numeric=numeric, analytic=analytic)

@@ -11,9 +11,11 @@ and counting on the tangent space of the mass sphere gives the
 constrained Morse index.  The sign of (z, u)_2 with L z = u decides which
 of the two indices the constraint sees and classifies nondegeneracy.
 
-Counts are matrix-free.  The spectral radius, which sets tau0, comes from
-block-1 LOBPCG on the top of the spectrum, preconditioned by a top-end
-Fourier symbol and accepted only by its residual.  The free count, the gap
+Counts are matrix-free.  The spectral radius, which sets tau0, is the
+larger of minus the lowest weight (a lower bound of the spectrum) and the
+top eigenvalue, from block-1 LOBPCG preconditioned by a top-end Fourier
+symbol and accepted only by its residual; both are known before any other
+eigenvalue is sought.  The free count, the gap
 and the near-zero eigenvalues come from a Fourier-preconditioned LOBPCG
 block of the lowest eigenvalues of L (Knyazev 2001), grown until its Ritz
 residuals certify the count, and run in chunks that stop once the values
@@ -22,7 +24,8 @@ within its residual of an eigenvalue).  z and the pairings
 u^T (L - s)^{-1} u come from solves of (L - s) x = u, and the constrained
 count from the inertia of the bordered matrix [[L - s, u], [u^T, 0]].
 Near-zero eigenvalues (within tau0) are reported and make counts
-provisional.
+provisional.  A Linearization is fixed once built: a query certifies on a
+block and a random generator of its own.
 
 The instability pencil (L1, L2^{-1}) on the tangent space is matrix-free
 too: its negative eigenvalues are counted by the certified constrained
@@ -229,27 +232,28 @@ class Linearization:
     gluing._solve_bordered, refined MINRES on its split form, run to the
     roundoff floor.  L is never formed.  The radius is the larger of the top
     eigenvalue (block-1 LOBPCG preconditioned at the top end, accepted by its
-    residual) and minus the lowest Ritz value; tau0 (used for both counts) is
-    TAU0_RELATIVE times it.  The lowest eigenvalues come from a LOBPCG block
-    preconditioned by (k^2 + c)^{-1}, run in chunks that stop as soon as the
-    block certifies its points and every Ritz value an output reads (the gap
-    value, the near-zero values, the lowest one when it sets the radius) has
-    residual <= the Ritz tolerance; the other values need only clear the
-    certificate.  The radius, tau0, the certified block, the gap and the
-    free count are set at construction; z = L^{-1} u and the constrained
-    count are computed on first use.
+    residual) and minus the lowest weight, which bounds every eigenvalue from
+    below; tau0 (used for both counts) is TAU0_RELATIVE times it.  The lowest
+    eigenvalues come from a LOBPCG block preconditioned by (k^2 + c)^{-1},
+    run in chunks that stop as soon as the block certifies the band
+    [-tau0, tau0] and every Ritz value an output reads (the gap value and
+    the near-zero values) has residual <= the Ritz tolerance; the other
+    values need only clear the certificate.  The radius, tau0, the certified
+    block, the gap and the free count are set at construction; z = L^{-1} u
+    and the constrained count are computed on first use.  No query changes
+    a Linearization: each certifies on a block of its own, drawn from a
+    generator of its own.
     """
 
     def __init__(self, op: gr.FourierOperator, u: Field):
-        self.op, self.u, self._rng = op, u, np.random.default_rng(0)
-        n = len(u.values)
+        self.op, self.u = op, u
+        rng = np.random.default_rng(0)
         self._L, self._precond = _linear_operator(op)
-        # the top eigenvalue, until the lowest Ritz value of the block may exceed it
-        self.radius = _top_eigenvalue(op, self._rng.standard_normal((n, 1)))
-        self._ritz_tol = _RITZ_TOL * abs(self.radius)
-        self.block = self._certify(None)
-        self.radius = max(self.radius, -float(self.block.values[0]))
+        top = _top_eigenvalue(op, rng.standard_normal((len(u.values), 1)))
+        self.radius = max(top, -float(np.min(op.weight)))
         self.tau0 = TAU0_RELATIVE * self.radius
+        self._ritz_tol = _RITZ_TOL * self.radius
+        self.block = self._certify((-self.tau0, self.tau0), rng)
         self.gap = float(np.min(np.abs(self.block.values)))
         self.free = _count_below_threshold(self.block.values, self.tau0)
 
@@ -257,51 +261,40 @@ class Linearization:
     def assemble(cls, u: Field, lam: float, V, f) -> "Linearization":
         return cls(md.linearized_operator(u, lam, V, f), u)
 
-    def _ritz(self, start: np.ndarray, constraint: np.ndarray | None = None) -> RitzBlock:
-        return _lowest_ritz(self._L, self._precond, start, self._ritz_tol, constraint,
-                            self._settled)
-
-    def _band(self, block: RitzBlock):
-        """(tau0, points) a block is held to: tau0 at the radius the block may
-        set itself, and the points being certified (else -tau0 and tau0)."""
-        tau0 = TAU0_RELATIVE * max(self.radius, -float(block.values[0]))
-        return tau0, self._points or (-tau0, tau0)
-
-    def _settled(self, block: RitzBlock) -> bool:
-        """True when the block certifies its points and every Ritz value an
-        output reads is converged to the Ritz tolerance: the one nearest zero
-        (the gap), those within tau0 (reported, and refined into kernel
-        vectors) and the lowest when it sets the radius."""
-        tau0, points = self._band(block)
-        values = block.values
-        read = np.abs(values) <= tau0
-        read[np.argmin(np.abs(values))] = True
-        read[0] |= -values[0] > self.radius
-        return block.certifies(points) and bool(np.all(block.residuals[read] <= self._ritz_tol))
-
-    def _certify(self, points, constraint=None, block: RitzBlock | None = None) -> RitzBlock:
-        """Run a LOBPCG block from _BLOCK_START random columns (or take block)
-        and double it, restarting from its vectors, until it is settled: it
-        certifies the counts below points (None: see _band) and the values
-        the outputs read are converged.  At the block cap a block that
+    def _certify(self, points, rng, constraint=None, block: RitzBlock | None = None) -> RitzBlock:
+        """Run a LOBPCG block from _BLOCK_START columns of rng (or take block)
+        and double it with more columns of rng, restarting from its vectors,
+        until it is settled: it certifies the counts below points, and every
+        Ritz value an output reads is converged to the Ritz tolerance, the
+        one nearest zero (the gap) and those within tau0 (reported, and
+        refined into kernel vectors).  At the block cap a block that
         certifies is taken as it is; else UncertifiedCountError."""
-        self._points = points
         n = len(self.u.values)
         limit = min(_BLOCK_CAP, n if constraint is None else (n - 1) // 5)
+
+        def settled(block: RitzBlock) -> bool:
+            read = np.abs(block.values) <= self.tau0
+            read[np.argmin(np.abs(block.values))] = True
+            converged = np.all(block.residuals[read] <= self._ritz_tol)
+            return block.certifies(points) and bool(converged)
+
+        def ritz(start: np.ndarray) -> RitzBlock:
+            return _lowest_ritz(self._L, self._precond, start, self._ritz_tol, constraint, settled)
+
         if block is None:
-            block = self._ritz(self._rng.standard_normal((n, min(_BLOCK_START, limit))), constraint)
-        while not self._settled(block):
+            block = ritz(rng.standard_normal((n, min(_BLOCK_START, limit))))
+        while not settled(block):
             size = len(block.values)
             if size >= limit:
-                if block.certifies(band := self._band(block)[1]):
+                if block.certifies(points):
                     break
                 raise UncertifiedCountError(
                     f"Ritz block of {size} does not certify the count below "
-                    f"{max(band):.3e} (largest residual {np.max(block.residuals):.3e})",
+                    f"{max(points):.3e} (largest residual {np.max(block.residuals):.3e})",
                     block_size=size, residual=float(np.max(block.residuals)),
                 )
-            fresh = self._rng.standard_normal((n, min(2 * size, limit) - size))
-            block = self._ritz(np.hstack([block.vectors, fresh]), constraint)
+            fresh = rng.standard_normal((n, min(2 * size, limit) - size))
+            block = ritz(np.hstack([block.vectors, fresh]))
         return block
 
     def _solve(self, s: float, rhs: np.ndarray):
@@ -333,13 +326,15 @@ class Linearization:
 
         Haynsworth inertia additivity on [[L - s, u], [u^T, 0]] gives
         #constrained below s = #free below s - 1 + [u^T (L - s)^{-1} u > 0];
-        the block grows until it certifies the free count below s (and still
-        the band [-tau0, tau0]).  The solve of (L - s) x = u stops at its
-        roundoff floor, which grows with |x| as s nears a free eigenvalue; the
-        pairing moves by at most |x| |r| (r its residual), and
-        LinearSolverError is raised only when that could flip its sign.
+        a block of its own, grown from self.block, certifies the free count
+        below s (and still the band [-tau0, tau0]).  The solve of
+        (L - s) x = u stops at its roundoff floor, which grows with |x| as s
+        nears a free eigenvalue; the pairing moves by at most |x| |r| (r its
+        residual), and LinearSolverError is raised only when that could flip
+        its sign.
         """
-        self.block = self._certify((-self.tau0, self.tau0, s), block=self.block)
+        rng = np.random.default_rng(0)
+        block = self._certify((-self.tau0, self.tau0, s), rng, block=self.block)
         u = self.u.values
         solution, residual = self._solve(s, u)
         pairing = float(u @ solution)
@@ -347,7 +342,7 @@ class Linearization:
         if not abs(pairing) > error:
             raise LinearSolverError(
                 f"pairing {pairing:.3e} at s = {s:.3e} is within its roundoff error {error:.3e}")
-        return int(np.count_nonzero(self.block.values < s)) - 1 + int(pairing > 0)
+        return int(np.count_nonzero(block.values < s)) - 1 + int(pairing > 0)
 
     @cached_property
     def constrained(self) -> MorseCount:
@@ -366,7 +361,7 @@ class Linearization:
             count = self.free.count - 1 + positive
             if count == self.count_below(-tau0 if positive else tau0):
                 return MorseCount(count=count, near_zero=(), tau0=tau0)
-        block = self._certify((-tau0, tau0), self.u.values[:, None])
+        block = self._certify((-tau0, tau0), np.random.default_rng(0), self.u.values[:, None])
         return _count_below_threshold(block.values, tau0)
 
 

@@ -208,7 +208,7 @@ def traj_super(phi_super, inst_super, V1, f8):
     seed *= np.sqrt(phi_super.mass) / np.sqrt(grid.h * np.sum(seed**2))
     traj = propagate(
         ComplexField(grid, seed.astype(complex)), V1, f8,
-        dt=2e-4, t_end=0.8, reference=(phi_super.u, phi_super.lam),
+        dt=2e-4, t_end=0.8, reference=phi_super.u,
         record_stride=10,
     )
     return traj
@@ -228,6 +228,6 @@ def traj_sub_control(phi_sub, V1, f4, smooth_field):
     seed *= np.sqrt(phi_sub.mass) / (np.sqrt(grid.h) * np.linalg.norm(seed))
     return propagate(
         ComplexField(grid, seed.astype(complex)), V1, f4,
-        dt=1e-3, t_end=50.0, reference=(phi_sub.u, phi_sub.lam),
+        dt=1e-3, t_end=50.0, reference=phi_sub.u,
         record_stride=100,
     )

@@ -95,7 +95,7 @@ class TestFusedSplitStep:
     def test_two_ffts_per_step(self, fft_calls, vcos, f4):
         grid = GridSpec(8, 256)
         psi0 = _wave_packet(grid)
-        reference = (Field(grid, np.exp(-grid.x**2)), -1.0)
+        reference = Field(grid, np.exp(-grid.x**2))
 
         def count(n_steps, record_stride):
             fft_calls.clear()
@@ -123,7 +123,7 @@ class TestPropagate:
         point, f = standing
         psi0 = ComplexField.from_real(point.u)
         traj = propagate(psi0, V1, f, dt=2.5e-4, t_end=20.0,
-                         reference=(point.u, point.lam), record_stride=100)
+                         reference=point.u, record_stride=100)
         assert traj.orbit_dist.max() < 1e-6
 
     def test_standing_wave_pointwise(self, standing, V1):
@@ -180,7 +180,7 @@ class TestOrbitDistance:
         point, _ = standing
         for theta in (0.0, 0.7, 2.9):
             psi = ComplexField(point.u.grid, point.u.values * np.exp(1j * theta))
-            assert orbit_distance(psi, point.u, point.lam) < 1e-12
+            assert orbit_distance(psi, point.u) < 1e-12
 
     def test_first_order_in_perturbation(self, standing, smooth_field):
         point, _ = standing
@@ -193,16 +193,16 @@ class TestOrbitDistance:
 
         delta = 1e-4
         psi = ComplexField(grid, point.u.values + delta * bump.values)
-        dist = orbit_distance(psi, point.u, point.lam)
+        dist = orbit_distance(psi, point.u)
         assert dist == pytest.approx(delta * norm_h1(bump), rel=1e-3)
 
     def test_gauge_invariance(self, standing, smooth_field):
         point, _ = standing
         grid = point.u.grid
         psi = ComplexField(grid, point.u.values + 0.01 * smooth_field(grid, seed=10).values)
-        base = orbit_distance(psi, point.u, point.lam)
+        base = orbit_distance(psi, point.u)
         rotated = ComplexField(grid, psi.values * np.exp(1j * 1.3))
-        assert orbit_distance(rotated, point.u, point.lam) == pytest.approx(
+        assert orbit_distance(rotated, point.u) == pytest.approx(
             base, rel=1e-12
         )
 
@@ -229,7 +229,7 @@ class TestOrbitDistanceFormula:
         rng = np.random.default_rng(seed)
         psi = ComplexField(grid, rng.standard_normal(grid.M) + 1j * rng.standard_normal(grid.M))
         phi = Field(grid, rng.standard_normal(grid.M))
-        assert orbit_distance(psi, phi, 0.0) == pytest.approx(
+        assert orbit_distance(psi, phi) == pytest.approx(
             _three_pairing_distance(psi, phi), rel=1e-13)
 
 
@@ -252,7 +252,7 @@ class TestGrowthRate:
             seed = phi_super.u.values + amp * inst_super.v.values
             seed *= np.sqrt(phi_super.mass) / np.sqrt(grid.h * np.sum(seed**2))
             traj = propagate(ComplexField(grid, seed.astype(complex)), V1, f8,
-                             dt=1e-4, t_end=0.02, reference=(phi_super.u, phi_super.lam),
+                             dt=1e-4, t_end=0.02, reference=phi_super.u,
                              record_stride=50)
             early[amp] = traj.orbit_dist[-1]
         assert early[1e-4] / early[5e-5] == pytest.approx(2.0, rel=0.05)

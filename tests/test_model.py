@@ -74,9 +74,6 @@ class TestNonlinearity:
         assert np.all(np.diff(quot) >= 0)
         assert np.all(f4.f(s) * s > 0)
 
-    def test_criticality_flags(self, f4, f8):
-        assert f4.is_subcritical and not f8.is_subcritical
-
 
 class TestEnergy:
     def test_zero_field(self, grid24, vcos, f4):

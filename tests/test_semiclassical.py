@@ -159,13 +159,13 @@ class TestMorseCheck:
         from multibump import spectra
 
         blocks = []
-        original = spectra.Linearization._ritz
+        original = spectra._lowest_ritz
 
-        def counted(self, start, constraint=None):
+        def counted(L, precond, start, tol, constraint=None, settled=None):
             blocks.append(constraint is None)
-            return original(self, start, constraint)
+            return original(L, precond, start, tol, constraint, settled)
 
-        monkeypatch.setattr(spectra.Linearization, "_ritz", counted)
+        monkeypatch.setattr(spectra, "_lowest_ritz", counted)
         family = continue_family(grid_semi, [0.2, 0.1], vmin_well, 4.0)
         z_eps_check(family)
         morse_check(family, m_V=0)

@@ -232,6 +232,31 @@ class TestMorseCounts:
         count = Linearization.assemble(u, 0.0, w, zero_f).count_below(s)
         assert count == np.count_nonzero(_projected_eigenvalues(L, u.values) < s) == 0
 
+    def test_queries_leave_it_as_built(self, zero_f):
+        # a count far up the spectrum grows a block; it is the query's own
+        u, w, _ = _random_well(**_PINNED_WELL)
+        lin = Linearization.assemble(u, 0.0, w, zero_f)
+        lin.count_below(30.0)
+        fresh = Linearization.assemble(u, 0.0, w, zero_f)
+        assert len(lin.block.values) == 12
+        assert np.array_equal(lin.block.values, fresh.block.values)
+        assert lin.constrained.near_zero == fresh.constrained.near_zero
+
+    def test_radius_of_an_unresolved_well(self, zero_f):
+        # the grid resolves wavenumbers only up to 2 pi: the top of the
+        # spectrum (about 40) lies below the depth 299 of the well, and -min w
+        # (above the lowest eigenvalue, -286) sets the radius
+        grid = GridSpec(16, 64)
+        w = 1.0 - 300.0 * np.exp(-(grid.x / 0.3) ** 2)
+        u = Field(grid, np.exp(-grid.x**2) + 0.1 * np.cos(np.pi * grid.x / 16))
+        lin = Linearization.assemble(u, 0.0, w, zero_f)
+        L = linearized_matrix(u, 0.0, w, zero_f)
+        spectrum = np.linalg.eigvalsh(L)
+        assert lin.radius == -np.min(w) >= np.max(np.abs(spectrum))
+        assert lin.free.count == np.count_nonzero(spectrum < -lin.tau0) == 3
+        projected = _projected_eigenvalues(L, u.values)
+        assert lin.constrained.count == np.count_nonzero(projected < -lin.tau0) == 2
+
 
 class TestCertificateCost:
     """The Linearization does the work its outputs read, and no more."""

@@ -49,7 +49,7 @@ def test_tracer_counts_split_step_ffts_and_records(monkeypatch, V1):
     tracer.install()
     try:  # 20 steps, a record every 5
         dynamics.propagate(psi0, V1, model.Nonlinearity(4.0), dt=1e-3, t_end=0.02,
-                           reference=(u, -1.0), record_stride=5)
+                           reference=u, record_stride=5)
     finally:
         tracer.uninstall()
     counts = tracer.counts
