@@ -516,6 +516,9 @@ def main(argv=None) -> int:
     if args.config is None:
         parser.error("--config is required")
     try:
+        if args.snapshot_stride < 0:
+            raise ConfigError(f"--snapshot-stride must be an integer >= 0, "
+                              f"got {args.snapshot_stride}")
         config = RunConfig.load(args.config)
         out = Path(args.out or os.environ.get("MULTIBUMP_OUT") or config.get("output"))
         try:

@@ -137,15 +137,23 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
     Fourier space with the next first half-step already applied: a step is
     ifft, N, fft and a multiplication by H^2, and a record reads the state
     as ifft(H coeffs) before that multiplication.  The result is the plain
-    Strang scheme up to roundoff.
+    Strang scheme up to roundoff.  The loop allocates nothing per step: the
+    transforms, the phase and the rotation write into arrays set up once.
 
     reference, when given as a standing wave phi, adds an orbit-distance trace.
+    A record is taken every record_stride >= 1 steps and a snapshot every
+    snapshot_stride steps (none when 0), both also at the last step.
     t_end must be a whole number of steps (to 1e-9 relative).  Raises
     IntegratorFaultError if at a record the field is not finite or the
     relative particle-number drift exceeds _MASS_DRIFT_TOL.
     """
     if dt <= 0 or dt > _DT_CAP:
         raise PreconditionError(f"time step must lie in (0, {_DT_CAP}], got {dt}")
+    if record_stride < 1 or snapshot_stride < 0:
+        raise PreconditionError(
+            f"record stride must be at least 1 and snapshot stride at least 0, "
+            f"got {record_stride} and {snapshot_stride}"
+        )
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * abs(t_end):
         raise PreconditionError(f"t_end = {t_end} is not a whole number of steps dt = {dt}")
@@ -153,6 +161,8 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
     vs = gr.potential_samples(V, grid)
     half_kinetic = np.exp(1j * _wavenumbers(grid) ** 2 * (0.5 * dt))
     kinetic = half_kinetic * half_kinetic
+    psi = np.empty(grid.M, dtype=complex)
+    phase = np.empty(grid.M)  # the density, then the phase angle
     rotation = np.empty(grid.M, dtype=complex)
 
     mass0 = psi0.mass
@@ -171,17 +181,24 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
     # coeffs holds H fft(psi(t)) at the top of each step.
     coeffs = half_kinetic * np.fft.fft(psi0.values)
     for step in range(1, n_steps + 1):
-        psi = np.fft.ifft(coeffs)
-        theta = dt * (vs - f.g(_density(psi)))
-        # exp(i theta) written part by part: no complex exp, no allocation
-        np.cos(theta, out=rotation.real)
-        np.sin(theta, out=rotation.imag)
+        np.fft.ifft(coeffs, out=psi)
+        # phase = dt (V - g(|psi|^2)), with the real part of rotation as scratch
+        np.square(psi.real, out=phase)
+        np.square(psi.imag, out=rotation.real)
+        phase += rotation.real
+        f.g(phase, out=phase)
+        np.subtract(vs, phase, out=phase)
+        phase *= dt
+        # exp(i theta) written part by part: no complex exp
+        np.cos(phase, out=rotation.real)
+        np.sin(phase, out=rotation.imag)
         psi *= rotation
-        coeffs = np.fft.fft(psi)
+        np.fft.fft(psi, out=coeffs)
         t = step * dt
 
         if step % record_stride == 0 or step == n_steps:
-            psi = np.fft.ifft(half_kinetic * coeffs)
+            np.multiply(half_kinetic, coeffs, out=rotation)  # rotation is free until the next step
+            np.fft.ifft(rotation, out=psi)
             m = float(grid.h * np.sum(_density(psi)))
             if not np.isfinite(m):
                 raise IntegratorFaultError(f"field is no longer finite at t = {t:.4f}")

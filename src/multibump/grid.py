@@ -359,8 +359,10 @@ class SplitOperator(LinearOperator):
     reals (the imaginary parts of the mean and Nyquist modes stay zero); the
     border entry follows when A is bordered, and the border itself becomes
     S u.  In these coordinates S is diagonal, so one apply is one irfft and
-    one rfft.  A system A x = r becomes S A S y = S r (forward) with
-    x = S y (back).
+    one rfft.  Both transforms write into a coefficient and a field buffer
+    the operator owns, so an apply allocates only the array it returns,
+    which is fresh on every call (MINRES keeps its last two products).  A
+    system A x = r becomes S A S y = S r (forward) with x = S y (back).
     """
 
     def __init__(self, op: FourierOperator, c: float):
@@ -371,6 +373,7 @@ class SplitOperator(LinearOperator):
         self.op, self._n = op, M + 2
         self._diag, self._in, self._out = k2 * s**2, s / iso, s * iso
         self._unscale = 1.0 / s
+        self._coeffs, self._field = np.empty(len(k2), dtype=complex), np.empty(M)
         self._border = None if op.border is None else self.forward(op.border)
         super().__init__(float, (self._n + (op.border is not None),) * 2)
 
@@ -389,17 +392,20 @@ class SplitOperator(LinearOperator):
         return float(np.linalg.norm(self._unscale * y[: self._n].view(complex)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        n, border = self._n, self._border
+        n, border, coeffs, field = self._n, self._border, self._coeffs, self._field
         xc = x[:n].view(complex)
-        field = np.fft.irfft(self._in * xc, n=self.op.grid.M)
-        out = np.fft.rfft(self.op.weight * field)
+        np.multiply(self._in, xc, out=coeffs)
+        np.fft.irfft(coeffs, n=self.op.grid.M, out=field)
+        field *= self.op.weight
+        result = np.empty(self.shape[0])
+        out = result[:n].view(complex)
+        np.fft.rfft(field, out=out)
         out *= self._out
-        out += self._diag * xc
-        out = out.view(float)
-        if border is None:
-            return out
-        out -= x[n] * border
-        return np.append(out, -np.dot(border, x[:n]))
+        out += np.multiply(self._diag, xc, out=coeffs)
+        if border is not None:
+            result[:n] -= np.multiply(border, x[n], out=coeffs.view(float))
+            result[n] = -np.dot(border, x[:n])
+        return result
 
     def _matvec(self, x):
         return self.apply(np.ravel(x))

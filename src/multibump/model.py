@@ -154,9 +154,10 @@ class Nonlinearity:
     def F(self, s):
         return np.abs(s) ** self.p / self.p
 
-    def g(self, density):
-        """Density form: f(s) = g(|s|^2) s, so g(d) = d^((p-2)/2)."""
-        return density ** (0.5 * (self.p - 2.0))
+    def g(self, density, out=None):
+        """Density form: f(s) = g(|s|^2) s, so g(d) = d^((p-2)/2); into out
+        when given."""
+        return np.power(density, 0.5 * (self.p - 2.0), out=out)
 
 
 def energy(u: Field, V, f: Nonlinearity) -> float:

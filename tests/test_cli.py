@@ -335,6 +335,16 @@ class TestEvolveCommand:
         for path in snapshots:
             assert np.load(path).shape == (1024,)
 
+    def test_negative_snapshot_stride_exits_2_before_any_work(self, groundstate_run, tmp_path,
+                                                              capsys):
+        _, cfg, out = groundstate_run
+        run_out = tmp_path / "evo"
+        assert main(["--config", cfg, "--out", str(run_out), "--snapshot-stride", "-4",
+                     "evolve", str(out / "groundstate_field.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --snapshot-stride") and err.count("\n") == 1
+        assert not run_out.exists()
+
     def test_partial_last_step_exits_3(self, groundstate_run, tmp_path, capsys):
         _, _, out = groundstate_run
         data = dict(BASE_CONFIG)

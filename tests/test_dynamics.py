@@ -72,6 +72,41 @@ def _strang_reference(psi0, V, f, dt, n_steps, record_stride, snapshot_stride):
     return np.array(times), np.array(masses), np.array(energies), snaps
 
 
+def _fused_allocating(psi0, V, f, dt, n_steps, reference, record_stride, snapshot_stride):
+    """propagate's fused loop as it ran with a fresh array for every
+    transform and every pointwise stage; returns (times, mass, energy,
+    orbit distance, snapshots)."""
+    grid = psi0.grid
+    vs = potential_samples(V, grid)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.M, d=grid.h)
+    half_kinetic = np.exp(1j * k**2 * (0.5 * dt))
+    kinetic = half_kinetic * half_kinetic
+    rotation = np.empty(grid.M, dtype=complex)
+    times, masses = [0.0], [psi0.mass]
+    energies = [complex_energy(psi0, V, f)]
+    dists = [orbit_distance(psi0, reference)]
+    snaps = [psi0.values.copy()]
+    coeffs = half_kinetic * np.fft.fft(psi0.values)
+    for step in range(1, n_steps + 1):
+        psi = np.fft.ifft(coeffs)
+        theta = dt * (vs - f.g(psi.real**2 + psi.imag**2))
+        np.cos(theta, out=rotation.real)
+        np.sin(theta, out=rotation.imag)
+        psi *= rotation
+        coeffs = np.fft.fft(psi)
+        if step % record_stride == 0 or step == n_steps:
+            psi = np.fft.ifft(half_kinetic * coeffs)
+            current = ComplexField(grid, psi)
+            times.append(step * dt)
+            masses.append(float(grid.h * np.sum(psi.real**2 + psi.imag**2)))
+            energies.append(complex_energy(current, V, f))
+            dists.append(orbit_distance(current, reference))
+            if step % snapshot_stride == 0 or step == n_steps:
+                snaps.append(psi.copy())
+        coeffs *= kinetic
+    return (np.array(times), np.array(masses), np.array(energies), np.array(dists), snaps)
+
+
 class TestFusedSplitStep:
     N_STEPS = 50
 
@@ -91,6 +126,25 @@ class TestFusedSplitStep:
         assert len(traj.snapshots) == len(snaps)
         for got, want in zip(traj.snapshots, snaps):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    def test_bit_identical_to_allocating_loop(self, p, vcos):
+        # the step writes into buffers set up once: the same operations in
+        # the same order, so the same bits; 7 does not divide 50
+        grid = GridSpec(8, 256)
+        psi0, f = _wave_packet(grid), Nonlinearity(p)
+        reference = Field(grid, np.exp(-grid.x**2))
+        dt = 2e-3
+        times, mass, energy, dists, snaps = _fused_allocating(
+            psi0, vcos, f, dt, self.N_STEPS, reference, record_stride=7, snapshot_stride=14)
+        traj = propagate(psi0, vcos, f, dt=dt, t_end=self.N_STEPS * dt, reference=reference,
+                         record_stride=7, snapshot_stride=14)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.mass, mass)
+        assert np.array_equal(traj.energy, energy)
+        assert np.array_equal(traj.orbit_dist, dists)
+        assert len(traj.snapshots) == len(snaps) == 5  # t = 0, steps 14, 28, 42, 50
+        assert all(np.array_equal(got, want) for got, want in zip(traj.snapshots, snaps))
 
     def test_two_ffts_per_step(self, fft_calls, vcos, f4):
         grid = GridSpec(8, 256)
@@ -165,6 +219,16 @@ class TestPropagate:
         point, f = standing
         with pytest.raises(PreconditionError):
             propagate(ComplexField.from_real(point.u), V1, f, dt=0.5, t_end=1.0)
+
+    @pytest.mark.parametrize("strides", [
+        {"record_stride": 0}, {"record_stride": -3}, {"snapshot_stride": -2},
+    ], ids=["record_zero", "record_negative", "snapshot_negative"])
+    def test_rejects_invalid_strides(self, strides, vcos, f4):
+        # a zero record stride divided by zero at the first step, and a
+        # negative stride acted as its absolute value
+        grid = GridSpec(8, 256)
+        with pytest.raises(PreconditionError, match="stride"):
+            propagate(_wave_packet(grid), vcos, f4, dt=1e-3, t_end=0.01, **strides)
 
     def test_rejects_partial_last_step(self, standing, V1):
         # 0.01 / 0.003 = 3.33 steps: the run would silently end at t = 0.009

@@ -292,6 +292,22 @@ def _counting_split_applies(monkeypatch):
     return calls
 
 
+def _allocating_split_apply(split, x):
+    """S A S x as SplitOperator.apply computed it with a fresh array for each
+    transform and each stage."""
+    n, border = split._n, split._border
+    xc = x[:n].view(complex)
+    field = np.fft.irfft(split._in * xc, n=split.op.grid.M)
+    out = np.fft.rfft(split.op.weight * field)
+    out *= split._out
+    out += split._diag * xc
+    out = out.view(float)
+    if border is None:
+        return out
+    out -= x[n] * border
+    return np.append(out, -np.dot(border, x[:n]))
+
+
 class TestSplitOperator:
     @settings(max_examples=25, deadline=None)
     @given(seed=hst.integers(0, 10_000), bordered=hst.booleans(),
@@ -316,6 +332,23 @@ class TestSplitOperator:
         r = rng.standard_normal(M + bordered)
         assert_allclose(split.forward(r)[: M + 2], sf @ r[:M], rtol=0, atol=1e-12)
         assert_allclose(split.back(x)[:M], sf.T @ x[: M + 2], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bordered", [False, True], ids=["plain", "bordered"])
+    def test_apply_returns_a_fresh_array_each_call(self, bordered):
+        # the transforms run in buffers the operator owns, but MINRES keeps
+        # its last two products: each must survive the next apply
+        grid = GridSpec(2, 96)
+        rng = np.random.default_rng(11)
+        border = rng.standard_normal(grid.M) if bordered else None
+        split = FourierOperator(grid, rng.uniform(-3.0, 3.0, grid.M), border=border).split(0.7)
+        x1, x2 = rng.standard_normal((2, split.shape[0]))
+        y1 = split.apply(x1)
+        kept = y1.copy()
+        y2 = split.apply(x2)
+        assert not np.shares_memory(y1, y2)
+        assert np.array_equal(y1, kept)
+        assert np.array_equal(y1, _allocating_split_apply(split, x1))
+        assert np.array_equal(y2, _allocating_split_apply(split, x2))
 
     def test_bordered_minres_matches_dense_solve(self):
         from multibump.gluing import _solve_bordered

@@ -59,6 +59,12 @@ class TestNonlinearity:
         assert np.allclose(f4.F(s), s**4 / 4)
         assert np.allclose(f4.g(s**2), s**2)
 
+    def test_density_form_in_place(self, f8):
+        density = np.array([0.5, 0.0, 4.0])
+        expected = f8.g(density)
+        assert f8.g(density, out=density) is density
+        assert np.array_equal(density, expected)
+
     def test_derivative_consistency(self, f8):
         s, t = 1.3, 1e-5
         fd = (f8.f(s + t) - f8.f(s - t)) / (2 * t)

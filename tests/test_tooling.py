@@ -123,6 +123,24 @@ def test_minres_is_called_only_where_the_tracer_counts_it():
     assert calls <= {("gluing", "Name"), ("semiclassical", "Name")}
 
 
+def test_every_transform_is_an_np_fft_attribute_call():
+    # the tracer and the FFT-counting tests patch numpy.fft attributes; a
+    # transform reached through scipy.fft, an imported name or another alias
+    # would run uncounted
+    names = set(numpy.fft.__all__)
+    stray = []
+    for path in Path(grid.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node):
+                stray.append((path.stem, ast.unparse(node)))
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in names and ast.unparse(func) != f"np.fft.{name}":
+                stray.append((path.stem, ast.unparse(func)))
+    assert not stray
+    assert ("grid", "Attribute") in _call_sites("rfft")  # the check sees the calls
+
+
 def test_eigensolvers_are_called_only_where_they_belong():
     # the tracer counts the eigsh global of grid (the spectrum bottom); every
     # other sparse eigensolve is a LOBPCG run in spectra.  The one dense
