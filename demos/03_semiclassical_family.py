@@ -52,7 +52,7 @@ for label, Vwell, p, m_V in (
               f"(limit {row['limit']:+.6f}, gap {row['gap_to_limit']:.2e})")
 
     print("translation-mode Rayleigh value vs curvature prediction:")
-    for row in translation_mode_estimate(family, Vwell):
+    for row in translation_mode_estimate(family):
         print(f"  eps={row['eps']:5.3f}: rayleigh={row['rayleigh']:+.4e}  "
               f"predicted={row['predicted']:+.4e}  ratio={row['ratio']:.4f}")
 

@@ -6,10 +6,10 @@ All tables are CSV with a header row; all scalar reports are JSON with
 the configuration hash and code version embedded so identical runs are
 byte-identical.
 
-Commands only raise: main prints a failure as one stderr line
-"<label>: <message>" and exits with the code its error class declares
-(errors.py): 2 configuration error, 3 precondition failure, 4 solver
-failure; 0 is success.
+Commands and the argument parser only raise: main prints a failure as one
+stderr line "<label>: <message>" and exits with the code its error class
+declares (errors.py): 2 configuration error, 3 precondition failure, 4
+solver failure; 0 is success.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ _TABLE = {
                  "perturbation_amplitude": (_number, 0.0),
                  # by default "none" at zero amplitude, else "eigenvector" (cmd_evolve)
                  "perturbation_kind": (_one_of("none", "eigenvector", "random"), None),
-                 "seed": (_at_least(0), 0), "record_stride": (_at_least(1), 20)},
+                 "seed": (_at_least(0), 0), "record_stride": (_at_least(1), 20),
+                 "snapshot_stride": (_at_least(0), 0)},
     "semiclassical": {"eps_list": (_list_of(_number), [0.2, 0.1, 0.05]), "m_V": (_integer, 0)},
     "output": (_nonempty_string, "out"),
 }
@@ -330,12 +331,19 @@ def _read_field(field_file: str) -> gr.Field:
 _FIELD_RESIDUAL_TOL = 1e-6
 
 
-def cmd_spectrum(config: RunConfig, out: Path, field_file: str) -> None:
+def _read_point(config: RunConfig, field_file: str) -> st.ConstrainedCriticalPoint:
+    """The field in field_file, at its Rayleigh multiplier and its own mass,
+    with the defects measured in the configured potential."""
     V, f = config.potential, config.nonlinearity
     u = _read_field(field_file)
-    lam = st.lagrange_multiplier(u, V, f)
-    res = md.l2_residual(u, lam, V, f)
-    res_norm = float(np.max(np.abs(res.values)))
+    return st.ConstrainedCriticalPoint.measure(u, st.lagrange_multiplier(u, V, f),
+                                               gr.inner_l2(u, u), V, f)
+
+
+def cmd_spectrum(config: RunConfig, out: Path, field_file: str) -> None:
+    V, f = config.potential, config.nonlinearity
+    point = _read_point(config, field_file)
+    u, lam, res_norm = point.u, point.lam, point.l2_residual_norm
     if res_norm > _FIELD_RESIDUAL_TOL:
         raise PreconditionError(
             f"field is not a critical point: residual {res_norm:.3e} > {_FIELD_RESIDUAL_TOL:.1e}"
@@ -354,16 +362,13 @@ def cmd_spectrum(config: RunConfig, out: Path, field_file: str) -> None:
     )
 
 
-def cmd_evolve(config: RunConfig, out: Path, field_file: str,
-               snapshot_stride: int = 0) -> None:
+def cmd_evolve(config: RunConfig, out: Path, field_file: str) -> None:
     V, f = config.potential, config.nonlinearity
-    phi = _read_field(field_file)
-    lam = st.lagrange_multiplier(phi, V, f)
+    point = _read_point(config, field_file)
+    phi, mass = point.u, point.mass
     amp = config.get("dynamics", "perturbation_amplitude")
     kind = config.get("dynamics", "perturbation_kind") or ("none" if amp == 0 else "eigenvector")
 
-    mass = gr.inner_l2(phi, phi)
-    point = st.ConstrainedCriticalPoint.measure(phi, lam, mass, V, f)
     seed_vals = phi.values.copy()
     rate_expected = float("nan")
     if kind == "eigenvector":
@@ -382,7 +387,7 @@ def cmd_evolve(config: RunConfig, out: Path, field_file: str,
         dy.ComplexField(phi.grid, seed_vals.astype(complex)), V, f,
         dt=config.get("dynamics", "dt"), t_end=config.get("dynamics", "t_end"),
         reference=phi, record_stride=config.get("dynamics", "record_stride"),
-        snapshot_stride=snapshot_stride,
+        snapshot_stride=config.get("dynamics", "snapshot_stride"),
     )
     _write_csv(
         out / "evolve_trace.csv",
@@ -410,7 +415,7 @@ def cmd_semiclassical(config: RunConfig, out: Path) -> None:
     V, f = config.potential, config.nonlinearity
     family = sc.continue_family(config.grid, config.get("semiclassical", "eps_list"), V, f.p)
     z_rows = sc.z_eps_check(family)
-    t_rows = sc.translation_mode_estimate(family, V)
+    t_rows = sc.translation_mode_estimate(family)
     m_rows = sc.morse_check(family, config.get("semiclassical", "m_V"))
     rows = []
     for member, zr, tr, mr in zip(family.members, z_rows, t_rows, m_rows):
@@ -455,7 +460,7 @@ def _semiclassical_end_to_end(config: RunConfig, out: Path, family, V, f) -> Non
             "choose a total mass whose per-bump share lands on 1/eps integral"
         )
     stride = int(round(stride))
-    offsets = tuple(stride * (2 * i - (n - 1)) for i in range(n))
+    offsets = _symmetric_offsets(n, 2 * stride)
     Veps = sc.scaled_potential(V, eps_n)
     result = gl.glue(base, gl.BumpConfig(n, offsets), n * base.mass, Veps, f)
     report = sp.classify(result.point.u, result.point.lam, Veps, f)
@@ -489,36 +494,27 @@ def cmd_sweep(config: RunConfig, out: Path) -> None:
         raise GluingFailedError(f"no separation converged for any n in {n_list}")
 
 
-def _add_common_flags(parser, suppress=False):
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--config", default=default, help="JSON run configuration")
-    parser.add_argument("--out", default=default, help="output directory override")
-    parser.add_argument("--snapshot-stride", type=int,
-                        default=argparse.SUPPRESS if suppress else 0,
-                        help="steps between stored snapshots (evolve)")
+class _Parser(argparse.ArgumentParser):
+    """Its usage errors raise ConfigError, for main to report in one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="multibump", description="normalized multibump standing-wave laboratory"
-    )
-    _add_common_flags(parser)
+    parser = _Parser(prog="multibump",
+                     description="normalized multibump standing-wave laboratory")
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--out", help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("groundstate", "semiclassical", "glue", "sweep"):
-        p = sub.add_parser(name)
-        _add_common_flags(p, suppress=True)
+        sub.add_parser(name)
     for name in ("spectrum", "evolve"):
-        p = sub.add_parser(name)
-        p.add_argument("field_file", help="field CSV or binary produced by this tool")
-        _add_common_flags(p, suppress=True)
+        sub.add_parser(name).add_argument(
+            "field_file", help="field CSV or binary produced by this tool")
 
-    args = parser.parse_args(argv)
-    if args.config is None:
-        parser.error("--config is required")
     try:
-        if args.snapshot_stride < 0:
-            raise ConfigError(f"--snapshot-stride must be an integer >= 0, "
-                              f"got {args.snapshot_stride}")
+        args = parser.parse_args(argv)
         config = RunConfig.load(args.config)
         out = Path(args.out or os.environ.get("MULTIBUMP_OUT") or config.get("output"))
         try:
@@ -527,12 +523,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot use {out} as the output directory: {exc}") from exc
         # a module global at call time, so that a patched cli.cmd_* is the one run
         command = globals()[f"cmd_{args.command}"]
-        if args.command == "evolve":
-            command(config, out, args.field_file, snapshot_stride=args.snapshot_stride)
-        elif args.command == "spectrum":
-            command(config, out, args.field_file)
-        else:
-            command(config, out)
+        command(config, out, *([args.field_file] if "field_file" in args else []))
     except MultibumpError as exc:
         message = str(exc).replace("\n", " ")
         print(f"{exc.label}: {message}", file=sys.stderr)

@@ -297,14 +297,14 @@ def z_eps_check(family: EpsilonFamily) -> list[dict]:
     return rows
 
 
-def translation_mode_estimate(family: EpsilonFamily, V: Potential) -> list[dict]:
+def translation_mode_estimate(family: EpsilonFamily) -> list[dict]:
     """Rayleigh value of the linearization on the translated profile mode.
 
     Compares (L_eps w, w)_2, w the analytic profile derivative centered at
-    the peak, against the curvature prediction eps^2 V''(0) |u0|_2^2 / 2.
+    the peak, against the curvature prediction eps^2 V''(0) |u0|_2^2 / 2,
+    both in the family's potential V.
     """
-    _check_normalization(V)
-    rows = []
+    V, rows = family.V, []
     f = Nonlinearity(family.p)
     for m in family.members:
         grid = m.point.u.grid

@@ -187,7 +187,7 @@ def test_criterion_5_index_formulas(sweep, supercritical_glued, vcos, f4, f8):
     )
 
 
-def test_criterion_6_semiclassical_counts(family_min_p4, family_max_p4, vmin_well):
+def test_criterion_6_semiclassical_counts(family_min_p4, family_max_p4):
     rows_min = morse_check(family_min_p4, m_V=0)
     ok_min = all(r["m_f"] == 1 for r in rows_min if not r["flagged"])
     usable_min = [r for r in rows_min if not r["flagged"]]
@@ -202,7 +202,7 @@ def test_criterion_6_semiclassical_counts(family_min_p4, family_max_p4, vmin_wel
            f"m_f={[r['m_f'] for r in rows_max]} "
            f"flagged={[r['flagged'] for r in rows_max]}")
 
-    tm = translation_mode_estimate(family_min_p4, vmin_well)
+    tm = translation_mode_estimate(family_min_p4)
     smallest = tm[-1]
     record(
         "6 translation-mode curvature ratio",

@@ -112,23 +112,22 @@ class TestZEpsCheck:
 
 
 class TestTranslationMode:
-    def test_ratio_approaches_one(self, family_min_p4, vmin_well):
-        rows = translation_mode_estimate(family_min_p4, vmin_well)
+    def test_ratio_approaches_one(self, family_min_p4):
+        rows = translation_mode_estimate(family_min_p4)
         assert abs(rows[-1]["ratio"] - 1.0) < 0.10
         # and it improves along the family
         errs = [abs(r["ratio"] - 1.0) for r in rows]
         assert errs[0] > errs[-1]
 
-    def test_sign_follows_curvature(self, family_min_p4, family_max_p4,
-                                    vmin_well, vmax_well):
-        for row in translation_mode_estimate(family_min_p4, vmin_well):
+    def test_sign_follows_curvature(self, family_min_p4, family_max_p4):
+        for row in translation_mode_estimate(family_min_p4):
             assert row["rayleigh"] > 0
-        for row in translation_mode_estimate(family_max_p4, vmax_well):
+        for row in translation_mode_estimate(family_max_p4):
             assert row["rayleigh"] < 0
 
     def test_constant_potential_exact_kernel(self, grid_semi, V1):
         family = continue_family(grid_semi, [0.1], V1, 4.0)
-        rows = translation_mode_estimate(family, V1)
+        rows = translation_mode_estimate(family)
         assert abs(rows[0]["rayleigh"]) < 1e-8
 
 

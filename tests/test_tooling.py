@@ -158,3 +158,20 @@ def test_spectrum_bottom_is_asked_only_where_a_potential_enters():
     # resolvent take it as given
     modules = {module for module, _ in _call_sites("operator_bottom_eigenvalue")}
     assert modules == {"model", "gluing", "spectra"}
+
+
+def test_cli_reads_exactly_the_configuration_table():
+    # every (section, key) that cli reads through RunConfig.get is a row of
+    # _TABLE, and every row is read: a key the table accepts but no command
+    # reads would be taken and ignored
+    reads = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        func = getattr(node, "func", None)
+        if (isinstance(func, ast.Attribute) and func.attr == "get"
+                and isinstance(func.value, ast.Name) and func.value.id in ("config", "self")):
+            keys = [ast.literal_eval(arg) for arg in node.args]  # only literal keys
+            reads.add((keys[0], keys[1] if len(keys) > 1 else None))
+    table = {(section, key) for section, keys in cli._TABLE.items()
+             for key in (keys if isinstance(keys, dict) else [None])}
+    assert ("dynamics", "snapshot_stride") in reads  # the check sees the reads
+    assert reads == table
