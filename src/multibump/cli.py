@@ -353,8 +353,7 @@ def cmd_spectrum(config: RunConfig, out: Path, field_file: str) -> None:
         out / "spectrum.json",
         {**report.to_dict(), "lambda": lam, "residual": res_norm, **_metadata(config)},
     )
-    # the full spectrum of L: the one dense eigensolve left
-    eigenvalues = np.linalg.eigvalsh(sp.linearized_matrix(u, lam, V, f))
+    eigenvalues = sp.dense_spectrum(u, lam, V, f)
     _write_csv(
         out / "spectrum_eigenvalues.csv",
         ["index", "value"],
@@ -501,11 +500,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _reject_unknown_flags(argv, valued, commands) -> None:
+    """Name a flag before the command that the root parser does not declare:
+    argparse would take the flag's value for the command and name the value.
+    valued are the root's flags that take a value."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token in commands:
+            return
+        if token in valued:
+            next(tokens, None)  # its value
+        elif token.startswith("-") and token.partition("=")[0] not in (*valued, "-h", "--help"):
+            raise ConfigError(f"unrecognized flag before the command: {token}")
+
+
 def main(argv=None) -> int:
-    parser = _Parser(prog="multibump",
+    # no abbreviated flags: a flag is spelled as declared, or it is unknown
+    parser = _Parser(prog="multibump", allow_abbrev=False,
                      description="normalized multibump standing-wave laboratory")
-    parser.add_argument("--config", required=True, help="JSON run configuration")
-    parser.add_argument("--out", help="output directory override")
+    valued = [*parser.add_argument("--config", required=True,
+                                   help="JSON run configuration").option_strings,
+              *parser.add_argument("--out", help="output directory override").option_strings]
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("groundstate", "semiclassical", "glue", "sweep"):
         sub.add_parser(name)
@@ -514,6 +529,8 @@ def main(argv=None) -> int:
             "field_file", help="field CSV or binary produced by this tool")
 
     try:
+        argv = sys.argv[1:] if argv is None else argv
+        _reject_unknown_flags(argv, valued, sub.choices)
         args = parser.parse_args(argv)
         config = RunConfig.load(args.config)
         out = Path(args.out or os.environ.get("MULTIBUMP_OUT") or config.get("output"))

@@ -139,9 +139,6 @@ class Field:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
 
 def _check_same_grid(u: Field, v: Field) -> None:
     if u.grid != v.grid:

@@ -32,15 +32,24 @@ too: its negative eigenvalues are counted by the certified constrained
 count (Sylvester inertia), the lowest one comes from Lanczos on the
 inverse pencil with bordered solves, and it is returned only when its
 residual bounds its error below its size.  Every solve here is
-gluing._solve_bordered run to the roundoff floor.  One dense computation
-remains: the full spectrum the spectrum command writes.
+gluing._solve_bordered run to the roundoff floor.
+
+One dense computation remains: the full spectrum the spectrum command
+writes, dense_spectrum.  -Lap commutes with every reflection of the grid,
+so when the weight of L is symmetric about a grid point or a half-grid
+point (found from its autoconvolution), the spectrum is that of an even
+and an odd block of order about M/2, built from the Laplacian column
+without an M x M matrix: a quarter of the flops (Fassler & Stiefel 1992).
+Otherwise the full matrix is solved.  Either runs on one BLAS thread, so
+the table does not depend on the thread count (Demmel & Nguyen 2015).
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -67,6 +76,7 @@ __all__ = [
     "SpectralReport",
     "InstabilityResult",
     "linearized_matrix",
+    "dense_spectrum",
     "classify",
     "instability_eigenvalue",
 ]
@@ -81,20 +91,104 @@ _FLOOR_RTOL = 0.1 * np.finfo(float).eps  # MINRES rtol: every solve runs to the 
 _LANCZOS_STEPS, _LANCZOS_RTOL = 100, 1e-10  # pencil Lanczos: step cap, Ritz residual target
 _POSITIVITY_TOL = 1e4 * np.finfo(float).eps  # roundoff band below zero, relative to the radius
 _KERNEL_CHECK_TOL = 1e-6  # sup norm of L2 phi above which phi is not in its kernel
+# max |w - R_s w| up to which dense_spectrum solves parity blocks: they are the
+# matrix of the symmetrized weight, whose eigenvalues move by at most half of
+# it (Weyl), far below the table's 1e-10 absolute accuracy
+_PARITY_TOL = 1e-12
+# thread count of the scipy-openblas64 that numpy's wheels bundle: get, set
+_BLAS_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
+
+def _laplacian_column(grid) -> np.ndarray:
+    """First column 0.5 (c[k] + c[-k]), c = irfft(k^2), of the exactly
+    symmetric circulant that discretizes -Lap."""
+    c = np.fft.irfft(grid.wavenumbers**2, n=grid.M)
+    return 0.5 * (c + np.roll(c[::-1], 1))
 
 
 def linearized_matrix(u: Field, lam: float, V, f) -> np.ndarray:
     """Dense symmetric discretization of -Lap + V - lambda - f'(u), a new
     writable M x M array built in one allocation and cached nowhere.  -Lap is
-    the circulant of the symmetrized first column 0.5 (c[k] + c[-k]),
-    c = irfft(k^2): entry by entry the same floating-point sum as
-    0.5 (C + C^T) for C = circulant(c), and exactly symmetric.  It feeds the
-    spectrum command's eigenvalue table and the tests' dense oracles."""
-    grid = u.grid
-    c = np.fft.irfft(grid.wavenumbers**2, n=grid.M)
-    mat = scipy.linalg.circulant(0.5 * (c + np.roll(c[::-1], 1)))
-    mat.flat[:: grid.M + 1] += md.linearized_operator(u, lam, V, f).weight
+    the circulant of the symmetrized first column: entry by entry the same
+    floating-point sum as 0.5 (C + C^T) for C = circulant(c), and exactly
+    symmetric.  It is the tests' dense oracle and dense_spectrum's fallback."""
+    mat = scipy.linalg.circulant(_laplacian_column(u.grid))
+    mat.flat[:: u.grid.M + 1] += md.linearized_operator(u, lam, V, f).weight
     return mat
+
+
+def _reflection_centre(w: np.ndarray) -> tuple[int, float]:
+    """The s maximizing <w, R_s w> over the reflections R_s: j -> (s - j) mod M,
+    and max |w - R_s w|.  By Cauchy-Schwarz <w, R_s w> <= |w|^2, with equality
+    exactly where w is symmetric, and <w, R_s w> is the cyclic
+    autoconvolution of w at s."""
+    s = int(np.argmax(np.fft.irfft(np.fft.rfft(w) ** 2, n=len(w))))
+    return s, float(np.max(np.abs(w - np.roll(w[::-1], s + 1))))
+
+
+def _parity_spectrum(c: np.ndarray, w: np.ndarray, s: int) -> np.ndarray:
+    """Sorted eigenvalues of circulant(c) + diag(w), w symmetrized about s,
+    from its even and odd blocks in the orthonormal basis
+    (e_p +- e_{s-p}) / sqrt(2), built and solved one at a time.  For s = 2a
+    they act on the points a + k, k = 0 ... M/2: the even block is
+    G (T + H) G + diag(w), G = 1/sqrt(2) at the fixed points k = 0 and M/2,
+    and the odd block T - H + diag(w) on k = 1 ... M/2 - 1, with
+    T[k, l] = c[|k - l|] and H[k, l] = c[(k + l) mod M].  For s = 2a - 1 they
+    pair a + k with a - 1 - k, k = 0 ... M/2 - 1, with H[k, l] = c[k + l + 1]
+    and no fixed point."""
+    M = len(c)
+    r = s % 2
+    n = M // 2 + 1 - r
+    points = (s + r) // 2 + np.arange(n)
+    w_half = 0.5 * (w[points % M] + w[(s - points) % M])
+    c_ext = np.append(c, c[0])  # c[(k + l) mod M] up to k + l = M
+    values = []
+    for combine in (np.add, np.subtract):
+        block = scipy.linalg.toeplitz(c[:n])
+        combine(block, scipy.linalg.hankel(c_ext[r:r + n], c_ext[r + n - 1:r + 2 * n - 1]),
+                out=block)
+        if r == 0 and combine is np.add:
+            block[[0, -1]] *= np.sqrt(0.5)
+            block[:, [0, -1]] *= np.sqrt(0.5)
+        block.flat[:: n + 1] += w_half
+        # the fixed points have no odd component: their rows of T - H vanish
+        values.append(np.linalg.eigvalsh(
+            block[1:-1, 1:-1] if r == 0 and combine is np.subtract else block))
+        del block  # freed before the next block is built
+    return np.sort(np.concatenate(values))
+
+
+@cache
+def _blas_thread_control():
+    """(get, set) of the thread count of the BLAS behind numpy.linalg, looked
+    up through numpy's LAPACK module, which links it."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    if not all(hasattr(lib, name) for name in _BLAS_THREADS):
+        raise PreconditionError("cannot run the eigenvalue table on one BLAS thread: "
+                                f"numpy.linalg's BLAS does not export {_BLAS_THREADS}")
+    return tuple(getattr(lib, name) for name in _BLAS_THREADS)
+
+
+def dense_spectrum(u: Field, lam: float, V, f) -> np.ndarray:
+    """Sorted eigenvalues of linearized_matrix(u, lam, V, f), the same on any
+    BLAS thread count.  -Lap commutes with every reflection of the grid, so
+    when the weight w of L is symmetric about some s to _PARITY_TOL, L splits
+    into an even and an odd block of order about M/2 (a quarter of the dense
+    flops), built from the Laplacian column with no M x M matrix; otherwise
+    the full matrix is solved.  Every solve runs on one BLAS thread, and the
+    previous count is restored: blocked LAPACK sums in an order that depends
+    on the thread count."""
+    w = md.linearized_operator(u, lam, V, f).weight
+    s, asymmetry = _reflection_centre(w)
+    get_threads, set_threads = _blas_thread_control()
+    before = get_threads()
+    set_threads(1)
+    try:
+        if asymmetry > _PARITY_TOL:
+            return np.linalg.eigvalsh(linearized_matrix(u, lam, V, f))
+        return _parity_spectrum(_laplacian_column(u.grid), w, s)
+    finally:
+        set_threads(before)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from multibump.gluing import (
     BumpConfig,
@@ -39,7 +38,7 @@ from multibump.semiclassical import (
     scaled_potential,
     translation_mode_estimate,
 )
-from multibump.spectra import classify, linearized_matrix
+from multibump.spectra import classify, dense_spectrum, linearized_matrix
 from multibump.stationary import limit_profile
 
 
@@ -68,8 +67,7 @@ def test_criterion_2_reflectionless_spectrum():
     t0 = time.perf_counter()
     grid = GridSpec(40, 4096)
     u0 = limit_profile(grid, 4.0)
-    L = linearized_matrix(u0, 0.0, Potential.const(1.0), Nonlinearity(4.0))
-    low = scipy.linalg.eigh(L, subset_by_index=(0, 1), eigvals_only=True)
+    low = dense_spectrum(u0, 0.0, Potential.const(1.0), Nonlinearity(4.0))[:2]
     elapsed = time.perf_counter() - t0
     record(
         "2 exactly solvable well spectrum",

@@ -200,7 +200,9 @@ class TestSpectrumCommand:
             "spectrum", str(out / "groundstate_field.bin"),
         ])
         assert rc == 0
-        assert eigensolve_sizes == [1024]  # the table's, and no other
+        # the table's parity blocks (the field is even about x = 0.5, a grid
+        # point), and no other eigensolve
+        assert eigensolve_sizes == [513, 511]
         report = json.loads((tmp / "spectrum_out" / "spectrum.json").read_text())
         assert report["classification"] == "fully_nondegenerate_neg"
         rows = (tmp / "spectrum_out" / "spectrum_eigenvalues.csv").read_text().splitlines()
@@ -209,6 +211,22 @@ class TestSpectrumCommand:
         assert float(rows[1].split(",")[1]) < 0  # single negative direction first
         values = np.array([float(row.split(",")[1]) for row in rows[1:]])
         assert np.count_nonzero(values < -report["tau0"]) == report["m_f"]
+
+    def test_artifacts_do_not_depend_on_thread_count(self, groundstate_run):
+        # BLAS reads its thread count when it loads, so each count needs its
+        # own interpreter; the eigenvalue table is the dense solve that a
+        # second thread would reorder
+        tmp, cfg, out = groundstate_run
+        dirs = [tmp / f"spectrum_threads{threads}" for threads in ("1", "2")]
+        for threads, directory in zip(("1", "2"), dirs):
+            proc = _run_cli(["--config", cfg, "--out", str(directory), "spectrum",
+                             str(out / "groundstate_field.bin")], OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(path.name for path in dirs[0].iterdir())
+        assert names == ["spectrum.json", "spectrum_eigenvalues.csv"]
+        assert sorted(path.name for path in dirs[1].iterdir()) == names
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     def test_uncertified_count_exits_4(self, groundstate_run):
         tmp, cfg, out = groundstate_run
@@ -754,6 +772,16 @@ class TestParserErrors:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert not ran and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--snapshot-stride", "--conf"])
+    def test_unknown_flag_before_the_command_is_named(self, flag, tmp_path, capsys):
+        # argparse would take the value 5 for the command and name it
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), flag, "5",
+                     "groundstate"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: unrecognized flag before the command: {flag}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["--config", "c.json", "evolve", "--help"]])
     def test_help_exits_0(self, argv, capsys):

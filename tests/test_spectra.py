@@ -144,10 +144,9 @@ def _projected_eigenvalues(L, u_vals):
 _PINNED_WELL = {"seed": 3652725608, "depth": 13.979918075538166}
 
 
-def _random_well(seed, depth):
-    """(u, w, rng): -Lap + w on GridSpec(4, 128) with a random smooth well w (a
-    few negative eigenvalues), a smooth u, and the generator for more draws."""
-    grid = GridSpec(4, 128)
+def _random_well(seed, depth, grid=GridSpec(4, 128)):
+    """(u, w, rng): -Lap + w on grid with a random smooth well w (a few
+    negative eigenvalues), a smooth u, and the generator for more draws."""
     rng = np.random.default_rng(seed)
 
     def smooth(decay):
@@ -158,6 +157,68 @@ def _random_well(seed, depth):
     w = smooth(4.0)
     w = depth * (w / np.max(np.abs(w)) - rng.uniform(0.0, 1.0))
     return Field(grid, smooth(6.0)), w, rng
+
+
+class TestDenseSpectrum:
+    @staticmethod
+    def _solve(w, zero_f):
+        """dense_spectrum of -Lap + w, with the order and the BLAS thread count
+        of each eigvalsh it runs."""
+        u = Field(GridSpec(4, len(w)), np.zeros(len(w)))
+        get_threads, _ = spectra._blas_thread_control()
+        calls = []
+
+        def counted(a, _original=np.linalg.eigvalsh):
+            calls.append((len(a), get_threads()))
+            return _original(a)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counted)
+            values = spectra.dense_spectrum(u, 0.0, w, zero_f)
+        return u, values, calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), depth=hst.floats(0.5, 30.0),
+           half=hst.sampled_from([32, 33, 48, 49]),
+           centre=hst.sampled_from(["grid point", "half-grid point", "none"]))
+    def test_matches_the_full_matrix(self, seed, depth, half, centre, zero_f):
+        # wells even about a grid point (s even), about a half-grid point (s
+        # odd) or about no point, with M/2 even and odd
+        M = 2 * half
+        _, w, rng = _random_well(seed, depth, GridSpec(4, M))
+        s = 2 * int(rng.integers(half)) + (centre == "half-grid point")
+        if centre != "none":
+            w = 0.5 * (w + w[(s - np.arange(M)) % M])
+        u, values, calls = self._solve(w, zero_f)
+        full = np.linalg.eigvalsh(linearized_matrix(u, 0.0, w, zero_f))
+        assert np.max(np.abs(values - full)) <= 1e-10 * max(1.0, np.max(np.abs(full)))
+        assert np.all(np.diff(values) >= 0)
+        orders = {"grid point": [half + 1, half - 1], "half-grid point": [half, half],
+                  "none": [M]}[centre]
+        assert calls == [(order, 1) for order in orders]  # each solve on one thread
+
+    def test_restores_the_thread_count(self, zero_f):
+        get_threads, set_threads = spectra._blas_thread_control()
+        before = get_threads()
+        _, w, _ = _random_well(0, 10.0)
+        try:
+            set_threads(2)
+            self._solve(w, zero_f)
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+
+    def test_refuses_without_the_thread_control(self, zero_f, monkeypatch):
+        # a BLAS that cannot be pinned would make the table depend on the
+        # thread count: the solve is refused, not run
+        monkeypatch.setattr(spectra, "_BLAS_THREADS", ("no_get_num_threads", "no_set_num_threads"))
+        spectra._blas_thread_control.cache_clear()
+        _, w, _ = _random_well(0, 10.0)
+        try:
+            with pytest.raises(PreconditionError, match="one BLAS thread"):
+                self._solve(w, zero_f)
+        finally:
+            spectra._blas_thread_control.cache_clear()
 
 
 class TestMorseCounts:

@@ -144,11 +144,12 @@ def test_every_transform_is_an_np_fft_attribute_call():
 def test_eigensolvers_are_called_only_where_they_belong():
     # the tracer counts the eigsh global of grid (the spectrum bottom); every
     # other sparse eigensolve is a LOBPCG run in spectra.  The one dense
-    # eigensolve is the spectrum table's np.linalg.eigvalsh in cli, the call
-    # that the tracer's dense metrics and the eigensolve_sizes spy observe
+    # eigensolve is the spectrum table's, np.linalg.eigvalsh on its parity
+    # blocks or on the full matrix in spectra.dense_spectrum: the calls that
+    # the tracer's dense metrics and the eigensolve_sizes spy observe
     assert _call_sites("eigsh") == {("grid", "Name")}
     assert _call_sites("lobpcg") == {("spectra", "Name")}
-    assert _call_sites("eigvalsh") == {("cli", "Attribute")}
+    assert _call_sites("eigvalsh") == {("spectra", "Attribute")}
     assert _call_sites("eigh") == set()
 
 
