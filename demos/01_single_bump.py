@@ -46,5 +46,6 @@ print(f"  energy difference       = {abs(energy(point.u, V, f) - energy(wide.u, 
 
 write_field_csv(point.u, "single_bump_field.csv")
 print("\nfield written to single_bump_field.csv")
-print("note: the flow converges to the well selected by the initial guess;")
-print("centering the guess on a different lattice cell lands on its translate.")
+print("note: Newton keeps the bump at the configured center, here the well at 0.5;")
+print("centering it on another lattice cell gives that cell's translate, and")
+print("centering it on a maximum of V gives the bump there, a saddle (m = 1).")

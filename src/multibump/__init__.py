@@ -1,9 +1,11 @@
 """Numerical laboratory for normalized multibump standing waves of the
 1D nonlinear Schrodinger equation with periodic potential.
 
-Capabilities: spectral discretization on a periodic box, constrained
-ground states via normalized gradient flow plus bordered Newton
-refinement, nonlinear superposition of translated bumps, Morse-index and
+Capabilities: spectral discretization on a periodic box, single-bump
+ground states by bordered Newton iteration from the closed-form profile
+of their mass (constrained local minimizers below the mass-critical
+exponent 6, saddles with one negative direction above it), nonlinear
+superposition of translated bumps, Morse-index and
 nondegeneracy diagnostics of the linearization, semiclassical single-peak
 families, and split-step time evolution for orbital (in)stability runs.
 """

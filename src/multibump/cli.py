@@ -397,6 +397,7 @@ def cmd_evolve(config: RunConfig, out: Path, field_file: str) -> None:
     payload = {"rho_expected": rate_expected, **_metadata(config)}
     d = traj.orbit_dist
     window = (d > 10 * max(amp, 1e-7)) & (d < 1e-2)
+    # no growth_rate when the window is too short or the fit refuses it
     if kind == "eigenvector" and np.count_nonzero(window) >= 4:
         t_sel = traj.times[window]
         try:
@@ -404,7 +405,7 @@ def cmd_evolve(config: RunConfig, out: Path, field_file: str) -> None:
                 traj, (float(t_sel[0]), float(t_sel[-1])), lower=1e-7, upper=2e-2
             )
         except FitRejectedError:
-            payload["growth_rate"] = float("nan")
+            pass
     _write_json(out / "evolve.json", payload)
     for i, (t, snap) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
         np.save(out / f"snapshot_{i:04d}.npy", snap)

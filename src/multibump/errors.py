@@ -42,17 +42,6 @@ class LinearSolverError(_SolverFailure):
     """An iterative linear solve failed to reach its tolerance."""
 
 
-class FlowStalledError(_SolverFailure):
-    """The normalized gradient flow hit its iteration cap.
-
-    Carries the last projected-gradient norm.
-    """
-
-    def __init__(self, message, last_residual=None):
-        super().__init__(message)
-        self.last_residual = last_residual
-
-
 class GluingFailedError(_SolverFailure):
     """Newton on the extended Lagrangian diverged."""
 

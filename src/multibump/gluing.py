@@ -277,8 +277,8 @@ def glue(ubar: st.ConstrainedCriticalPoint, cfg: BumpConfig, alpha: float, V, f)
     eta0 = extended_gradient_norm(pt0, alpha, V, f)
     if eta0 > _INITIAL_RESIDUAL_CAP:
         raise GluingFailedError(
-            f"starting residual {eta0:.3e} exceeds cap {_INITIAL_RESIDUAL_CAP:.1e}; "
-            "increase the separation",
+            f"starting residual {eta0:.3e} exceeds cap {_INITIAL_RESIDUAL_CAP:.1e}"
+            + ("; increase the separation" if cfg.n > 1 else ""),
             separation=cfg.separation,
             residual_history=[eta0],
         )
@@ -445,18 +445,33 @@ def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
 
 def ground_state(grid: GridSpec, alpha: float, V, f,
                  center: float = 0.0) -> st.ConstrainedCriticalPoint:
-    """Locate a local constrained minimizer and refine it to full precision.
+    """The single bump of mass alpha at center, refined by Newton (the
+    single-bump glue) to _NEWTON_TOL.
 
-    The normalized gradient flow (stationary.normalized_flow, stopped at its
-    coarse tolerance) from a closed-form profile centered at center seeds
-    the single-bump glue, whose Newton refinement runs to _NEWTON_TOL.  If
-    -Lap + V is not positive definite the potential is shifted up first;
-    the applied constant is recorded on the returned point so the
-    user-gauge multiplier stays available as point.lam_user.
+    Newton starts from the limit profile of continuum mass alpha
+    (stationary.profile_coefficient) at center, or from the flat field
+    where its decay length 2/((p-2) sqrt(vbar)) reaches L, scaled to mass
+    alpha at its Rayleigh multiplier; a decay length under h/2 is not
+    resolved (PreconditionError).  Below p = 6 the bump at a well of V is a
+    constrained local minimizer, above it a saddle with m = 1; at a maximum
+    of V the bump stays there.  A potential with -Lap + V not positive
+    definite is shifted first, the constant kept as point.potential_shift
+    (point.lam_user is the multiplier in the caller's gauge).
     """
     V_work, shift = md.positive_gauge(V, grid)
-    vbar = max(gr.operator_bottom_eigenvalue(V_work, grid), 0.2)
-    guess = st.limit_profile(grid, f.p, vbar=vbar, center=center)
-    coarse = st.normalized_flow(guess, alpha, V_work, f)
-    refined = glue(coarse, BumpConfig(n=1, offsets=(0,)), alpha, V_work, f)
+    vbar = st.profile_coefficient(f.p, alpha)
+    width = 2.0 / ((f.p - 2.0) * np.sqrt(vbar)) if vbar > 0.0 else np.inf
+    if width < 0.5 * grid.h:
+        raise PreconditionError(
+            f"a bump of mass {alpha} at p = {f.p} decays over {width:.3e}, less than half "
+            f"the grid spacing h = {grid.h:.3e}"
+        )
+    if width < grid.L:
+        start = st.limit_profile(grid, f.p, vbar=vbar, center=center)
+    else:
+        start = Field(grid, np.ones(grid.M))
+    start = Field(grid, start.values * np.sqrt(alpha / gr.inner_l2(start, start)))
+    seed = st.ConstrainedCriticalPoint.measure(
+        start, st.lagrange_multiplier(start, V_work, f), alpha, V_work, f)
+    refined = glue(seed, BumpConfig(n=1, offsets=(0,)), alpha, V_work, f)
     return replace(refined.point, potential_shift=shift)

@@ -35,7 +35,6 @@ __all__ = [
     "translate",
     "inner_l2",
     "inner_h1v",
-    "norm_l2",
     "norm_h1",
     "FourierOperator",
     "SplitOperator",
@@ -196,10 +195,6 @@ def inner_l2(u: Field, v: Field) -> float:
     """Quadrature L2 pairing h * sum(u_i v_i)."""
     _check_same_grid(u, v)
     return float(u.grid.h * np.dot(u.values, v.values))
-
-
-def norm_l2(u: Field) -> float:
-    return float(np.sqrt(u.grid.h) * np.linalg.norm(u.values))
 
 
 def inner_h1v(u: Field, v: Field, V) -> float:

@@ -6,9 +6,10 @@ The energy of a field u is
 
 with F the antiderivative of the power nonlinearity f(s) = |s|^(p-2) s.
 Constrained critical points on the sphere |u|_2^2 = alpha satisfy
--u'' + V u - f(u) = lambda u with the multiplier lambda.  Both the L2
-(strong form) and the resolvent-preconditioned representations of the
-gradient and Hessian are provided; they agree up to solver tolerance.
+-u'' + V u - f(u) = lambda u with the multiplier lambda.  The gradient
+is given in strong (L2) form; its resolvent-preconditioned form is the
+field part of gluing.extended_gradient.  The Hessian is given as an
+operator and as a bilinear form.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "Nonlinearity",
     "energy",
     "l2_residual",
-    "h1_gradient",
     "linearized_operator",
     "hessian_form",
     "positive_gauge",
@@ -91,12 +91,15 @@ class Potential:
         return self.evaluate(grid.x)
 
     def curvature_at(self, x0: float) -> float:
-        """Second derivative at x0 (analytic for cosine, zero for constant)."""
+        """Second derivative at x0: analytic for cosine, zero for constant,
+        else a central second difference.  For a table its step is the table
+        spacing: over a shorter one it measures the kinks of the linear
+        interpolant, not the potential tabulated."""
         if self.kind == "constant":
             return 0.0
         if self.kind == "cosine":
             return -self.amplitude * (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * x0)
-        eps = 1e-4
+        eps = 1.0 / len(self.table) if self.kind == "tabulated" else 1e-4
         vals = self.evaluate(np.array([x0 - eps, x0, x0 + eps]))
         return float((vals[0] - 2 * vals[1] + vals[2]) / eps**2)
 
@@ -172,12 +175,6 @@ def l2_residual(u: Field, lam: float, V, f: Nonlinearity) -> Field:
     with np.errstate(over="ignore", invalid="ignore"):  # Field rejects a non-finite residual
         values = op.apply(u.values) - f.f(u.values)
     return Field(u.grid, values)
-
-
-def h1_gradient(u: Field, V, f: Nonlinearity) -> Field:
-    """Gradient in the (u'v' + V u v) metric: u - S f(u), S = (-Lap+V)^{-1}."""
-    sf = gr.resolvent_solve(Field(u.grid, f.f(u.values)), V)
-    return u - sf
 
 
 def linearized_operator(u: Field, lam: float, V, f: Nonlinearity,

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .grid import Field, GridSpec, minres
 from .model import Nonlinearity, Potential
-from .stationary import ConstrainedCriticalPoint
+from .stationary import MASS_CRITICAL_P, ConstrainedCriticalPoint
 
 __all__ = [
     "FamilyMember",
@@ -52,7 +52,6 @@ __all__ = [
     "select_mass_epsilon",
 ]
 
-MASS_CRITICAL_P = 6.0  # 2 + 4/N at N = 1
 _MASS_MATCH_TOL = 1e-8  # |mass - alpha/n| at which select_mass_epsilon accepts eps
 
 

@@ -1,33 +1,33 @@
-"""Single-bump building blocks: closed-form profiles and the normalized flow.
+"""Single-bump building blocks: closed-form profiles and critical points.
 
-The flow is projected gradient descent in the resolvent-preconditioned
-metric with renormalization to the target mass after every step.  It
-locates local minimizers to moderate accuracy; the constrained Newton
-solver (gluing module, single-bump case) refines them to full precision.
+The limit profile solves -u'' + vbar u = u^(p-1) on the line; its mass
+has a closed form in vbar, so one profile of any mass (p != 6) is at hand
+without a search.  It starts the constrained Newton solver (gluing module,
+single-bump case) that computes every ground state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as gr
 from . import model as md
-from .errors import FlowStalledError, PreconditionError
+from .errors import CriticalExponentError, PreconditionError
 from .grid import Field, GridSpec
 
 __all__ = [
     "ConstrainedCriticalPoint",
     "limit_profile",
+    "profile_coefficient",
     "lagrange_multiplier",
-    "normalized_flow",
 ]
 
 # ConstrainedCriticalPoint.certify: sup-norm residual and mass defect it accepts
 _CERTIFY_RESIDUAL_TOL, _CERTIFY_CONSTRAINT_TOL = 1e-8, 1e-10
-# normalized_flow: gradient norm it stops at, first trial step, iteration cap
-_FLOW_TOL, _FLOW_STEP, _FLOW_MAX_ITER = 1e-6, 0.8, 5000
+MASS_CRITICAL_P = 6.0  # 2 + 4/N at N = 1
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,31 @@ class ConstrainedCriticalPoint:
         return self.lam - self.potential_shift
 
 
+def _periodic_offset(grid: GridSpec, center: float) -> np.ndarray:
+    """x - center for each node, folded into [-L, L) where it falls outside:
+    the distance to the nearest periodic image of center."""
+    y = grid.x - center
+    outside = (y < -grid.L) | (y >= grid.L)
+    return np.where(outside, (y + grid.L) % (2.0 * grid.L) - grid.L, y)
+
+
+def _sech(z: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # cosh overflows to inf where sech is 0
+        return 1.0 / np.cosh(z)
+
+
 def limit_profile(grid: GridSpec, p: float, vbar: float = 1.0, center: float = 0.0) -> Field:
     """Closed-form positive even solution of -u'' + vbar*u = u^(p-1).
 
     u(x) = vbar^(1/(p-2)) * [ (p/2) sech^2( (p-2) sqrt(vbar) x / 2 ) ]^(1/(p-2)),
-    sampled on the grid and centered at ``center``.
+    sampled on the grid at the periodic distance from ``center``.
     """
     if p <= 2.0:
         raise PreconditionError(f"profile exists only for p > 2, got {p}")
     if vbar <= 0.0:
         raise PreconditionError(f"coefficient must be positive, got {vbar}")
     beta = 0.5 * (p - 2.0) * np.sqrt(vbar)
-    y = grid.x - center
-    sech = 1.0 / np.cosh(beta * y)
+    sech = _sech(beta * _periodic_offset(grid, center))
     vals = vbar ** (1.0 / (p - 2.0)) * (0.5 * p * sech**2) ** (1.0 / (p - 2.0))
     return Field(grid, vals)
 
@@ -97,11 +109,33 @@ def limit_profile_derivative(grid: GridSpec, p: float, vbar: float = 1.0,
                              center: float = 0.0) -> Field:
     """Analytic x-derivative of limit_profile (kernel mode of its linearization)."""
     beta = 0.5 * (p - 2.0) * np.sqrt(vbar)
-    y = grid.x - center
-    sech = 1.0 / np.cosh(beta * y)
+    y = _periodic_offset(grid, center)
+    sech = _sech(beta * y)
     amp = vbar ** (1.0 / (p - 2.0)) * (0.5 * p) ** (1.0 / (p - 2.0))
     vals = -amp * np.sqrt(vbar) * sech ** (2.0 / (p - 2.0)) * np.tanh(beta * y)
     return Field(grid, vals)
+
+
+def profile_coefficient(p: float, mass: float) -> float:
+    """The vbar at which limit_profile has the given mass on the line.
+
+    That mass is C_p vbar^(k - 1/2) with k = 2/(p-2), beta = (p-2)/2 and
+    C_p = (p/2)^k sqrt(pi) Gamma(k) / (Gamma(k + 1/2) beta), the integral
+    of sech^(2k) being a Beta function; vbar is 0 or inf where it leaves
+    the floating-point range.  At p = 6 the mass does not depend on vbar:
+    CriticalExponentError.
+    """
+    if p == MASS_CRITICAL_P:
+        raise CriticalExponentError(
+            "at the critical exponent 6 the profile's mass does not depend on vbar"
+        )
+    if mass <= 0.0:
+        raise PreconditionError(f"mass must be positive, got {mass}")
+    k, beta = 2.0 / (p - 2.0), 0.5 * (p - 2.0)
+    log_c = (k * math.log(0.5 * p) + 0.5 * math.log(math.pi)
+             + math.lgamma(k) - math.lgamma(k + 0.5) - math.log(beta))
+    with np.errstate(over="ignore"):
+        return float(np.exp((math.log(mass) - log_c) / (k - 0.5)))
 
 
 def lagrange_multiplier(u: Field, V, f) -> float:
@@ -111,50 +145,3 @@ def lagrange_multiplier(u: Field, V, f) -> float:
         raise PreconditionError("multiplier undefined for the zero field")
     strong = md.l2_residual(u, 0.0, V, f)
     return gr.inner_l2(strong, u) / uu
-
-
-def _project_out_normal(g: Field, u: Field, Su: Field) -> Field:
-    """Remove the constraint-normal component of g in the preconditioned metric."""
-    coef = gr.inner_l2(g, u) / gr.inner_l2(Su, u)
-    return g - coef * Su
-
-
-def normalized_flow(u_init: Field, alpha: float, V, f) -> ConstrainedCriticalPoint:
-    """Projected gradient descent on the energy with mass renormalization.
-
-    Each step first tries _FLOW_STEP and halves it whenever the step raises
-    the energy.  Stops when the projected preconditioned-gradient norm drops
-    to _FLOW_TOL, a coarse seed for the Newton refinement that sets the
-    final accuracy; raises FlowStalledError (carrying the last norm) after
-    _FLOW_MAX_ITER iterations.
-    """
-    if alpha <= 0.0:
-        raise PreconditionError(f"mass must be positive, got {alpha}")
-    nrm = gr.norm_l2(u_init)
-    if nrm == 0.0:
-        raise PreconditionError("flow needs a nonzero initial field")
-    grid = u_init.grid
-    u = Field(grid, u_init.values * (np.sqrt(alpha) / nrm))
-    e_now = md.energy(u, V, f)
-    gnorm = np.inf
-    for _ in range(_FLOW_MAX_ITER):
-        gradient = md.h1_gradient(u, V, f)
-        Su = gr.resolvent_solve(u, V)
-        g = _project_out_normal(gradient, u, Su)
-        gnorm = np.sqrt(max(gr.inner_h1v(g, g, V), 0.0))
-        if gnorm <= _FLOW_TOL:
-            lam = lagrange_multiplier(u, V, f)
-            return ConstrainedCriticalPoint.measure(u, lam, alpha, V, f)
-        s = _FLOW_STEP
-        for _ in range(30):
-            trial = u - s * g
-            trial = Field(grid, trial.values * (np.sqrt(alpha) / gr.norm_l2(trial)))
-            e_trial = md.energy(trial, V, f)
-            if e_trial <= e_now:
-                break
-            s *= 0.5
-        u, e_now = trial, e_trial
-    raise FlowStalledError(
-        f"flow did not reach tol {_FLOW_TOL:.1e} in {_FLOW_MAX_ITER} iterations",
-        last_residual=gnorm,
-    )

@@ -1,6 +1,6 @@
 """Shared fixtures: grids, model objects, and the expensive solved points.
 
-Session scope keeps the flow/Newton/eigensolve work paid once across the
+Session scope keeps the Newton/eigensolve work paid once across the
 whole suite.
 """
 

@@ -12,6 +12,7 @@ import pytest
 from multibump.gluing import (
     BumpConfig,
     ExtendedPoint,
+    extended_gradient,
     glue,
     ground_state,
     newton_correct,
@@ -28,7 +29,6 @@ from multibump.model import (
     Nonlinearity,
     Potential,
     energy,
-    h1_gradient,
     hessian_form,
     l2_residual,
 )
@@ -238,7 +238,7 @@ def test_criterion_8_cross_representation(grid24, vcos, f4, smooth_field):
     worst_grad = worst_form = 0.0
     for seed in range(20):
         u = smooth_field(grid24, seed=seed)
-        lhs = h1_gradient(u, vcos, f4)
+        lhs, _ = extended_gradient(ExtendedPoint(u, 0.0), 1.0, vcos, f4)  # u - S f(u)
         rhs = resolvent_solve(l2_residual(u, 0.0, vcos, f4), vcos)
         worst_grad = max(worst_grad, float(np.max(np.abs(lhs.values - rhs.values))))
 
@@ -256,7 +256,7 @@ def test_criterion_8_cross_representation(grid24, vcos, f4, smooth_field):
     for seed in (30, 31, 32):
         u = smooth_field(grid24, seed=seed)
         v = smooth_field(grid24, seed=seed + 100)
-        g = h1_gradient(u, vcos, f4)
+        g = resolvent_solve(l2_residual(u, 0.0, vcos, f4), vcos)
         pairing = inner_h1v(g, v, vcos)
         form = hessian_form(u, 0.0, vcos, f4)
         quad_exp = form(v, v)

@@ -10,6 +10,7 @@ from multibump import cli, gluing
 from multibump.errors import (
     AssumptionViolationError,
     ContinuationNeededError,
+    CriticalExponentError,
     DegenerateSuperpositionError,
     GluingFailedError,
     PreconditionError,
@@ -21,6 +22,7 @@ from multibump.gluing import (
     extended_gradient,
     extended_gradient_norm,
     glue,
+    ground_state,
     newton_correct,
     shadowing_certificate,
     superpose,
@@ -32,10 +34,12 @@ from multibump.grid import (
     inner_h1v,
     inner_l2,
     norm_h1,
+    operator_bottom_eigenvalue,
     translate,
 )
-from multibump.model import energy
+from multibump.model import Nonlinearity, Potential, energy
 from multibump.semiclassical import rescaled_solve
+from multibump.spectra import classify
 
 
 class TestBumpConfig:
@@ -124,6 +128,61 @@ class TestExtendedGradient:
                 errs.append(abs(fd - pairing))
             assert errs[1] < errs[0] / 2.0 + 1e-12
             assert errs[0] < 1e-6
+
+
+class TestGroundState:
+    def test_finds_local_minimizer(self, ubar, grid24, vcos):
+        assert ubar.constraint_violation < 1e-10
+        # multiplier sits below the operator's spectrum bottom
+        assert ubar.lam < operator_bottom_eigenvalue(vcos, grid24)
+        assert ubar.u.values.min() > 0
+
+    def test_mass_exact(self, ubar):
+        assert abs(inner_l2(ubar.u, ubar.u) - 4.5) < 1e-12 * 4.5
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_rejects_nonpositive_mass(self, grid24, vcos, f4, alpha):
+        with pytest.raises(PreconditionError):
+            ground_state(grid24, alpha, vcos, f4)
+
+    def test_supercritical_bump(self, vcos):
+        # p = 8: the bump is a saddle on the sphere, not the flat state
+        f8 = Nonlinearity(8.0)
+        point = ground_state(GridSpec(8, 512), 2.0, vcos, f8, center=0.5)
+        point.certify()
+        assert point.lam == pytest.approx(-0.60294, abs=1e-5)
+        report = classify(point.u, point.lam, vcos, f8)
+        assert (report.m, report.m_f) == (1, 1)
+
+    def test_supercritical_chain(self, vcos):
+        f8 = Nonlinearity(8.0)
+        base = ground_state(GridSpec(24, 1536), 2.5, vcos, f8, center=0.5)
+        result = glue(base, BumpConfig(2, (-4, 4)), 5.0, vcos, f8)
+        report = classify(result.point.u, result.point.lam, vcos, f8)
+        assert (report.m, report.m_f) == (2, 2)
+
+    def test_bump_stays_at_a_maximum_of_the_potential(self):
+        # center 0.5 is the top of V = 1.3 - 0.3 cos(2 pi x): Newton keeps the
+        # bump there, a saddle with one negative direction
+        V, f5, grid = Potential.cosine(-0.3, shift=0.3), Nonlinearity(5.0), GridSpec(4, 256)
+        point = ground_state(grid, 4.5, V, f5, center=0.5)
+        assert grid.x[np.argmax(point.u.values)] == 0.5
+        assert classify(point.u, point.lam, V, f5).m == 1
+
+    def test_wide_state_starts_flat(self, vcos, f4):
+        # at mass 0.5 the p = 4 profile decays over 8, the half-width
+        point = ground_state(GridSpec(8, 512), 0.5, vcos, f4)
+        point.certify()
+        assert point.u.values.min() > 0
+
+    def test_unresolved_bump_raises(self):
+        # at p = 5 a bump of mass 9 decays over 0.03, under half of h = 0.125
+        with pytest.raises(PreconditionError, match="decays over 2.9"):
+            ground_state(GridSpec(8, 128), 9.0, Potential.const(1.0), Nonlinearity(5.0))
+
+    def test_critical_exponent_raises(self, vcos):
+        with pytest.raises(CriticalExponentError):
+            ground_state(GridSpec(8, 512), 2.0, vcos, Nonlinearity(6.0))
 
 
 class TestGlue:

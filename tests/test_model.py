@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from multibump.gluing import ExtendedPoint, extended_gradient
 from multibump.grid import Field, resolvent_solve
 from multibump.model import (
     Nonlinearity,
     Potential,
     energy,
-    h1_gradient,
     hessian_form,
     l2_residual,
     positive_gauge,
@@ -35,6 +35,14 @@ class TestPotential:
         cos = Potential.cosine(0.5)
         # table nodes coincide with grid nodes (h = 1/32), so sampling is exact
         assert np.max(np.abs(V.sample(grid24) - cos.sample(grid24))) < 1e-12
+
+    @pytest.mark.parametrize("x0", [0.0, 0.3, 0.45])
+    def test_tabulated_curvature_is_the_sampled_cosine(self, x0):
+        # V = 1 - 0.3 cos(2 pi x) + 0.3 in 64 samples, at a node (0.0) and
+        # between nodes (0.3, 0.45); V'' = 0.3 (2 pi)^2 cos(2 pi x)
+        V = Potential.tabulated(1.0 - 0.3 * np.cos(2 * np.pi * np.arange(64) / 64), shift=0.3)
+        exact = Potential.cosine(-0.3, shift=0.3).curvature_at(x0)
+        assert V.curvature_at(x0) == pytest.approx(exact, rel=0.01)
 
     def test_positive_gauge_shifts_negative_potential(self, grid24):
         V = Potential.const(-2.0)
@@ -115,16 +123,23 @@ class TestStrongResidual:
         assert np.max(np.abs((r1.values - r2.values) + 0.7 * u.values)) < 1e-14
 
 
+def _gradient(u, V, f):
+    """The energy's gradient in the (u'v' + V u v) metric: the resolvent of
+    the strong-form residual."""
+    return resolvent_solve(l2_residual(u, 0.0, V, f), V)
+
+
 class TestGradient:
     def test_matches_resolvent_of_residual(self, grid24, vcos, f4, smooth_field):
+        # the field part of the extended gradient at lambda = 0, u - S f(u)
         for seed in range(10):
             u = smooth_field(grid24, seed=seed)
-            lhs = h1_gradient(u, vcos, f4)
-            rhs = resolvent_solve(l2_residual(u, 0.0, vcos, f4), vcos)
+            lhs, _ = extended_gradient(ExtendedPoint(u, 0.0), 1.0, vcos, f4)
+            rhs = _gradient(u, vcos, f4)
             assert np.max(np.abs(lhs.values - rhs.values)) < 1e-10
 
     def test_vanishes_at_soliton(self, soliton40, V1, f4):
-        g = h1_gradient(soliton40, V1, f4)
+        g = _gradient(soliton40, V1, f4)
         assert np.max(np.abs(g.values)) < 1e-8
 
     def test_dilation_derivative_of_energy(self, grid24, vcos, f4, smooth_field):
@@ -132,7 +147,7 @@ class TestGradient:
         from multibump.grid import inner_h1v
 
         u = smooth_field(grid24, seed=33)
-        pairing = inner_h1v(h1_gradient(u, vcos, f4), u, vcos)
+        pairing = inner_h1v(_gradient(u, vcos, f4), u, vcos)
         t = 1e-5
         fd = (
             energy(Field(grid24, (1 + t) * u.values), vcos, f4)
@@ -145,7 +160,7 @@ class TestGradient:
 
         u = smooth_field(grid24, seed=30)
         v = smooth_field(grid24, seed=31)
-        g = h1_gradient(u, vcos, f4)
+        g = _gradient(u, vcos, f4)
         pairing = inner_h1v(g, v, vcos)
         errs = []
         for t in (1e-3, 5e-4):

@@ -1,15 +1,17 @@
-"""Closed-form profiles, multipliers, and the normalized flow."""
+"""Closed-form profiles, their mass law, multipliers and critical points."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from multibump.errors import FlowStalledError, PreconditionError
-from multibump.grid import Field, inner_l2, operator_bottom_eigenvalue, translate
+from multibump.errors import CriticalExponentError, PreconditionError
+from multibump.grid import Field, GridSpec, inner_l2, translate
 from multibump.stationary import (
     ConstrainedCriticalPoint,
     lagrange_multiplier,
     limit_profile,
-    normalized_flow,
+    profile_coefficient,
 )
 
 
@@ -40,6 +42,48 @@ class TestLimitProfile:
         u = limit_profile(grid24, 4.0, center=3.0)
         assert grid24.x[np.argmax(u.values)] == pytest.approx(3.0)
 
+    def test_sampled_at_the_periodic_distance(self):
+        # centred near the box's edge, the profile wraps round instead of
+        # jumping at the antipode of its centre
+        grid = GridSpec(4, 256)
+        u = limit_profile(grid, 4.0, vbar=0.5, center=3.5)
+        assert u.values == pytest.approx(np.roll(limit_profile(grid, 4.0, vbar=0.5).values, 112),
+                                         abs=1e-15)
+
+    def test_far_tail_is_zero_without_overflow(self):
+        # cosh overflows at this decay rate; sech is 0 there, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = limit_profile(GridSpec(16, 1024), 4.0, vbar=4000.0)
+        assert u.values[0] == 0.0 and np.all(np.isfinite(u.values))
+
+
+class TestProfileCoefficient:
+    @pytest.mark.parametrize("p,mass", [(3.0, 0.5), (4.0, 4.5), (5.0, 4.5), (8.0, 2.0),
+                                        (9.687, 2.09)])
+    def test_profile_has_the_mass(self, p, mass):
+        vbar = profile_coefficient(p, mass)
+        u = limit_profile(GridSpec(32, 8192), p, vbar=vbar)
+        assert inner_l2(u, u) == pytest.approx(mass, rel=1e-10)
+
+    def test_soliton(self):
+        # the p = 4 profile at vbar = 1 is sqrt(2) sech x, of mass 4
+        assert profile_coefficient(4.0, 4.0) == pytest.approx(1.0, rel=1e-14)
+
+    def test_critical_exponent_raises(self):
+        with pytest.raises(CriticalExponentError):
+            profile_coefficient(6.0, 2.0)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0])
+    def test_rejects_nonpositive_mass(self, mass):
+        with pytest.raises(PreconditionError):
+            profile_coefficient(4.0, mass)
+
+    def test_out_of_range_is_zero_or_inf(self):
+        # next to p = 6 the mass law is nearly flat in vbar
+        assert profile_coefficient(5.9999, 1.0) == profile_coefficient(6.0001, 10.0) == 0.0
+        assert profile_coefficient(5.9999, 10.0) == profile_coefficient(6.0001, 1.0) == np.inf
+
 
 class TestLagrangeMultiplier:
     def test_soliton_zero(self, soliton40, V1, f4):
@@ -63,41 +107,6 @@ class TestLagrangeMultiplier:
     def test_zero_field_raises(self, grid24, vcos, f4):
         with pytest.raises(PreconditionError):
             lagrange_multiplier(Field.zeros(grid24), vcos, f4)
-
-
-class TestNormalizedFlow:
-    def test_finds_local_minimizer(self, grid24, vcos, f4):
-        guess = limit_profile(grid24, 4.0, center=0.5)
-        point = normalized_flow(guess, 4.5, vcos, f4)
-        assert point.constraint_violation < 1e-10
-        # multiplier sits below the operator's spectrum bottom
-        assert point.lam < operator_bottom_eigenvalue(vcos, grid24)
-        # positivity of the minimizer
-        assert point.u.values.min() > 0
-
-    def test_mass_exact_after_renormalization(self, grid24, vcos, f4, monkeypatch):
-        monkeypatch.setattr("multibump.stationary._FLOW_TOL", 1e-4)
-        guess = limit_profile(grid24, 4.0, center=0.5)
-        point = normalized_flow(guess, 4.5, vcos, f4)
-        assert abs(inner_l2(point.u, point.u) - 4.5) < 1e-12 * 4.5
-
-    def test_fixed_point_returns_immediately(self, ubar, vcos, f4, monkeypatch):
-        monkeypatch.setattr("multibump.stationary._FLOW_TOL", 1e-5)
-        monkeypatch.setattr("multibump.stationary._FLOW_MAX_ITER", 2)
-        point = normalized_flow(ubar.u, ubar.mass, vcos, f4)
-        assert abs(point.lam - ubar.lam) < 1e-6
-
-    def test_stall_raises_with_residual(self, grid24, vcos, f4, monkeypatch):
-        monkeypatch.setattr("multibump.stationary._FLOW_TOL", 1e-14)
-        monkeypatch.setattr("multibump.stationary._FLOW_MAX_ITER", 3)
-        guess = limit_profile(grid24, 4.0, center=0.5)
-        with pytest.raises(FlowStalledError) as err:
-            normalized_flow(guess, 4.5, vcos, f4)
-        assert err.value.last_residual is not None
-
-    def test_rejects_zero_start(self, grid24, vcos, f4):
-        with pytest.raises(PreconditionError):
-            normalized_flow(Field.zeros(grid24), 1.0, vcos, f4)
 
 
 class TestConstrainedCriticalPoint:
