@@ -106,8 +106,7 @@ def extended_gradient(pt: ExtendedPoint, alpha: float, V, f) -> tuple[Field, flo
 
 
 def extended_gradient_norm(pt: ExtendedPoint, alpha: float, V, f) -> float:
-    g_field, g_scalar = extended_gradient(pt, alpha, V, f)
-    return float(np.sqrt(max(gr.inner_h1v(g_field, g_field, V), 0.0) + g_scalar**2))
+    return _h_norm(*extended_gradient(pt, alpha, V, f), V)
 
 
 # -- bordered linear solves ---------------------------------------------------
@@ -451,21 +450,23 @@ def ground_state(grid: GridSpec, alpha: float, V, f,
     Newton starts from the limit profile of continuum mass alpha
     (stationary.profile_coefficient) at center, or from the flat field
     where its decay length 2/((p-2) sqrt(vbar)) reaches L, scaled to mass
-    alpha at its Rayleigh multiplier; a decay length under h/2 is not
-    resolved (PreconditionError).  Below p = 6 the bump at a well of V is a
-    constrained local minimizer, above it a saddle with m = 1; at a maximum
-    of V the bump stays there.  A potential with -Lap + V not positive
-    definite is shifted first, the constant kept as point.potential_shift
-    (point.lam_user is the multiplier in the caller's gauge).
+    alpha at its Rayleigh multiplier.  A decay length under h/2 is not
+    resolved, and nor is a profile whose starting residual glue refuses:
+    both raise PreconditionError naming the length in grid spacings h (no
+    fixed multiple of h separates the two).  Below p = 6 the bump at a well
+    of V is a constrained local minimizer, above it a saddle with m = 1; at
+    a maximum of V the bump stays there.  A potential with -Lap + V not
+    positive definite is shifted first, the constant kept as
+    point.potential_shift (point.lam_user is the multiplier in the caller's
+    gauge).
     """
     V_work, shift = md.positive_gauge(V, grid)
     vbar = st.profile_coefficient(f.p, alpha)
     width = 2.0 / ((f.p - 2.0) * np.sqrt(vbar)) if vbar > 0.0 else np.inf
+    unresolved = (f"a bump of mass {alpha} at p = {f.p} decays over {width:.3e} "
+                  f"= {width / grid.h:.2f} h")
     if width < 0.5 * grid.h:
-        raise PreconditionError(
-            f"a bump of mass {alpha} at p = {f.p} decays over {width:.3e}, less than half "
-            f"the grid spacing h = {grid.h:.3e}"
-        )
+        raise PreconditionError(f"{unresolved}, less than half the grid spacing h = {grid.h:.3e}")
     if width < grid.L:
         start = st.limit_profile(grid, f.p, vbar=vbar, center=center)
     else:
@@ -473,5 +474,12 @@ def ground_state(grid: GridSpec, alpha: float, V, f,
     start = Field(grid, start.values * np.sqrt(alpha / gr.inner_l2(start, start)))
     seed = st.ConstrainedCriticalPoint.measure(
         start, st.lagrange_multiplier(start, V_work, f), alpha, V_work, f)
-    refined = glue(seed, BumpConfig(n=1, offsets=(0,)), alpha, V_work, f)
+    try:
+        refined = glue(seed, BumpConfig(n=1, offsets=(0,)), alpha, V_work, f)
+    except GluingFailedError as err:
+        eta0 = err.residual_history[0]
+        if not (width < grid.L and eta0 > _INITIAL_RESIDUAL_CAP):  # not a refused profile
+            raise
+        raise PreconditionError(f"{unresolved}: its profile's starting residual {eta0:.3e} "
+                                f"exceeds cap {_INITIAL_RESIDUAL_CAP:.1e}") from err
     return replace(refined.point, potential_shift=shift)

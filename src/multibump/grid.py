@@ -289,12 +289,12 @@ class FourierOperator:
         """CG for an SPD operator on its split form, c = max(mean weight, 0.05),
         so the split operator is a compact perturbation of the identity.
 
-        Terminates on the true residual in the sup norm, at _CG_TOL |rhs|;
-        a target below the roundoff floor of the spectral operator (machine
-        eps times its scale) is satisfied at that floor.
+        Stops once the recursive residual meets _CG_TOL |rhs| and returns
+        there if the true residual in the sup norm does too, or lies below
+        the roundoff floor of the spectral operator (machine eps times its
+        scale); else LinearSolverError with the true residual.
         """
         split = self.split(max(float(np.mean(self.weight)), 0.05))
-        op_scale = self.scale
         scale = float(np.max(np.abs(rhs)))
         if scale == 0.0:
             return np.zeros_like(rhs)
@@ -304,7 +304,6 @@ class FourierOperator:
         y = np.zeros_like(r)
         rr = np.dot(r, r)
         d = r.copy()
-        best_true = np.inf
         for _ in range(4000):
             Ad = split.apply(d)
             dAd = np.dot(d, Ad)
@@ -315,31 +314,22 @@ class FourierOperator:
             r -= alpha * Ad
             # the grid residual's sup norm is at most its 2-norm, |S^{-1} r|
             if split.field_norm(r) < target:
-                z = split.back(y)
-                true_r = rhs - self.apply(z)
-                true_norm = np.max(np.abs(true_r))
-                floor = 50 * np.finfo(float).eps * op_scale * max(
-                    float(np.max(np.abs(z))), scale / op_scale
-                )
-                if true_norm < max(target, floor):
-                    return z
-                if true_norm > 0.7 * best_true:
-                    # no longer improving: accept the roundoff-limited solution
-                    # unless it is clearly short of any reasonable tolerance
-                    if true_norm < 1e-9 * scale:
-                        return z
-                    raise LinearSolverError(
-                        f"CG stalled at residual {true_norm:.3e} (target {target:.3e})"
-                    )
-                best_true = min(best_true, true_norm)
-                r = split.forward(true_r)
+                break
             rr_new = np.dot(r, r)
             d *= rr_new / rr
             d += r
             rr = rr_new
-        raise LinearSolverError(
-            f"CG stalled at residual {np.max(np.abs(rhs - self.apply(split.back(y)))):.3e}"
-        )
+        else:
+            raise LinearSolverError(
+                f"CG stalled at residual {np.max(np.abs(rhs - self.apply(split.back(y)))):.3e}"
+            )
+        z = split.back(y)
+        true_norm = np.max(np.abs(rhs - self.apply(z)))
+        floor = 50 * np.finfo(float).eps * max(self.scale * float(np.max(np.abs(z))), scale)
+        if not true_norm < max(target, floor):
+            raise LinearSolverError(
+                f"CG true residual {true_norm:.3e} misses its target {target:.3e}")
+        return z
 
 
 class SplitOperator(LinearOperator):

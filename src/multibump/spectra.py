@@ -11,14 +11,12 @@ and counting on the tangent space of the mass sphere gives the
 constrained Morse index.  The sign of (z, u)_2 with L z = u decides which
 of the two indices the constraint sees and classifies nondegeneracy.
 
-Counts are matrix-free.  The spectral radius, which sets tau0, is the
-larger of minus the lowest weight (a lower bound of the spectrum) and the
-top eigenvalue, from block-1 LOBPCG preconditioned by a top-end Fourier
-symbol and accepted only by its residual; both are known before any other
-eigenvalue is sought.  The free count, the gap
-and the near-zero eigenvalues come from a Fourier-preconditioned LOBPCG
-block of the lowest eigenvalues of L (Knyazev 2001), grown until its Ritz
-residuals certify the count, and run in chunks that stop once the values
+Counts are matrix-free.  tau0 is TAU0_RELATIVE times the operator's scale,
+k_max^2 + max |weight|, which bounds every |eigenvalue| of L (Weyl), so tau0
+is conservative and known before any eigenvalue is sought.  The free count,
+the gap and the near-zero eigenvalues come from a Fourier-preconditioned
+LOBPCG block of the lowest eigenvalues of L (Knyazev 2001), grown until its
+Ritz residuals certify the count, and run in chunks that stop once the values
 the outputs read are converged (Parlett 1998, ch. 10-11: a Ritz value lies
 within its residual of an eigenvalue).  z and the pairings
 u^T (L - s)^{-1} u come from solves of (L - s) x = u, and the constrained
@@ -81,15 +79,18 @@ __all__ = [
     "instability_eigenvalue",
 ]
 
-TAU0_RELATIVE = 1e-6  # zero threshold as a fraction of the spectral radius
-_RITZ_TOL = 1e-12     # LOBPCG residual target as a fraction of the top eigenvalue
+# zero threshold and LOBPCG residual target, as fractions of the operator's
+# scale k_max^2 + max |weight|: at least every |eigenvalue| (Weyl), and 6.1e-4
+# relative above the top one on GridSpec(24, 1536)
+TAU0_RELATIVE = 1e-6
+_RITZ_TOL = 1e-12
 _LOBPCG_MAXITER = 200  # iterations per LOBPCG run, over all its chunks
 _CHUNK = 10           # LOBPCG iterations between two tests of a block's certificate
 _BLOCK_START, _BLOCK_CAP = 3, 64  # LOBPCG block size: first try, and the cap
 _SOLVE_RTOL = 1e-10   # sup-norm residual of a MINRES solve, relative to max(1, |rhs|)
 _FLOOR_RTOL = 0.1 * np.finfo(float).eps  # MINRES rtol: every solve runs to the roundoff floor
 _LANCZOS_STEPS, _LANCZOS_RTOL = 100, 1e-10  # pencil Lanczos: step cap, Ritz residual target
-_POSITIVITY_TOL = 1e4 * np.finfo(float).eps  # roundoff band below zero, relative to the radius
+_POSITIVITY_TOL = 1e4 * np.finfo(float).eps  # roundoff band below zero, relative to the scale
 _KERNEL_CHECK_TOL = 1e-6  # sup norm of L2 phi above which phi is not in its kernel
 # max |w - R_s w| up to which dense_spectrum solves parity blocks: they are the
 # matrix of the symmetrized weight, whose eigenvalues move by at most half of
@@ -237,42 +238,15 @@ class RitzBlock:
         return above and not any(np.any((lo <= p) & (p <= hi)) for p in points)
 
 
-def _linear_operator(op: gr.FourierOperator, symbol: np.ndarray | None = None):
+def _linear_operator(op: gr.FourierOperator):
     """(LinearOperator, LOBPCG preconditioner) of a grid.FourierOperator, whose
-    preconditioner is the Fourier multiplier 1/symbol; the default symbol
-    k^2 + op.minres_shift serves the bottom of the spectrum."""
+    preconditioner is the Fourier multiplier (k^2 + op.minres_shift)^{-1} of
+    the bottom of the spectrum."""
     n = op.grid.M
-    if symbol is None:
-        symbol = op.grid.wavenumbers**2 + op.minres_shift
+    symbol = op.grid.wavenumbers**2 + op.minres_shift
     L = LinearOperator((n, n), matvec=lambda x: op.apply(np.ravel(x)),
                        matmat=lambda X: op.apply(X.T).T, dtype=float)
     return L, lambda X: np.fft.irfft(np.fft.rfft(X.T) / symbol, n=n).T
-
-
-def _top_eigenvalue(op: gr.FourierOperator, start: np.ndarray) -> float:
-    """Largest eigenvalue of a FourierOperator from block-1 LOBPCG, preconditioned
-    at the top end by the symbol sigma - k^2 - mean weight, sigma = k_max^2 +
-    max weight + 1: positive for every k, and sigma lies above the top
-    eigenvalue (Weyl).  LOBPCG stops at residual _RITZ_TOL times k_max^2 +
-    mean weight, the Rayleigh quotient of the Nyquist mode and so a lower
-    bound of the top eigenvalue; the value is accepted only at residual
-    <= _RITZ_TOL |top|, else UncertifiedCountError.
-    """
-    k2, weight = op.grid.wavenumbers**2, op.weight
-    L, precond = _linear_operator(op, k2[-1] - k2 + float(np.max(weight) - np.mean(weight)) + 1.0)
-    nyquist = k2[-1] + float(np.mean(weight))
-    with warnings.catch_warnings():  # the residual test below decides
-        warnings.simplefilter("ignore", UserWarning)
-        values, vectors = lobpcg(L, start, M=precond, tol=_RITZ_TOL * max(nyquist, 0.0),
-                                 maxiter=_LOBPCG_MAXITER, largest=True)
-    top, x = float(values[0]), vectors[:, 0]
-    residual = float(np.linalg.norm(L @ x - top * x))
-    if not residual <= _RITZ_TOL * abs(top):
-        raise UncertifiedCountError(
-            f"spectral radius {top:.6e} not resolved (residual {residual:.3e})",
-            block_size=1, residual=residual,
-        )
-    return top
 
 
 def _lowest_ritz(L, precond, start: np.ndarray, tol: float,
@@ -324,15 +298,14 @@ class Linearization:
 
     L is a grid.FourierOperator (only), whose solves are
     gluing._solve_bordered, refined MINRES on its split form, run to the
-    roundoff floor.  L is never formed.  The radius is the larger of the top
-    eigenvalue (block-1 LOBPCG preconditioned at the top end, accepted by its
-    residual) and minus the lowest weight, which bounds every eigenvalue from
-    below; tau0 (used for both counts) is TAU0_RELATIVE times it.  The lowest
-    eigenvalues come from a LOBPCG block preconditioned by (k^2 + c)^{-1},
-    run in chunks that stop as soon as the block certifies the band
-    [-tau0, tau0] and every Ritz value an output reads (the gap value and
-    the near-zero values) has residual <= the Ritz tolerance; the other
-    values need only clear the certificate.  The radius, tau0, the certified
+    roundoff floor.  L is never formed.  tau0 (used for both counts) and the
+    Ritz tolerance are TAU0_RELATIVE and _RITZ_TOL times op.scale, which is
+    at least every |eigenvalue| of L (Weyl), so tau0 is conservative.  The
+    lowest eigenvalues come from a LOBPCG block preconditioned by
+    (k^2 + c)^{-1}, run in chunks that stop as soon as the block certifies
+    the band [-tau0, tau0] and every Ritz value an output reads (the gap
+    value and the near-zero values) has residual <= the Ritz tolerance; the
+    other values need only clear the certificate.  tau0, the certified
     block, the gap and the free count are set at construction; z = L^{-1} u
     and the constrained count are computed on first use.  No query changes
     a Linearization: each certifies on a block of its own, drawn from a
@@ -341,13 +314,10 @@ class Linearization:
 
     def __init__(self, op: gr.FourierOperator, u: Field):
         self.op, self.u = op, u
-        rng = np.random.default_rng(0)
         self._L, self._precond = _linear_operator(op)
-        top = _top_eigenvalue(op, rng.standard_normal((len(u.values), 1)))
-        self.radius = max(top, -float(np.min(op.weight)))
-        self.tau0 = TAU0_RELATIVE * self.radius
-        self._ritz_tol = _RITZ_TOL * self.radius
-        self.block = self._certify((-self.tau0, self.tau0), rng)
+        self.tau0 = TAU0_RELATIVE * op.scale
+        self._ritz_tol = _RITZ_TOL * op.scale
+        self.block = self._certify((-self.tau0, self.tau0), np.random.default_rng(0))
         self.gap = float(np.min(np.abs(self.block.values)))
         self.free = _count_below_threshold(self.block.values, self.tau0)
 
@@ -468,8 +438,7 @@ class SpectralReport:
     'fully_nondegenerate_pos' ((z,u)_2 > 0, indices agree) or
     'degenerate' (gap or |(z,u)_2| below tau0; counts provisional).
     block_size and ritz_residual (the largest residual norm of the block)
-    are the certificate of the free count; eigenvalues, the block's Ritz
-    values, are not serialized.
+    are the certificate of the free count.
     """
 
     m: int
@@ -482,7 +451,6 @@ class SpectralReport:
     provisional: bool = False
     block_size: int = 0
     ritz_residual: float = 0.0
-    eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.provisional or self.classification == "degenerate":
@@ -501,7 +469,7 @@ class SpectralReport:
             )
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "eigenvalues"}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["eigenvalues_near_zero"] = list(self.eigenvalues_near_zero)
         return out
 
@@ -531,7 +499,6 @@ def classify(u: Field, lam: float, V, f) -> SpectralReport:
         provisional=free.provisional or constrained.provisional,
         block_size=len(lin.block.values),
         ritz_residual=float(np.max(lin.block.residuals)),
-        eigenvalues=lin.block.values,
     )
 
 
@@ -675,9 +642,9 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f) -> InstabilityRe
     # exponentially close to zero but strictly above it; only a roundoff
     # band below zero counts as a violation
     start = np.random.default_rng(0).standard_normal((grid.M, 1))
-    lowest = float(_lowest_ritz(*_linear_operator(L2), start, _RITZ_TOL * lin.radius,
+    lowest = float(_lowest_ritz(*_linear_operator(L2), start, lin._ritz_tol,
                                 u.values[:, None]).values[0])
-    if lowest < -_POSITIVITY_TOL * lin.radius:
+    if lowest < -_POSITIVITY_TOL * lin.op.scale:
         raise PositivityViolationError(
             f"comparison operator has eigenvalue {lowest:.3e} on the tangent space"
         )

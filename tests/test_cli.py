@@ -214,14 +214,17 @@ class TestGroundstateRegimes:
         assert err.count("\n") == 1
 
     def test_unresolved_bump_fails_at_once(self, tmp_path, capsys):
-        # at p = 5 a bump of mass 9 decays over 0.03, about one grid spacing
+        # at p = 5 a bump of mass 9 decays over 0.03, about one grid spacing:
+        # glue refuses the profile's start, and the refusal names the width
         cfg = write_config(tmp_path, {"grid": {"L": 8, "M": 512},
                                       "potential": {"kind": "constant", "constant": 1.0},
                                       "nonlinearity": {"p": 5.0}, "mass": 9.0})
         start = time.perf_counter()
         rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "groundstate"])
         assert time.perf_counter() - start < 1.0
-        assert rc != 0 and capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert rc == 3 and err.count("\n") == 1
+        assert "decays over 2.932e-02 = 0.94 h" in err and "starting residual" in err
 
 
 class TestSpectrumCommand:
@@ -345,7 +348,7 @@ class TestEvolveCommand:
 
     def test_eigenvector_run_does_not_depend_on_thread_count(self, tmp_path):
         # rho_expected is the instability pencil's, at a glued pair whose mu
-        # (-6.7e-5) is small against the operator radius (1e4)
+        # (-6.7e-5) is small against the operator scale (1e4)
         data = {**BASE_CONFIG, "grid": {"L": 24, "M": 1536}, "mass": 9.0,
                 "bumps": {"n": 2, "separations": [12]},
                 "dynamics": {"dt": 1e-3, "t_end": 0.02, "perturbation_amplitude": 1e-4,

@@ -19,6 +19,7 @@ from multibump.grid import (
     Field,
     FourierOperator,
     GridSpec,
+    SplitOperator,
     derivative,
     inner_h1v,
     inner_l2,
@@ -248,6 +249,16 @@ class TestFourierOperator:
         dense = _dense_neg_laplacian(grid) + np.diag(weight)
         assert_allclose(z, np.linalg.solve(dense, rhs), rtol=0, atol=1e-8 * np.max(np.abs(z)))
 
+    def test_cg_refuses_a_missed_true_residual(self, monkeypatch):
+        # the recursive residual reports convergence after one step; the true
+        # one, left by that step, misses the target and is named
+        monkeypatch.setattr(SplitOperator, "field_norm", lambda self, y: 0.0)
+        grid = GridSpec(4, 256)
+        rng = np.random.default_rng(3)
+        op = FourierOperator(grid, 0.2 + rng.uniform(0.0, 2.0, grid.M))
+        with pytest.raises(LinearSolverError, match="true residual .* misses its target"):
+            op.cg(rng.standard_normal(grid.M))
+
     def test_cg_rejects_indefinite(self):
         grid = GridSpec(2, 64)
         with pytest.raises(LinearSolverError):
@@ -280,8 +291,6 @@ def _counting_ffts(monkeypatch):
 
 
 def _counting_split_applies(monkeypatch):
-    from multibump.grid import SplitOperator
-
     calls = [0]
 
     def counted(self, x, _original=SplitOperator.apply):
