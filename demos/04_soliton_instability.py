@@ -26,7 +26,7 @@ phi8.certify()
 inst = instability_eigenvalue(phi8, V, f8)
 print(f"growth eigenvalue rho        = {inst.rho:.8f}")
 print(f"quotient minimum mu          = {inst.mu:.6f}  (rho = sqrt(-mu))")
-print(f"block eigen-equation residual = {inst.eigen_residual:.2e}")
+print(f"relative eigen-eq. residual  = {inst.eigen_residual:.2e}")
 
 amp = 1e-4
 seed = phi8.u.values + amp * inst.v.values

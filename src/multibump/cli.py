@@ -173,8 +173,13 @@ class RunConfig:
 
     def _potential(self) -> md.Potential:
         kind, shift = self.get("potential", "kind"), self.get("potential", "shift")
+        own = {"constant": "constant", "cosine": "amplitude", "tabulated": "table"}[kind]
+        unread = [f"potential.{key}" for key in sorted(set(self.data.get("potential", {}))
+                                                         - {"kind", "shift", own})]
+        if unread:
+            raise ConfigError(f"kind {kind!r} does not read {', '.join(unread)}")
         if kind == "constant":
-            return md.Potential.const(self.get("potential", "constant"))
+            return md.Potential.const(self.get("potential", "constant")).shifted(shift)
         if kind == "cosine":
             return md.Potential.cosine(self.get("potential", "amplitude"), shift)
         return md.Potential.tabulated(self.get("potential", "table"), shift)

@@ -1,4 +1,5 @@
-"""Potential, power nonlinearity, energy and its first two derivatives.
+"""Potential x -> base(scale x) + shift, power nonlinearity, energy and its
+first two derivatives.
 
 The energy of a field u is
 
@@ -14,7 +15,7 @@ operator and as a bilinear form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,10 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Potential:
-    """Bounded potential; constant, cosine 1 + A*cos(2 pi x) + shift, or tabulated.
-
-    Cosine and tabulated kinds are 1-periodic.  A generic sampled kind
-    (period equal to the box) backs internally rescaled potentials.
+    """Bounded potential x -> base(scale x) + shift, one rule for every kind:
+    the base is constant, cosine 1 + A*cos(2 pi y), or tabulated (linear
+    interpolation of samples of one unit period), the last two 1-periodic.
+    scale is 1 unless semiclassical.scaled_potential sets it for V(eps x).
     """
 
     kind: str
@@ -46,7 +47,7 @@ class Potential:
     shift: float = 0.0
     constant: float = 0.0
     table: np.ndarray | None = None
-    fn: object | None = None
+    scale: float = 1.0
 
     @classmethod
     def const(cls, c: float) -> "Potential":
@@ -66,56 +67,39 @@ class Potential:
             raise ValueError("potential table contains non-finite entries")
         return cls(kind="tabulated", table=vals, shift=float(shift))
 
-    @classmethod
-    def from_function(cls, fn) -> "Potential":
-        """Potential given by an arbitrary callable of x (no periodicity assumed)."""
-        return cls(kind="callable", fn=fn)
-
     def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        y = self.scale * np.asarray(x, dtype=float)
         if self.kind == "constant":
-            return np.full_like(x, self.constant)
+            return np.full_like(y, self.constant) + self.shift
         if self.kind == "cosine":
-            return 1.0 + self.amplitude * np.cos(2.0 * np.pi * x) + self.shift
+            return 1.0 + self.amplitude * np.cos(2.0 * np.pi * y) + self.shift
         if self.kind == "tabulated":
             n = len(self.table)
-            pos = (x % 1.0) * n
+            pos = (y % 1.0) * n
             i0 = np.floor(pos).astype(int) % n
             frac = pos - np.floor(pos)
             return (1 - frac) * self.table[i0] + frac * self.table[(i0 + 1) % n] + self.shift
-        if self.kind == "callable":
-            return np.asarray(self.fn(x), dtype=float)
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
     def sample(self, grid: GridSpec) -> np.ndarray:
         return self.evaluate(grid.x)
 
     def curvature_at(self, x0: float) -> float:
-        """Second derivative at x0: analytic for cosine, zero for constant,
-        else a central second difference.  For a table its step is the table
-        spacing: over a shorter one it measures the kinks of the linear
-        interpolant, not the potential tabulated."""
+        """Second derivative at x0, scale^2 base''(scale x0): analytic for
+        cosine, zero for constant, else a central second difference over one
+        table spacing, 1/(n scale) in x: over a shorter one it measures the
+        kinks of the linear interpolant, not the potential tabulated."""
         if self.kind == "constant":
             return 0.0
+        k = 2.0 * np.pi * self.scale
         if self.kind == "cosine":
-            return -self.amplitude * (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * x0)
-        eps = 1.0 / len(self.table) if self.kind == "tabulated" else 1e-4
-        vals = self.evaluate(np.array([x0 - eps, x0, x0 + eps]))
-        return float((vals[0] - 2 * vals[1] + vals[2]) / eps**2)
+            return -self.amplitude * k**2 * np.cos(k * x0)
+        step = 1.0 / (len(self.table) * self.scale)
+        vals = self.evaluate(np.array([x0 - step, x0, x0 + step]))
+        return float((vals[0] - 2 * vals[1] + vals[2]) / step**2)
 
     def shifted(self, c: float) -> "Potential":
-        if self.kind == "constant":
-            return Potential.const(self.constant + c)
-        if self.kind == "callable":
-            fn = self.fn
-            return Potential.from_function(lambda x, _fn=fn, _c=c: np.asarray(_fn(x)) + _c)
-        return Potential(
-            kind=self.kind,
-            amplitude=self.amplitude,
-            shift=self.shift + c,
-            constant=self.constant,
-            table=self.table,
-        )
+        return replace(self, shift=self.shift + c)
 
 
 _GAUGE_MARGIN = 0.5  # bottom of -Lap + V after positive_gauge shifts it

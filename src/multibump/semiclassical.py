@@ -17,7 +17,7 @@ mode, and the free Morse count m_V + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,8 +56,8 @@ _MASS_MATCH_TOL = 1e-8  # |mass - alpha/n| at which select_mass_epsilon accepts 
 
 
 def scaled_potential(V: Potential, eps: float) -> Potential:
-    """Potential x -> V(eps x) for the rescaled frame."""
-    return Potential.from_function(lambda x, _V=V, _e=eps: _V.evaluate(_e * x))
+    """Potential x -> V(eps x) for the rescaled frame: V at eps times its scale."""
+    return replace(V, scale=V.scale * eps)
 
 
 def _check_normalization(V: Potential) -> None:

@@ -511,7 +511,8 @@ class InstabilityResult:
 
     rho = sqrt(-mu) where mu is the minimum of the constrained quotient;
     v is the quotient minimizer (orthogonal to the wave), and beta the
-    multiplier that closes the eigenvector reconstruction.
+    multiplier that closes the eigenvector reconstruction.  eigen_residual is
+    the block residual relative to max(1, |v|_inf, |second_component|_inf).
     """
 
     rho: float
@@ -698,7 +699,9 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f) -> InstabilityRe
     beta = float(grid.h * np.dot(L1v, u.values)) / gr.inner_l2(u, u)
     w2 = Field(grid, -rho * l2inv_v + (beta / rho) * u.values)
 
+    # relative to the block vector, whose w2 grows like 1/rho as the bumps part
     r_top = np.max(np.abs(-L2.apply(w2.values) - rho * v.values))
     r_bot = np.max(np.abs(L1v - rho * w2.values))
+    size = max(1.0, np.max(np.abs(v.values)), np.max(np.abs(w2.values)))
     return InstabilityResult(rho=rho, mu=mu, v=v, beta=beta, second_component=w2,
-                             eigen_residual=float(max(r_top, r_bot)))
+                             eigen_residual=float(max(r_top, r_bot) / size))

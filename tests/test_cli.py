@@ -90,6 +90,34 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(data)
 
+    @pytest.mark.parametrize("potential", [
+        {"kind": "constant", "constant": 1.0, "shift": 0.5},
+        {"kind": "cosine", "amplitude": 0.0, "shift": 0.5},
+        {"kind": "tabulated", "table": [1.0, 1.0], "shift": 0.5},
+    ], ids=["constant", "cosine", "tabulated"])
+    def test_every_kind_takes_the_shift(self, potential):
+        # the constant kind used to drop its shift and sample 1.0
+        config = RunConfig({**BASE_CONFIG, "potential": potential})
+        assert np.all(config.potential.sample(config.grid) == 1.5)
+
+    @pytest.mark.parametrize("potential, kind, unread", [
+        ({"amplitude": 0.5}, "constant", "potential.amplitude"),
+        ({"kind": "cosine", "amplitude": 0.5, "table": [1.0, 2.0]}, "cosine", "potential.table"),
+        ({"kind": "cosine", "constant": 2.0}, "cosine", "potential.constant"),
+        ({"kind": "tabulated", "table": [1.0, 2.0], "amplitude": 0.5}, "tabulated",
+         "potential.amplitude"),
+        ({"kind": "constant", "constant": 1.0, "amplitude": 0.5, "table": [1.0, 2.0]},
+         "constant", "potential.amplitude, potential.table"),
+    ])
+    def test_refuses_keys_the_kind_does_not_read(self, potential, kind, unread, tmp_path,
+                                                 capsys):
+        # each of these ran, ignoring the key: the first as V = 1
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "potential": potential})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "groundstate"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: kind {kind!r} does not read {unread}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bump_counts_bounded_by_the_box(self):
         # L = 4: superpose admits the offsets |a| < 3, so at most 2L - 3 = 5 bumps
         small = {**BASE_CONFIG, "grid": {"L": 4, "M": 256}}

@@ -14,6 +14,7 @@ from multibump.model import (
     l2_residual,
     positive_gauge,
 )
+from multibump.semiclassical import scaled_potential
 from multibump.stationary import limit_profile, limit_profile_derivative
 
 
@@ -48,11 +49,60 @@ class TestPotential:
         V = Potential.const(-2.0)
         shifted, c = positive_gauge(V, grid24)
         assert c > 2.0
-        assert shifted.sample(grid24)[0] == pytest.approx(-2.0 + c)
+        assert shifted.kind == "constant" and np.all(shifted.sample(grid24) == -2.0 + c)
 
     def test_positive_gauge_identity_when_positive(self, grid24, vcos):
         shifted, c = positive_gauge(vcos, grid24)
         assert c == 0.0 and shifted is vcos
+
+
+_BASES = {
+    "constant": Potential.const(1.3),
+    "cosine": Potential.cosine(-0.3, shift=0.3),
+    "tabulated": Potential.tabulated(1.0 - 0.3 * np.cos(2 * np.pi * np.arange(64) / 64),
+                                     shift=0.3),
+}
+
+
+class TestRescaledFrame:
+    """scaled_potential(V, eps) is V's own rule at scale eps: x -> V(eps x)."""
+
+    @pytest.mark.parametrize("kind", sorted(_BASES))
+    @pytest.mark.parametrize("eps", [0.2, 0.05, 0.013])
+    def test_samples_v_at_eps_x(self, kind, eps, grid24):
+        V = _BASES[kind]
+        scaled = scaled_potential(V, eps)
+        assert np.array_equal(scaled.sample(grid24), V.evaluate(eps * grid24.x))
+
+    def test_rescaling_composes(self, grid24):
+        V = _BASES["cosine"]
+        twice = scaled_potential(scaled_potential(V, 0.5), 0.25)
+        assert twice.scale == 0.125
+        assert np.array_equal(twice.sample(grid24), V.evaluate(0.125 * grid24.x))
+
+    @pytest.mark.parametrize("x0", [0.0, 0.7, 3.1])
+    @pytest.mark.parametrize("eps", [0.2, 0.05])
+    def test_cosine_curvature_is_eps_squared_v2(self, x0, eps):
+        V = _BASES["cosine"]
+        expected = eps**2 * V.curvature_at(eps * x0)
+        assert scaled_potential(V, eps).curvature_at(x0) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("x0", [0.0, 1.5, 2.25])
+    def test_tabulated_curvature_is_the_sampled_cosine(self, x0):
+        # at eps = 0.2 the step is one table spacing of the base, 1/(64 eps) in x
+        table = scaled_potential(_BASES["tabulated"], 0.2).curvature_at(x0)
+        cosine = scaled_potential(_BASES["cosine"], 0.2).curvature_at(x0)
+        assert table == pytest.approx(cosine, rel=0.01)
+
+    @pytest.mark.parametrize("kind", sorted(_BASES))
+    def test_shift_adds_exactly_c(self, kind, grid24):
+        # the shift is added to the value, never to the argument: one rounding
+        # of shift + c, and the base sampled at the same eps x
+        scaled = scaled_potential(_BASES[kind], 0.05)
+        shifted = scaled.shifted(0.75)
+        assert shifted.scale == scaled.scale and shifted.shift == scaled.shift + 0.75
+        np.testing.assert_allclose(shifted.sample(grid24) - scaled.sample(grid24), 0.75,
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestNonlinearity:

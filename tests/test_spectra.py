@@ -551,6 +551,12 @@ class TestInstabilityLadder:
             assert result.mu < 0 and result.rho == pytest.approx(np.sqrt(-result.mu), rel=1e-15)
             assert abs(inner_l2(result.v, point.u)) < 1e-10
 
+    def test_eigen_residual_is_small_against_rho(self, ladder):
+        # the block vector's second component grows like 1/rho with d; its
+        # residual is measured relative to it (absolute, it read 4e-5 rho at d = 18)
+        for d, (_, result) in ladder.items():
+            assert result.eigen_residual <= 1e-6 * result.rho, d
+
     @pytest.mark.parametrize("d", [8, 12])
     def test_matches_dense_oracle(self, ladder, d, vcos, f4):
         point, result = ladder[d]
@@ -577,6 +583,7 @@ class TestInstabilityLadder:
             assert err.mu is not None
         else:
             assert result.mu == pytest.approx(-7.884e-9, rel=1e-2)
+            assert result.eigen_residual <= 1e-6 * result.rho
 
     def test_starved_solves_are_refused(self, point20, vcos, f4, monkeypatch):
         # solves accepted at backward error 1e-12 leave L2t^{-1} x short along
