@@ -12,13 +12,13 @@ treated as immutable after construction.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import (
     GridMismatchError,
@@ -40,6 +40,8 @@ __all__ = [
     "SplitOperator",
     "minres",
     "lanczos",
+    "RitzBlock",
+    "lobpcg",
     "resolvent_solve",
     "operator_bottom_eigenvalue",
     "potential_samples",
@@ -332,7 +334,7 @@ class FourierOperator:
         return z
 
 
-class SplitOperator(LinearOperator):
+class SplitOperator:
     """S A S for a FourierOperator A, with S = (k^2 + c)^{-1/2} (identity on
     the border entry), in orthonormal real Fourier coordinates.
 
@@ -345,7 +347,10 @@ class SplitOperator(LinearOperator):
     the operator owns, so an apply allocates only the array it returns,
     which is fresh on every call (MINRES keeps its last two products).  A
     system A x = r becomes S A S y = S r (forward) with x = S y (back).
+    shape, dtype and matvec make it a linear operator to scipy's solvers.
     """
+
+    dtype = np.dtype(float)
 
     def __init__(self, op: FourierOperator, c: float):
         M, k2 = op.grid.M, op._k2
@@ -357,7 +362,7 @@ class SplitOperator(LinearOperator):
         self._unscale = 1.0 / s
         self._coeffs, self._field = np.empty(len(k2), dtype=complex), np.empty(M)
         self._border = None if op.border is None else self.forward(op.border)
-        super().__init__(float, (self._n + (op.border is not None),) * 2)
+        self.shape = (self._n + (op.border is not None),) * 2
 
     def forward(self, r: np.ndarray) -> np.ndarray:
         """S r: grid values (plus the border entry) to split coordinates."""
@@ -389,7 +394,7 @@ class SplitOperator(LinearOperator):
             result[n] = -np.dot(border, x[:n])
         return result
 
-    def _matvec(self, x):
+    def matvec(self, x):
         return self.apply(np.ravel(x))
 
 
@@ -483,6 +488,42 @@ def minres(A, b: np.ndarray, *, rtol: float = 1e-5, maxiter: int | None = None,
     return x, maxiter if istop == 6 else 0
 
 
+# thread count of the scipy-openblas64 that numpy's wheels bundle: get, set
+_BLAS_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
+
+@cache
+def _blas_thread_control():
+    """(get, set) of the thread count of the BLAS behind numpy.linalg, looked
+    up through numpy's LAPACK module, which links it; None when that BLAS
+    does not export them."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    if not all(hasattr(lib, name) for name in _BLAS_THREADS):
+        return None
+    return tuple(getattr(lib, name) for name in _BLAS_THREADS)
+
+
+@contextmanager
+def _one_blas_thread():
+    """The body's LAPACK calls on one BLAS thread, the previous count restored
+    after (the count stays when it cannot be set).  Blocked LAPACK sums in an
+    order that depends on the thread count, and on a small matrix the woken
+    threads cost more than they save: on a 2-core x86 host with numpy's
+    bundled OpenBLAS, an order-30 eigh took 3 ms of wall and CPU time on two
+    threads and 0.1 ms on one."""
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get_threads, set_threads = control
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def lanczos(apply, gram, start: np.ndarray, steps: int, select, rtol: float):
     """Lanczos with full (two-pass) reorthogonalization for an operator that is
     self-adjoint in the metric (gram(x), y).
@@ -509,7 +550,8 @@ def lanczos(apply, gram, start: np.ndarray, steps: int, select, rtol: float):
         w -= (active @ gram(w)) @ active  # second pass: orthogonal to roundoff
         gq = gram(w)
         beta = float(np.sqrt(max(np.dot(w, gq), 0.0)))
-        thetas, vecs = eigh_tridiagonal(alphas, betas)
+        with _one_blas_thread():
+            thetas, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         wanted = select(thetas)
         if wanted is not None and beta * abs(vecs[-1, wanted]) <= rtol * abs(thetas[wanted]):
             break
@@ -517,6 +559,126 @@ def lanczos(apply, gram, start: np.ndarray, steps: int, select, rtol: float):
         basis[j + 1] = w / beta
         gq /= beta
     return thetas, vecs, wanted
+
+
+_EIGSH_STEPS = 100  # Lanczos steps of eigsh: the order of its largest tridiagonal
+
+
+def eigsh(apply, start: np.ndarray, rtol: float) -> float:
+    """Largest eigenvalue of a symmetric positive definite operator: lanczos
+    in the Euclidean metric from start, stopped at Ritz residual rtol
+    relative.  LinearSolverError when _EIGSH_STEPS steps do not reach it
+    (a run that meets it at the last step is refused too)."""
+    thetas, _, top = lanczos(lambda q, _gq: apply(q), lambda x: x, start / np.linalg.norm(start),
+                             _EIGSH_STEPS, lambda values: len(values) - 1, rtol)
+    if len(thetas) == _EIGSH_STEPS:
+        raise LinearSolverError(
+            f"Lanczos missed Ritz residual {rtol:.1e} relative in {_EIGSH_STEPS} steps")
+    return float(thetas[top])
+
+
+@dataclass(frozen=True)
+class RitzBlock:
+    """Lowest Ritz pairs of a symmetric operator with their residual norms.
+
+    Each Ritz value lies within its residual norm of an eigenvalue (the
+    vectors are orthonormal), and the block's k values bound the k lowest
+    eigenvalues from above.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray = field(repr=False)
+    residuals: np.ndarray
+
+    def certifies(self, points) -> bool:
+        """True when no residual interval holds one of the points and the top
+        interval lies above all of them: the count below each point is then
+        the block's, provided the block holds the lowest eigenvalues."""
+        lo, hi = self.values - self.residuals, self.values + self.residuals
+        return lo[-1] > max(points) and not any(np.any((lo <= p) & (p <= hi)) for p in points)
+
+
+_ORTHO_TOL = 1e-8  # |Q^T v| above which a new basis column is not orthogonal to Q
+
+
+def _orthonormal_extension(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning V off the orthonormal columns of Q:
+    projection and QR, twice, which is enough (Giraud, Langou & Rozloznik
+    2005).  A column that V holds only to roundoff comes back arbitrary; it
+    is kept only when it came back orthogonal to Q too."""
+    for _ in range(2):
+        with _one_blas_thread():
+            V = np.linalg.qr(V - Q @ (Q.T @ V))[0]
+    return V[:, np.linalg.norm(Q.T @ V, axis=0) < _ORTHO_TOL]
+
+
+def _symmetric(G: np.ndarray) -> np.ndarray:
+    return 0.5 * (G + G.T)
+
+
+def lobpcg(apply, X: np.ndarray, tol: float, maxiter: int, precond=None,
+           constraint: np.ndarray | None = None, stop=None) -> RitzBlock:
+    """Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the lowest
+    eigenpairs of a symmetric operator, from the k columns of X.
+
+    apply(V) is the operator on the columns of V and precond(R) the
+    preconditioner on residual columns.  With a constraint block Y, the
+    iteration runs on the complement of Y with the compression P A P, P the
+    orthogonal projector off Y, whose residuals vanish at its eigenpairs.
+    Each iteration is one Rayleigh-Ritz, np.linalg.eigh of the compressed
+    operator on the orthonormal basis [X, W, P] (Duersch, Shao, Yang & Gu,
+    SIAM J. Sci. Comput. 40, 2018): W holds the preconditioned residuals of
+    the columns whose residual is above tol, and P their last step's move
+    outside the previous X, made orthonormal to the new X in the Ritz
+    coordinates, so only W is orthonormalized against the basis.  The basis
+    has at most 3k columns besides Y's, which must fit in the dimension.
+
+    stop(block) is tested at every iteration but the first, whose block is
+    only the start's Rayleigh-Ritz: columns that have not moved yet can clear
+    any test on their residual intervals while the lowest eigenvalues are
+    still missing from the block.  The run ends when stop holds, when every
+    residual is at most tol, or after maxiter iterations.  The returned block
+    comes from one last Rayleigh-Ritz on X with the operator applied afresh,
+    so its residual norms are those of its pairs.
+    """
+    n, k = X.shape
+    Y = np.zeros((n, 0))
+    if constraint is not None:
+        Y = _orthonormal_extension(Y, constraint)
+
+    def image(V):
+        AV = apply(V)
+        return AV - Y @ (Y.T @ AV)
+
+    S = _orthonormal_extension(Y, X)
+    AS = image(S)
+    for iteration in range(maxiter + 1):
+        with _one_blas_thread():
+            values, coef = np.linalg.eigh(_symmetric(S.T @ AS))
+        values, coef = values[:k], coef[:, :k]
+        X, AX = S @ coef, AS @ coef
+        R = AX - X * values
+        residuals = np.linalg.norm(R, axis=0)
+        active = residuals > tol
+        if (not active.any() or iteration == maxiter
+                or (stop is not None and iteration > 0 and stop(RitzBlock(values, X, residuals)))):
+            break
+        # the move of the active columns outside the previous X (the first k
+        # columns of S), orthonormal to the new X in the Ritz coordinates
+        move = coef[:, active].copy()
+        move[:k] = 0.0
+        move = _orthonormal_extension(coef, move) if S.shape[1] > k else move[:, :0]
+        P, AP = S @ move, AS @ move
+        W = R[:, active] if precond is None else precond(R[:, active])
+        W = _orthonormal_extension(np.hstack([Y, X, P]), W)
+        S, AS = np.hstack([X, W, P]), np.hstack([AX, image(W), AP])
+    with _one_blas_thread():
+        X = np.linalg.qr(X)[0]
+    AX = image(X)
+    with _one_blas_thread():
+        values, coef = np.linalg.eigh(_symmetric(X.T @ AX))
+    X, AX = X @ coef, AX @ coef
+    return RitzBlock(values, X, np.linalg.norm(AX - X * values, axis=0))
 
 
 # -- resolvent of -Lap + V ----------------------------------------------------
@@ -536,11 +698,9 @@ def _bottom_eigenvalue(grid: GridSpec, samples: bytes) -> float:
     vs = np.frombuffer(samples)
     safe_shift = float(vs.min()) - 1.0
     shifted = FourierOperator(grid, vs - safe_shift)
-    op = LinearOperator((grid.M, grid.M), matvec=shifted.cg, dtype=float)
     rng = np.random.default_rng(0)
     v0 = np.ones(grid.M) + 1e-3 * rng.standard_normal(grid.M)
-    vals = eigsh(op, k=1, which="LA", tol=1e-12, v0=v0, return_eigenvectors=False)
-    return safe_shift + 1.0 / float(vals[0])
+    return safe_shift + 1.0 / eigsh(shifted.cg, v0, 1e-12)
 
 
 def resolvent_solve(g: Field, V) -> Field:

@@ -40,6 +40,9 @@ class Potential:
     the base is constant, cosine 1 + A*cos(2 pi y), or tabulated (linear
     interpolation of samples of one unit period), the last two 1-periodic.
     scale is 1 unless semiclassical.scaled_potential sets it for V(eps x).
+    A potential is a value: the table is kept as a read-only copy, and two
+    potentials are equal, with equal hashes, when every field and every
+    table entry is.
     """
 
     kind: str
@@ -48,6 +51,22 @@ class Potential:
     constant: float = 0.0
     table: np.ndarray | None = None
     scale: float = 1.0
+
+    def __post_init__(self):
+        if self.table is not None:
+            table = np.array(self.table, dtype=float)
+            table.setflags(write=False)
+            object.__setattr__(self, "table", table)
+
+    def _key(self) -> tuple:
+        table = None if self.table is None else tuple(self.table.tolist())
+        return (self.kind, self.amplitude, self.shift, self.constant, table, self.scale)
+
+    def __eq__(self, other):
+        return isinstance(other, Potential) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def const(cls, c: float) -> "Potential":

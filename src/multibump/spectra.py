@@ -15,10 +15,11 @@ Counts are matrix-free.  tau0 is TAU0_RELATIVE times the operator's scale,
 k_max^2 + max |weight|, which bounds every |eigenvalue| of L (Weyl), so tau0
 is conservative and known before any eigenvalue is sought.  The free count,
 the gap and the near-zero eigenvalues come from a Fourier-preconditioned
-LOBPCG block of the lowest eigenvalues of L (Knyazev 2001), grown until its
-Ritz residuals certify the count, and run in chunks that stop once the values
-the outputs read are converged (Parlett 1998, ch. 10-11: a Ritz value lies
-within its residual of an eigenvalue).  z and the pairings
+LOBPCG block of the lowest eigenvalues of L (grid.lobpcg, Knyazev 2001),
+grown until its Ritz residuals certify the count; each run tests the
+certificate at every iteration and stops once the values the outputs read
+are converged (Parlett 1998, ch. 10-11: a Ritz value lies within its
+residual of an eigenvalue).  z and the pairings
 u^T (L - s)^{-1} u come from solves of (L - s) x = u, and the constrained
 count from the inertia of the bordered matrix [[L - s, u], [u^T, 0]].
 Near-zero eigenvalues (within tau0) are reported and make counts
@@ -29,8 +30,10 @@ The instability pencil (L1, L2^{-1}) on the tangent space is matrix-free
 too: its negative eigenvalues are counted by the certified constrained
 count (Sylvester inertia), the lowest one comes from Lanczos on the
 inverse pencil with bordered solves, and it is returned only when its
-residual bounds its error below its size.  Every solve here is
-gluing._solve_bordered run to the roundoff floor.
+residual bounds its error below its size, with the error of the L2 solves
+weighed by a one-column LOBPCG probe's lower bound on the lowest tangent
+eigenvalue of L2.  Every solve here is gluing._solve_bordered run to the
+roundoff floor.
 
 One dense computation remains: the full spectrum the spectrum command
 writes, dense_spectrum.  -Lap commutes with every reflection of the grid,
@@ -39,19 +42,19 @@ point (found from its autoconvolution), the spectrum is that of an even
 and an odd block of order about M/2, built from the Laplacian column
 without an M x M matrix: a quarter of the flops (Fassler & Stiefel 1992).
 Otherwise the full matrix is solved.  Either runs on one BLAS thread, so
-the table does not depend on the thread count (Demmel & Nguyen 2015).
+the table does not depend on the thread count (Demmel & Nguyen 2015).  The
+module needs numpy only: the circulant, Toeplitz and Hankel matrices are
+copied out of strided views of their first columns, and every eigensolver
+it runs is grid's.
 """
 
 from __future__ import annotations
 
-import ctypes
-import warnings
-from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gluing as gl
 from . import grid as gr
@@ -64,12 +67,11 @@ from .errors import (
     PreconditionError,
     UncertifiedCountError,
 )
-from .grid import Field
+from .grid import Field, RitzBlock
 from .stationary import ConstrainedCriticalPoint
 
 __all__ = [
     "MorseCount",
-    "RitzBlock",
     "Linearization",
     "SpectralReport",
     "InstabilityResult",
@@ -84,8 +86,7 @@ __all__ = [
 # relative above the top one on GridSpec(24, 1536)
 TAU0_RELATIVE = 1e-6
 _RITZ_TOL = 1e-12
-_LOBPCG_MAXITER = 200  # iterations per LOBPCG run, over all its chunks
-_CHUNK = 10           # LOBPCG iterations between two tests of a block's certificate
+_LOBPCG_MAXITER = 200  # iterations per LOBPCG run
 _BLOCK_START, _BLOCK_CAP = 3, 64  # LOBPCG block size: first try, and the cap
 _SOLVE_RTOL = 1e-10   # sup-norm residual of a MINRES solve, relative to max(1, |rhs|)
 _FLOOR_RTOL = 0.1 * np.finfo(float).eps  # MINRES rtol: every solve runs to the roundoff floor
@@ -96,8 +97,6 @@ _KERNEL_CHECK_TOL = 1e-6  # sup norm of L2 phi above which phi is not in its ker
 # matrix of the symmetrized weight, whose eigenvalues move by at most half of
 # it (Weyl), far below the table's 1e-10 absolute accuracy
 _PARITY_TOL = 1e-12
-# thread count of the scipy-openblas64 that numpy's wheels bundle: get, set
-_BLAS_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
 
 def _laplacian_column(grid) -> np.ndarray:
@@ -113,7 +112,10 @@ def linearized_matrix(u: Field, lam: float, V, f) -> np.ndarray:
     the circulant of the symmetrized first column: entry by entry the same
     floating-point sum as 0.5 (C + C^T) for C = circulant(c), and exactly
     symmetric.  It is the tests' dense oracle and dense_spectrum's fallback."""
-    mat = scipy.linalg.circulant(_laplacian_column(u.grid))
+    c = _laplacian_column(u.grid)
+    # row i of circulant(c) is c reversed and rolled by i + 1: a window of
+    # c[::-1] repeated, copied out of a strided view
+    mat = sliding_window_view(np.tile(c[::-1], 2)[:-1], len(c))[::-1].copy()
     mat.flat[:: u.grid.M + 1] += md.linearized_operator(u, lam, V, f).weight
     return mat
 
@@ -143,11 +145,12 @@ def _parity_spectrum(c: np.ndarray, w: np.ndarray, s: int) -> np.ndarray:
     points = (s + r) // 2 + np.arange(n)
     w_half = 0.5 * (w[points % M] + w[(s - points) % M])
     c_ext = np.append(c, c[0])  # c[(k + l) mod M] up to k + l = M
+    # strided views, rows k: T from c[n-1:0:-1] c[:n], H from c_ext[r + k:]
+    toeplitz = sliding_window_view(np.concatenate([c[n - 1:0:-1], c[:n]]), n)[::-1]
+    hankel = sliding_window_view(c_ext[r:r + 2 * n - 1], n)
     values = []
     for combine in (np.add, np.subtract):
-        block = scipy.linalg.toeplitz(c[:n])
-        combine(block, scipy.linalg.hankel(c_ext[r:r + n], c_ext[r + n - 1:r + 2 * n - 1]),
-                out=block)
+        block = combine(toeplitz, hankel)
         if r == 0 and combine is np.add:
             block[[0, -1]] *= np.sqrt(0.5)
             block[:, [0, -1]] *= np.sqrt(0.5)
@@ -159,17 +162,6 @@ def _parity_spectrum(c: np.ndarray, w: np.ndarray, s: int) -> np.ndarray:
     return np.sort(np.concatenate(values))
 
 
-@cache
-def _blas_thread_control():
-    """(get, set) of the thread count of the BLAS behind numpy.linalg, looked
-    up through numpy's LAPACK module, which links it."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    if not all(hasattr(lib, name) for name in _BLAS_THREADS):
-        raise PreconditionError("cannot run the eigenvalue table on one BLAS thread: "
-                                f"numpy.linalg's BLAS does not export {_BLAS_THREADS}")
-    return tuple(getattr(lib, name) for name in _BLAS_THREADS)
-
-
 def dense_spectrum(u: Field, lam: float, V, f) -> np.ndarray:
     """Sorted eigenvalues of linearized_matrix(u, lam, V, f), the same on any
     BLAS thread count.  -Lap commutes with every reflection of the grid, so
@@ -179,17 +171,15 @@ def dense_spectrum(u: Field, lam: float, V, f) -> np.ndarray:
     the full matrix is solved.  Every solve runs on one BLAS thread, and the
     previous count is restored: blocked LAPACK sums in an order that depends
     on the thread count."""
+    if gr._blas_thread_control() is None:
+        raise PreconditionError("cannot run the eigenvalue table on one BLAS thread: "
+                                f"numpy.linalg's BLAS does not export {gr._BLAS_THREADS}")
     w = md.linearized_operator(u, lam, V, f).weight
     s, asymmetry = _reflection_centre(w)
-    get_threads, set_threads = _blas_thread_control()
-    before = get_threads()
-    set_threads(1)
-    try:
+    with gr._one_blas_thread():
         if asymmetry > _PARITY_TOL:
             return np.linalg.eigvalsh(linearized_matrix(u, lam, V, f))
         return _parity_spectrum(_laplacian_column(u.grid), w, s)
-    finally:
-        set_threads(before)
 
 
 @dataclass(frozen=True)
@@ -215,82 +205,18 @@ def _count_below_threshold(eigenvalues: np.ndarray, tau0: float) -> MorseCount:
     return MorseCount(count=count, near_zero=near, tau0=tau0)
 
 
-@dataclass(frozen=True)
-class RitzBlock:
-    """Lowest Ritz pairs of a symmetric operator with their residual norms.
-
-    Each Ritz value lies within its residual norm of an eigenvalue (the
-    vectors are orthonormal), and the block's k values bound the k lowest
-    eigenvalues from above.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray = field(repr=False)
-    residuals: np.ndarray
-
-    def certifies(self, points) -> bool:
-        """True when no residual interval holds one of the points and the top
-        interval lies above all of them (or the block spans the space): the
-        count below each point is then the block's, provided the block holds
-        the lowest eigenvalues."""
-        lo, hi = self.values - self.residuals, self.values + self.residuals
-        above = lo[-1] > max(points) or len(self.values) == len(self.vectors)
-        return above and not any(np.any((lo <= p) & (p <= hi)) for p in points)
-
-
-def _linear_operator(op: gr.FourierOperator):
-    """(LinearOperator, LOBPCG preconditioner) of a grid.FourierOperator, whose
-    preconditioner is the Fourier multiplier (k^2 + op.minres_shift)^{-1} of
-    the bottom of the spectrum."""
+def _lowest_ritz(op: gr.FourierOperator, start: np.ndarray, tol: float,
+                 constraint: np.ndarray | None = None, settled=None) -> RitzBlock:
+    """grid.lobpcg on op from the columns of start, preconditioned by the
+    Fourier multiplier (k^2 + op.minres_shift)^{-1} of the bottom of the
+    spectrum, for up to _LOBPCG_MAXITER iterations; with a constraint column,
+    on the compression of op to its complement.  It stops at the first block
+    whose residuals are all <= tol or for which settled(block) holds."""
     n = op.grid.M
     symbol = op.grid.wavenumbers**2 + op.minres_shift
-    L = LinearOperator((n, n), matvec=lambda x: op.apply(np.ravel(x)),
-                       matmat=lambda X: op.apply(X.T).T, dtype=float)
-    return L, lambda X: np.fft.irfft(np.fft.rfft(X.T) / symbol, n=n).T
-
-
-def _lowest_ritz(L, precond, start: np.ndarray, tol: float,
-                 constraint: np.ndarray | None = None, settled=None) -> RitzBlock:
-    """LOBPCG from the columns of start; with a constraint column, on the
-    compression P L P to its complement (P the orthogonal projector), whose
-    residuals vanish at its eigenpairs where those of L restricted to the
-    complement do not.
-
-    Without settled, one run of up to _LOBPCG_MAXITER iterations.  With it,
-    runs of _CHUNK iterations, each restarted from the last block, up to the
-    same total; they stop at the first block whose residuals are all <= tol,
-    for which settled(block) holds, or that LOBPCG could not improve.
-    """
-    op = L
-    if constraint is not None:
-        unit = constraint / np.linalg.norm(constraint)
-
-        def compressed(X):
-            X = X - unit @ (unit.T @ X)
-            X = L @ X
-            return X - unit @ (unit.T @ X)
-
-        op = LinearOperator(L.shape, matvec=compressed, matmat=compressed, dtype=float)
-    chunk = _LOBPCG_MAXITER if settled is None else _CHUNK
-    vectors = start
-    for _ in range(_LOBPCG_MAXITER // chunk):
-        with warnings.catch_warnings():  # the caller's test, not LOBPCG's own, decides
-            warnings.simplefilter("ignore", UserWarning)
-            values, vectors, *history = lobpcg(
-                op, vectors, M=precond, Y=constraint, tol=tol, maxiter=chunk,
-                largest=False, retResidualNormsHistory=True)
-        if history:  # its last row: the residual norms of the returned pairs
-            residuals = np.atleast_1d(history[0][-1])
-        else:  # scipy's dense path for small problems keeps no history
-            residuals = np.linalg.norm(op @ vectors - vectors * values, axis=0)
-        block = RitzBlock(values, vectors, residuals)
-        # LOBPCG returns its best block; when that is the start, a restart
-        # from it would repeat the chunk
-        kept_start = not history or len(history[0]) == 2
-        if (np.all(residuals <= tol) or kept_start
-                or (settled is not None and settled(block))):
-            break
-    return block
+    return gr.lobpcg(lambda X: op.apply(X.T).T, start, tol, _LOBPCG_MAXITER,
+                     precond=lambda R: np.fft.irfft(np.fft.rfft(R.T) / symbol, n=n).T,
+                     constraint=constraint, stop=settled)
 
 
 class Linearization:
@@ -302,7 +228,7 @@ class Linearization:
     Ritz tolerance are TAU0_RELATIVE and _RITZ_TOL times op.scale, which is
     at least every |eigenvalue| of L (Weyl), so tau0 is conservative.  The
     lowest eigenvalues come from a LOBPCG block preconditioned by
-    (k^2 + c)^{-1}, run in chunks that stop as soon as the block certifies
+    (k^2 + c)^{-1}, whose iteration stops as soon as the block certifies
     the band [-tau0, tau0] and every Ritz value an output reads (the gap
     value and the near-zero values) has residual <= the Ritz tolerance; the
     other values need only clear the certificate.  tau0, the certified
@@ -314,7 +240,6 @@ class Linearization:
 
     def __init__(self, op: gr.FourierOperator, u: Field):
         self.op, self.u = op, u
-        self._L, self._precond = _linear_operator(op)
         self.tau0 = TAU0_RELATIVE * op.scale
         self._ritz_tol = _RITZ_TOL * op.scale
         self.block = self._certify((-self.tau0, self.tau0), np.random.default_rng(0))
@@ -334,7 +259,7 @@ class Linearization:
         refined into kernel vectors).  At the block cap a block that
         certifies is taken as it is; else UncertifiedCountError."""
         n = len(self.u.values)
-        limit = min(_BLOCK_CAP, n if constraint is None else (n - 1) // 5)
+        limit = min(_BLOCK_CAP, (n - (constraint is not None)) // 3)  # LOBPCG's basis fits
 
         def settled(block: RitzBlock) -> bool:
             read = np.abs(block.values) <= self.tau0
@@ -343,7 +268,7 @@ class Linearization:
             return block.certifies(points) and bool(converged)
 
         def ritz(start: np.ndarray) -> RitzBlock:
-            return _lowest_ritz(self._L, self._precond, start, self._ritz_tol, constraint, settled)
+            return _lowest_ritz(self.op, start, self._ritz_tol, constraint, settled)
 
         if block is None:
             block = ritz(rng.standard_normal((n, min(_BLOCK_START, limit))))
@@ -617,7 +542,11 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f) -> InstabilityRe
     when the pencil residual r = P L1 x - mu L2t^{-1} x, measured in grid
     coordinates, bounds its distance to an eigenvalue (Kato) below |mu|;
     else NoInstabilityDetected.  PositivityViolationError when the lowest
-    Ritz value of L2 on the tangent space lies below a roundoff band.
+    Ritz value of L2 on the tangent space, an upper bound on its lowest
+    eigenvalue there, lies below a roundoff band.  That probe stops once it
+    is positive to 10 % (value - residual > 0, residual <= 0.1 value) or its
+    residual interval lies below the band; the Kato bound divides by
+    value - residual, and NoInstabilityDetected when that is not positive.
     """
     u, lam = phi.u, phi.lam
     grid = u.grid
@@ -642,12 +571,18 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f) -> InstabilityRe
     # at multibump points the antisymmetric partner of the kernel sits
     # exponentially close to zero but strictly above it; only a roundoff
     # band below zero counts as a violation
+    band = _POSITIVITY_TOL * lin.op.scale
+
+    def resolved(block: RitzBlock) -> bool:  # positive to 10 %, or below the band
+        value, residual = block.values[0], block.residuals[0]
+        return (value - residual > 0.0 and residual <= 0.1 * value) or value + residual < -band
+
     start = np.random.default_rng(0).standard_normal((grid.M, 1))
-    lowest = float(_lowest_ritz(*_linear_operator(L2), start, lin._ritz_tol,
-                                u.values[:, None]).values[0])
-    if lowest < -_POSITIVITY_TOL * lin.op.scale:
+    probe = _lowest_ritz(L2, start, 0.0, u.values[:, None], resolved)
+    lowest, lowest_residual = float(probe.values[0]), float(probe.residuals[0])
+    if lowest < -band:
         raise PositivityViolationError(
-            f"comparison operator has eigenvalue {lowest:.3e} on the tangent space"
+            f"comparison operator has an eigenvalue at most {lowest:.3e} on the tangent space"
         )
 
     m = lin.count_below(-lin.tau0)
@@ -678,12 +613,19 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f) -> InstabilityRe
     # Kato: an eigenvalue lies within |r|_{L2t} / |x|_{L2t^{-1}} of mu, with
     # |r|_{L2t} <= sqrt(scale) |r|.  The second term carries the error of y
     # as L2t^{-1} x: the residual s of that solve moves y by L2t^{-1} s, of
-    # norm at most |s| / sqrt(lowest) in the metric, lowest being the probe's
-    # eigenvalue (exponentially small at multibump points)
+    # norm at most |s| / sqrt(floor) in the metric, floor = lowest - its
+    # residual bounding the probe's eigenvalue (exponentially small at
+    # multibump points) from below
+    floor = lowest - lowest_residual
+    if not floor > 0.0:
+        raise NoInstabilityDetected(
+            f"quotient minimum {mu:.3e} is not resolved: the comparison operator's "
+            f"tangent eigenvalue {lowest:.3e} is within its residual "
+            f"{lowest_residual:.3e} of zero", mu=mu,
+        )
     r = L1x - mu * y
     slip = np.linalg.norm(x - pencil.project(L2.apply(y)))
-    solve_error = slip / np.sqrt(lowest) if lowest > 0.0 else np.inf
-    bound = (np.sqrt(L2.scale) * np.linalg.norm(r) + abs(mu) * solve_error) / np.sqrt(xy)
+    bound = (np.sqrt(L2.scale) * np.linalg.norm(r) + abs(mu) * slip / np.sqrt(floor)) / np.sqrt(xy)
     if not (mu < 0.0 and bound < -mu):
         raise NoInstabilityDetected(
             f"quotient minimum {mu:.3e} is not resolved: its error bound "

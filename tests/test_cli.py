@@ -200,6 +200,19 @@ class TestGroundstate:
         spectrum = json.loads((out / "groundstate_spectrum.json").read_text())
         assert spectrum["m"] == 0 and spectrum["m_f"] == 1
 
+    def test_runs_without_importing_scipy(self, groundstate_run):
+        # scipy is the tests' oracle only: a command, classify and its lazy
+        # imports included, runs on numpy alone
+        tmp, cfg, _ = groundstate_run
+        code = ("import sys; from multibump import cli; rc = cli.main(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                "sys.exit(rc)")
+        proc = _run_cli(["--config", cfg, "--out", str(tmp / "no_scipy"), "groundstate"],
+                        code=code)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp / "no_scipy" / "groundstate_spectrum.json").exists()
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_artifacts_do_not_depend_on_thread_count(self, groundstate_run):
         # BLAS reads its thread count when it loads, so each count needs its
         # own interpreter
@@ -264,8 +277,9 @@ class TestSpectrumCommand:
         ])
         assert rc == 0
         # the table's parity blocks (the field is even about x = 0.5, a grid
-        # point), and no other eigensolve
-        assert eigensolve_sizes == [513, 511]
+        # point), and no other eigensolve of an order near M = 1024: the rest
+        # are the Rayleigh-Ritz and tridiagonal solves of LOBPCG and Lanczos
+        assert [n for n in eigensolve_sizes if n >= 1024 // 4] == [513, 511]
         report = json.loads((tmp / "spectrum_out" / "spectrum.json").read_text())
         assert report["classification"] == "fully_nondegenerate_neg"
         rows = (tmp / "spectrum_out" / "spectrum_eigenvalues.csv").read_text().splitlines()

@@ -521,6 +521,76 @@ class TestSpectrumBottomHelper:
         assert operator_bottom_eigenvalue(base, grid) == uncached == bottoms[0]
         assert_allclose(np.diff(bottoms), 0.1, rtol=1e-9)
 
+    @staticmethod
+    def _shifted(samples):
+        """(shift, -Lap + V - shift, the start vector) as the spectrum bottom
+        builds them."""
+        grid = GridSpec(8, len(samples))
+        shift = float(samples.min()) - 1.0
+        v0 = np.ones(grid.M) + 1e-3 * np.random.default_rng(0).standard_normal(grid.M)
+        return shift, FourierOperator(grid, samples - shift), v0
+
+    @pytest.mark.parametrize("kind", ["cosine", "tabulated", "random well"])
+    def test_eigsh_matches_scipy(self, kind):
+        # scipy's eigsh (ARPACK, Lanczos with restarts) is the oracle of the
+        # port: the largest eigenvalue of the CG inverse to 1e-12 relative
+        from scipy.sparse.linalg import LinearOperator
+        from scipy.sparse.linalg import eigsh as scipy_eigsh
+
+        from multibump import grid as gr
+
+        grid = GridSpec(8, 512)
+        rng = np.random.default_rng(4)
+        samples = {
+            "cosine": Potential.cosine(0.5).sample(grid),
+            "tabulated": Potential.tabulated(rng.uniform(-1.0, 1.0, 7)).sample(grid),
+            "random well": 1.0 - 3.0 * np.exp(-(grid.x - rng.uniform(-4, 4)) ** 2),
+        }[kind]
+        shift, op, v0 = self._shifted(samples)
+        ours = gr.eigsh(op.cg, v0, 1e-12)
+        oracle = scipy_eigsh(LinearOperator((grid.M, grid.M), matvec=op.cg, dtype=float),
+                             k=1, which="LA", tol=1e-12, v0=v0, return_eigenvectors=False)[0]
+        assert ours == pytest.approx(oracle, rel=1e-12, abs=0)
+        assert operator_bottom_eigenvalue(samples, grid) == shift + 1.0 / ours
+        dense = np.linalg.eigvalsh(_dense_neg_laplacian(grid) + np.diag(samples))[0]
+        assert shift + 1.0 / ours == pytest.approx(dense, rel=1e-10)
+
+    def test_eigsh_refuses_an_unconverged_run(self, monkeypatch):
+        from multibump import grid as gr
+
+        monkeypatch.setattr(gr, "_EIGSH_STEPS", 2)
+        _, op, v0 = self._shifted(Potential.cosine(0.5).sample(GridSpec(8, 512)))
+        with pytest.raises(LinearSolverError, match="in 2 steps"):
+            gr.eigsh(op.cg, v0, 1e-12)
+
+
+def test_small_dense_solves_run_on_one_blas_thread(monkeypatch):
+    # the eigh and qr calls of lanczos and lobpcg are pinned to one thread,
+    # and the caller's count is restored
+    from multibump import grid as gr
+
+    get_threads, set_threads = gr._blas_thread_control()
+    threads = []
+    for name in ("eigh", "qr"):
+        def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+            threads.append(get_threads())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    diagonal = np.arange(1.0, 201.0)
+    before = get_threads()
+    try:
+        set_threads(2)
+        block = gr.lobpcg(lambda X: diagonal[:, None] * X,
+                          np.random.default_rng(0).standard_normal((200, 3)), 1e-10, 100)
+        top = gr.eigsh(lambda x: x / diagonal, np.ones(200), 1e-12)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert threads and set(threads) == {1}
+    assert_allclose(block.values, [1.0, 2.0, 3.0], rtol=1e-12)
+    assert top == pytest.approx(1.0, rel=1e-12)
+
 
 class TestSerialization:
     def test_csv_roundtrip(self, soliton24, tmp_path):

@@ -55,6 +55,25 @@ class TestPotential:
         shifted, c = positive_gauge(vcos, grid24)
         assert c == 0.0 and shifted is vcos
 
+    def test_tabulated_compares_and_hashes_by_value(self):
+        a, b = Potential.tabulated([1.0, 2.0]), Potential.tabulated([1.0, 2.0])
+        assert a == b and hash(a) == hash(b)
+        assert a.shifted(0.5) == b.shifted(0.5) and a.shifted(0.5) != b
+        assert a != Potential.tabulated([1.0, 3.0])
+        assert a != Potential.tabulated([1.0, 2.0, 1.0])
+        assert a != Potential.cosine(0.5) and a != "tabulated"
+        assert {a: "first"}[b] == "first"
+        assert len({a, b, Potential.tabulated([1.0, 3.0]), Potential.const(1.0)}) == 3
+
+    def test_table_is_a_frozen_copy(self):
+        values = np.array([1.0, 2.0])
+        V = Potential.tabulated(values)
+        key = hash(V)
+        values[0] = 5.0  # the caller's array is not the potential's
+        assert V.table[0] == 1.0 and hash(V) == key
+        with pytest.raises(ValueError):
+            V.table[0] = 5.0
+
 
 _BASES = {
     "constant": Potential.const(1.3),

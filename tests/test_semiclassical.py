@@ -160,17 +160,18 @@ class TestMorseCheck:
         blocks = []
         original = spectra._lowest_ritz
 
-        def counted(L, precond, start, tol, constraint=None, settled=None):
+        def counted(op, start, tol, constraint=None, settled=None):
             blocks.append(constraint is None)
-            return original(L, precond, start, tol, constraint, settled)
+            return original(op, start, tol, constraint, settled)
 
         monkeypatch.setattr(spectra, "_lowest_ritz", counted)
         family = continue_family(grid_semi, [0.2, 0.1], vmin_well, 4.0)
         z_eps_check(family)
         morse_check(family, m_V=0)
-        # one LOBPCG block of L per member, shared by both tables; nothing dense
+        # one LOBPCG block of L per member, shared by both tables; nothing
+        # dense but LOBPCG's Rayleigh-Ritz solves
         assert blocks == [True] * len(family.members)
-        assert eigensolve_sizes == []
+        assert eigensolve_sizes and max(eigensolve_sizes) < grid_semi.M // 4
 
 
 class TestSelectMassEpsilon:

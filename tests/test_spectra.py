@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from pencil_oracle import dense_pencil, householder_vector, tangent_block
 
+from multibump import grid as gr
+from multibump import model as md
 from multibump import spectra
 from multibump.errors import (
     NoInstabilityDetected,
@@ -23,6 +25,7 @@ from multibump.grid import (
     Field,
     FourierOperator,
     GridSpec,
+    RitzBlock,
     inner_l2,
     operator_bottom_eigenvalue,
     potential_samples,
@@ -32,7 +35,6 @@ from multibump.grid import (
 from multibump.model import Potential, hessian_form
 from multibump.spectra import (
     Linearization,
-    RitzBlock,
     SpectralReport,
     classify,
     instability_eigenvalue,
@@ -165,11 +167,11 @@ class TestDenseSpectrum:
         """dense_spectrum of -Lap + w, with the order and the BLAS thread count
         of each eigvalsh it runs."""
         u = Field(GridSpec(4, len(w)), np.zeros(len(w)))
-        get_threads, _ = spectra._blas_thread_control()
+        control = gr._blas_thread_control()  # None where the table is refused
         calls = []
 
         def counted(a, _original=np.linalg.eigvalsh):
-            calls.append((len(a), get_threads()))
+            calls.append((len(a), control[0]()))
             return _original(a)
 
         with pytest.MonkeyPatch.context() as patch:
@@ -198,7 +200,7 @@ class TestDenseSpectrum:
         assert calls == [(order, 1) for order in orders]  # each solve on one thread
 
     def test_restores_the_thread_count(self, zero_f):
-        get_threads, set_threads = spectra._blas_thread_control()
+        get_threads, set_threads = gr._blas_thread_control()
         before = get_threads()
         _, w, _ = _random_well(0, 10.0)
         try:
@@ -211,14 +213,14 @@ class TestDenseSpectrum:
     def test_refuses_without_the_thread_control(self, zero_f, monkeypatch):
         # a BLAS that cannot be pinned would make the table depend on the
         # thread count: the solve is refused, not run
-        monkeypatch.setattr(spectra, "_BLAS_THREADS", ("no_get_num_threads", "no_set_num_threads"))
-        spectra._blas_thread_control.cache_clear()
+        monkeypatch.setattr(gr, "_BLAS_THREADS", ("no_get_num_threads", "no_set_num_threads"))
+        gr._blas_thread_control.cache_clear()
         _, w, _ = _random_well(0, 10.0)
         try:
             with pytest.raises(PreconditionError, match="one BLAS thread"):
                 self._solve(w, zero_f)
         finally:
-            spectra._blas_thread_control.cache_clear()
+            gr._blas_thread_control.cache_clear()
 
 
 class TestMorseCounts:
@@ -322,6 +324,60 @@ class TestMorseCounts:
         assert lin.constrained.count == np.count_nonzero(projected < -lin.tau0) == 2
 
 
+class TestLobpcg:
+    """grid.lobpcg against the dense spectrum, with and without a constraint."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), depth=hst.floats(0.5, 30.0),
+           k=hst.integers(1, 8), constrained=hst.booleans())
+    @example(**_PINNED_WELL, k=6, constrained=True)
+    def test_lowest_values_match_the_dense_spectrum(self, seed, depth, k, constrained, zero_f):
+        u, w, rng = _random_well(seed, depth)
+        op = md.linearized_operator(u, 0.0, w, zero_f)
+        symbol = u.grid.wavenumbers**2 + op.minres_shift
+        L = linearized_matrix(u, 0.0, w, zero_f)
+        if constrained:
+            constraint, dense = u.values[:, None], _projected_eigenvalues(L, u.values)
+        else:
+            constraint, dense = None, np.linalg.eigvalsh(L)
+        tol = 1e-12 * op.scale
+        block = gr.lobpcg(lambda X: op.apply(X.T).T, rng.standard_normal((u.grid.M, k)), tol, 200,
+                          precond=lambda R: np.fft.irfft(np.fft.rfft(R.T) / symbol, n=u.grid.M).T,
+                          constraint=constraint)
+        vectors = block.vectors
+        assert np.all(block.residuals <= tol)
+        assert np.allclose(vectors.T @ vectors, np.eye(k), rtol=0, atol=1e-12)
+        if constrained:
+            assert np.max(np.abs(u.values @ vectors)) <= 1e-12 * np.linalg.norm(u.values)
+        # the residual norms returned are those of the pairs
+        images = op.apply(vectors.T).T
+        if constrained:
+            unit = u.values / np.linalg.norm(u.values)
+            images -= np.outer(unit, unit @ images)
+        assert np.allclose(block.residuals, np.linalg.norm(images - vectors * block.values, axis=0),
+                           rtol=1e-6, atol=64 * np.finfo(float).eps * op.scale)
+        # each of the k lowest within its residual (and the dense solve's
+        # roundoff) of the Ritz value
+        slack = 64 * np.finfo(float).eps * op.scale
+        assert np.all(np.abs(block.values - dense[:k]) <= block.residuals + slack)
+
+    def test_stop_is_tested_at_every_iteration_but_the_first(self, zero_f):
+        u, w, rng = _random_well(**_PINNED_WELL)
+        op = md.linearized_operator(u, 0.0, w, zero_f)
+        seen = []
+
+        def stop(block):
+            seen.append(block.values.copy())
+            return len(seen) == 3
+
+        block = gr.lobpcg(lambda X: op.apply(X.T).T, rng.standard_normal((u.grid.M, 3)), 0.0, 200,
+                          stop=stop)
+        assert len(seen) == 3
+        # values only fall, and the returned block is the stopped one, refined
+        assert np.all(np.diff(seen, axis=0) <= 1e-12 * op.scale)
+        assert np.all(block.values <= seen[-1] + 1e-12 * op.scale)
+
+
 class TestCertificateCost:
     """The Linearization does the work its outputs read, and no more."""
 
@@ -358,7 +414,8 @@ class TestPairingCount:
     def test_classify_makes_no_dense_eigensolve(self, glued_two, vcos, f4, eigensolve_sizes):
         point = glued_two[16].point
         report = classify(point.u, point.lam, vcos, f4)
-        assert eigensolve_sizes == []
+        # LOBPCG's Rayleigh-Ritz solves only, of order at most 3 x the block
+        assert eigensolve_sizes and max(eigensolve_sizes) < point.u.grid.M // 4
         assert (report.m, report.m_f) == (1, 2)
 
 
@@ -490,12 +547,56 @@ class TestInstability:
         assert err.value.mu is not None and err.value.mu > -1e-2
 
     def test_positivity_failure_reports_the_eigenvalue(self, phi_super, V1, f8, monkeypatch):
-        # a band reaching up to +scale: the probe's lowest tangent eigenvalue
-        # of L2 (just above the continuum edge 4 = 1 - lambda) falls inside it
+        # a band reaching up to +scale: the probe stops once its Ritz interval
+        # lies in it, and reports its Ritz value, an upper bound on the lowest
+        # tangent eigenvalue of L2 (just above the continuum edge 4 = 1 - lambda)
         monkeypatch.setattr(spectra, "_POSITIVITY_TOL", -1.0)
         with pytest.raises(PositivityViolationError,
-                           match=r"comparison operator has eigenvalue 4\.0\d\de\+00 on the tangent space"):
+                           match=r"comparison operator has an eigenvalue at most \S+ on the tangent space") as err:
             instability_eigenvalue(phi_super, V1, f8)
+        assert float(str(err.value).split("at most ")[1].split()[0]) >= 4.0
+
+    def test_probe_within_its_residual_of_zero_is_refused(self, phi_super, V1, f8, monkeypatch):
+        # the Kato bound divides by the probe's lowest tangent eigenvalue of
+        # L2; a Ritz value whose residual interval reaches zero bounds
+        # nothing, so the eigenvalue is refused, not returned
+        original = spectra._lowest_ritz
+
+        def stubbed(*args, **kwargs):
+            block = original(*args, **kwargs)
+            if block.vectors.shape[1] == 1:  # the one-column probe
+                return type(block)(np.array([1e-3]), block.vectors, np.array([1e-2]))
+            return block
+
+        monkeypatch.setattr(spectra, "_lowest_ritz", stubbed)
+        with pytest.raises(NoInstabilityDetected, match="within its residual") as err:
+            instability_eigenvalue(phi_super, V1, f8)
+        assert err.value.mu < 0
+
+    def test_probe_stops_once_positive_to_ten_percent(self, phi_super, V1, f8, monkeypatch):
+        runs = []  # (block, operator columns applied) of each LOBPCG run
+        original, apply = spectra._lowest_ritz, FourierOperator.apply
+        columns = [0]
+
+        def counted_apply(self, x):
+            columns[0] += 1 if x.ndim == 1 else len(x)
+            return apply(self, x)
+
+        def recorded(*args, **kwargs):
+            before = columns[0]
+            block = original(*args, **kwargs)
+            runs.append((block, columns[0] - before))
+            return block
+
+        monkeypatch.setattr(FourierOperator, "apply", counted_apply)
+        monkeypatch.setattr(spectra, "_lowest_ritz", recorded)
+        instability_eigenvalue(phi_super, V1, f8)
+        (probe, applied), = [run for run in runs if run[0].vectors.shape[1] == 1]
+        value, residual = probe.values[0], probe.residuals[0]
+        # the lowest tangent eigenvalue sits just above the continuum edge 4;
+        # run to the Ritz tolerance the probe took 81 applies, 13 measured here
+        assert 0.0 < residual <= 0.1 * value and value == pytest.approx(4.0, rel=0.01)
+        assert applied <= 20
 
     def test_makes_no_dense_computation(self, phi_super, V1, f8, eigensolve_sizes, monkeypatch):
         def refuse(*args, **kwargs):
@@ -504,7 +605,8 @@ class TestInstability:
         for name in ("cholesky", "solve"):
             monkeypatch.setattr(np.linalg, name, refuse)
         assert instability_eigenvalue(phi_super, V1, f8).rho > 0
-        assert eigensolve_sizes == []
+        # the Rayleigh-Ritz and tridiagonal solves of LOBPCG and Lanczos only
+        assert eigensolve_sizes and max(eigensolve_sizes) < phi_super.u.grid.M // 4
 
 
     def test_requires_positive_wave(self, phi_super, V1, f8):

@@ -144,15 +144,18 @@ def test_every_transform_is_an_np_fft_attribute_call():
 
 def test_eigensolvers_are_called_only_where_they_belong():
     # the tracer counts the eigsh global of grid (the spectrum bottom); every
-    # other sparse eigensolve is a LOBPCG run in spectra.  The one dense
-    # eigensolve is the spectrum table's, np.linalg.eigvalsh on its parity
-    # blocks or on the full matrix in spectra.dense_spectrum: the calls that
-    # the tracer's dense metrics and the eigensolve_sizes spy observe.  One
-    # LOBPCG driver, spectra._lowest_ritz, holds the one lobpcg call site
+    # other sparse eigensolve is a grid.lobpcg run from spectra, through the
+    # module attribute the tracer wraps.  The one dense eigensolve is the
+    # spectrum table's, np.linalg.eigvalsh on its parity blocks or on the
+    # full matrix in spectra.dense_spectrum.  The small ones are grid's: the
+    # tridiagonal of lanczos and the two Rayleigh-Ritz solves of lobpcg, each
+    # np.linalg.eigh, which the tracer's dense metrics and the
+    # eigensolve_sizes spy observe too.  One LOBPCG driver,
+    # spectra._lowest_ritz, holds the one lobpcg call site
     assert _call_sites("eigsh") == [("grid", "Name")]
-    assert _call_sites("lobpcg") == [("spectra", "Name")]
+    assert _call_sites("lobpcg") == [("spectra", "Attribute")]
     assert _call_sites("eigvalsh") == [("spectra", "Attribute")] * 2
-    assert _call_sites("eigh") == []
+    assert _call_sites("eigh") == [("grid", "Attribute")] * 3
 
 
 def test_spectrum_bottom_is_asked_only_where_a_potential_enters():
