@@ -616,8 +616,8 @@ def _symmetric(G: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def lobpcg(apply, X: np.ndarray, tol: float, maxiter: int, precond=None,
-           constraint: np.ndarray | None = None, stop=None) -> RitzBlock:
+def lobpcg(apply, X: np.ndarray, tol: float, maxiter: int, precond, stop,
+           constraint: np.ndarray | None = None) -> RitzBlock:
     """Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the lowest
     eigenpairs of a symmetric operator, from the k columns of X.
 
@@ -661,7 +661,7 @@ def lobpcg(apply, X: np.ndarray, tol: float, maxiter: int, precond=None,
         residuals = np.linalg.norm(R, axis=0)
         active = residuals > tol
         if (not active.any() or iteration == maxiter
-                or (stop is not None and iteration > 0 and stop(RitzBlock(values, X, residuals)))):
+                or (iteration > 0 and stop(RitzBlock(values, X, residuals)))):
             break
         # the move of the active columns outside the previous X (the first k
         # columns of S), orthonormal to the new X in the Ritz coordinates
@@ -669,8 +669,7 @@ def lobpcg(apply, X: np.ndarray, tol: float, maxiter: int, precond=None,
         move[:k] = 0.0
         move = _orthonormal_extension(coef, move) if S.shape[1] > k else move[:, :0]
         P, AP = S @ move, AS @ move
-        W = R[:, active] if precond is None else precond(R[:, active])
-        W = _orthonormal_extension(np.hstack([Y, X, P]), W)
+        W = _orthonormal_extension(np.hstack([Y, X, P]), precond(R[:, active]))
         S, AS = np.hstack([X, W, P]), np.hstack([AX, image(W), AP])
     with _one_blas_thread():
         X = np.linalg.qr(X)[0]

@@ -31,8 +31,9 @@ too: its negative eigenvalues are counted by the certified constrained
 count (Sylvester inertia), the lowest one comes from Lanczos on the
 inverse pencil with bordered solves, and it is returned only when its
 residual bounds its error below its size, with the error of the L2 solves
-weighed by a one-column LOBPCG probe's lower bound on the lowest tangent
-eigenvalue of L2.  Every solve here is gluing._solve_bordered run to the
+weighed by a lower bound on the tangent spectrum of L2: half the lower end
+of a one-column LOBPCG probe's interval, certified by the constrained
+count of L2 below it.  Every solve here is gluing._solve_bordered run to the
 roundoff floor.
 
 One dense computation remains: the full spectrum the spectrum command
@@ -206,7 +207,7 @@ def _count_below_threshold(eigenvalues: np.ndarray, tau0: float) -> MorseCount:
 
 
 def _lowest_ritz(op: gr.FourierOperator, start: np.ndarray, tol: float,
-                 constraint: np.ndarray | None = None, settled=None) -> RitzBlock:
+                 constraint: np.ndarray | None, settled) -> RitzBlock:
     """grid.lobpcg on op from the columns of start, preconditioned by the
     Fourier multiplier (k^2 + op.minres_shift)^{-1} of the bottom of the
     spectrum, for up to _LOBPCG_MAXITER iterations; with a constraint column,
@@ -545,8 +546,13 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f) -> InstabilityRe
     Ritz value of L2 on the tangent space, an upper bound on its lowest
     eigenvalue there, lies below a roundoff band.  That probe stops once it
     is positive to 10 % (value - residual > 0, residual <= 0.1 value) or its
-    residual interval lies below the band; the Kato bound divides by
-    value - residual, and NoInstabilityDetected when that is not positive.
+    residual interval lies below the band.  Its interval holds a tangent
+    eigenvalue of L2, not necessarily the lowest, so the floor the Kato
+    bound divides by, half of value - residual, is certified by
+    Haynsworth's count on L2 (Linearization.count_below): no tangent
+    eigenvalue lies below it.  NoInstabilityDetected when the floor is not
+    positive or the count below it is not 0; UncertifiedCountError when no
+    block certifies that count.
     """
     u, lam = phi.u, phi.lam
     grid = u.grid
@@ -613,15 +619,24 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f) -> InstabilityRe
     # Kato: an eigenvalue lies within |r|_{L2t} / |x|_{L2t^{-1}} of mu, with
     # |r|_{L2t} <= sqrt(scale) |r|.  The second term carries the error of y
     # as L2t^{-1} x: the residual s of that solve moves y by L2t^{-1} s, of
-    # norm at most |s| / sqrt(floor) in the metric, floor = lowest - its
-    # residual bounding the probe's eigenvalue (exponentially small at
-    # multibump points) from below
-    floor = lowest - lowest_residual
-    if not floor > 0.0:
+    # norm at most |s| / sqrt(floor) in the metric, floor a lower bound on
+    # the tangent spectrum of L2 (exponentially small at multibump points)
+    if not lowest - lowest_residual > 0.0:
         raise NoInstabilityDetected(
             f"quotient minimum {mu:.3e} is not resolved: the comparison operator's "
             f"tangent eigenvalue {lowest:.3e} is within its residual "
             f"{lowest_residual:.3e} of zero", mu=mu,
+        )
+    # the probe may have missed the lowest; the count certifies the floor.
+    # Half the probe's lower end clears the Ritz intervals of the comparison
+    # block, which are no tighter than the probe's: 0 and the partner of a
+    # multibump kernel are both in its band
+    floor = 0.5 * (lowest - lowest_residual)
+    missed = Linearization(L2, u).count_below(floor)
+    if missed != 0:
+        raise NoInstabilityDetected(
+            f"quotient minimum {mu:.3e} is not resolved: the comparison operator has "
+            f"{missed} tangent eigenvalues below {floor:.3e}, which the probe missed", mu=mu,
         )
     r = L1x - mu * y
     slip = np.linalg.norm(x - pencil.project(L2.apply(y)))

@@ -582,7 +582,8 @@ def test_small_dense_solves_run_on_one_blas_thread(monkeypatch):
     try:
         set_threads(2)
         block = gr.lobpcg(lambda X: diagonal[:, None] * X,
-                          np.random.default_rng(0).standard_normal((200, 3)), 1e-10, 100)
+                          np.random.default_rng(0).standard_normal((200, 3)), 1e-10, 100,
+                          precond=lambda R: R, stop=lambda block: False)
         top = gr.eigsh(lambda x: x / diagonal, np.ones(200), 1e-12)
         assert get_threads() == 2
     finally:

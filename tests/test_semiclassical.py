@@ -160,7 +160,7 @@ class TestMorseCheck:
         blocks = []
         original = spectra._lowest_ritz
 
-        def counted(op, start, tol, constraint=None, settled=None):
+        def counted(op, start, tol, constraint, settled):
             blocks.append(constraint is None)
             return original(op, start, tol, constraint, settled)
 

@@ -343,7 +343,7 @@ class TestLobpcg:
         tol = 1e-12 * op.scale
         block = gr.lobpcg(lambda X: op.apply(X.T).T, rng.standard_normal((u.grid.M, k)), tol, 200,
                           precond=lambda R: np.fft.irfft(np.fft.rfft(R.T) / symbol, n=u.grid.M).T,
-                          constraint=constraint)
+                          stop=lambda block: False, constraint=constraint)
         vectors = block.vectors
         assert np.all(block.residuals <= tol)
         assert np.allclose(vectors.T @ vectors, np.eye(k), rtol=0, atol=1e-12)
@@ -371,7 +371,7 @@ class TestLobpcg:
             return len(seen) == 3
 
         block = gr.lobpcg(lambda X: op.apply(X.T).T, rng.standard_normal((u.grid.M, 3)), 0.0, 200,
-                          stop=stop)
+                          precond=lambda R: R, stop=stop)
         assert len(seen) == 3
         # values only fall, and the returned block is the stopped one, refined
         assert np.all(np.diff(seen, axis=0) <= 1e-12 * op.scale)
@@ -546,15 +546,35 @@ class TestInstability:
         # the quotient minimum was computed and is not below -tau0
         assert err.value.mu is not None and err.value.mu > -1e-2
 
-    def test_positivity_failure_reports_the_eigenvalue(self, phi_super, V1, f8, monkeypatch):
+    def test_positivity_failure_reports_the_eigenvalue(self, phi_super, V1, f8, zero_f,
+                                                       monkeypatch):
         # a band reaching up to +scale: the probe stops once its Ritz interval
         # lies in it, and reports its Ritz value, an upper bound on the lowest
         # tangent eigenvalue of L2 (just above the continuum edge 4 = 1 - lambda)
+        probes, original = [], spectra._lowest_ritz
+
+        def recorded(*args, **kwargs):
+            block = original(*args, **kwargs)
+            if block.vectors.shape[1] == 1:
+                probes.append((args[0].scale, block))
+            return block
+
+        monkeypatch.setattr(spectra, "_lowest_ritz", recorded)
         monkeypatch.setattr(spectra, "_POSITIVITY_TOL", -1.0)
         with pytest.raises(PositivityViolationError,
                            match=r"comparison operator has an eigenvalue at most \S+ on the tangent space") as err:
             instability_eigenvalue(phi_super, V1, f8)
-        assert float(str(err.value).split("at most ")[1].split()[0]) >= 4.0
+        (scale, probe), = probes
+        value, residual = probe.values[0], probe.residuals[0]
+        assert str(err.value).split("at most ")[1].split()[0] == f"{value:.3e}"
+        # the interval lies in the band, and it holds the lowest tangent
+        # eigenvalue, which the Ritz value bounds from above
+        u = phi_super.u.values
+        L2 = (linearized_matrix(phi_super.u, phi_super.lam, V1, zero_f)
+              - np.diag(np.abs(u) ** (f8.p - 2.0)))
+        lowest = _projected_eigenvalues(L2, u)[0]
+        assert value + residual < scale
+        assert lowest <= value + 1e-9 * scale and value - lowest <= residual
 
     def test_probe_within_its_residual_of_zero_is_refused(self, phi_super, V1, f8, monkeypatch):
         # the Kato bound divides by the probe's lowest tangent eigenvalue of
@@ -571,6 +591,23 @@ class TestInstability:
         monkeypatch.setattr(spectra, "_lowest_ritz", stubbed)
         with pytest.raises(NoInstabilityDetected, match="within its residual") as err:
             instability_eigenvalue(phi_super, V1, f8)
+        assert err.value.mu < 0
+
+    def test_probe_that_missed_the_lowest_is_refused(self, glued_two, vcos, f4, monkeypatch):
+        # at d = 16 the lowest tangent eigenvalue of L2 is 1.39e-7 and the
+        # next lies near 1.28; a probe that reports 1 +- 0.01 has missed the
+        # lowest, and the count of L2 below its floor 0.495 shows it
+        original = spectra._lowest_ritz
+
+        def stubbed(*args, **kwargs):
+            block = original(*args, **kwargs)
+            if block.vectors.shape[1] == 1:
+                return type(block)(np.array([1.0]), block.vectors, np.array([1e-2]))
+            return block
+
+        monkeypatch.setattr(spectra, "_lowest_ritz", stubbed)
+        with pytest.raises(NoInstabilityDetected, match=r"has [12] tangent eigenvalues below 4\.950e-01") as err:
+            instability_eigenvalue(glued_two[16].point, vcos, f4)
         assert err.value.mu < 0
 
     def test_probe_stops_once_positive_to_ten_percent(self, phi_super, V1, f8, monkeypatch):

@@ -144,8 +144,8 @@ def test_every_transform_is_an_np_fft_attribute_call():
 
 def test_eigensolvers_are_called_only_where_they_belong():
     # the tracer counts the eigsh global of grid (the spectrum bottom); every
-    # other sparse eigensolve is a grid.lobpcg run from spectra, through the
-    # module attribute the tracer wraps.  The one dense eigensolve is the
+    # other sparse eigensolve is a grid.lobpcg run from spectra, an attribute
+    # call because spectra imports grid as gr.  The one dense eigensolve is the
     # spectrum table's, np.linalg.eigvalsh on its parity blocks or on the
     # full matrix in spectra.dense_spectrum.  The small ones are grid's: the
     # tridiagonal of lanczos and the two Rayleigh-Ritz solves of lobpcg, each
