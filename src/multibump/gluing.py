@@ -304,6 +304,10 @@ def _largest_modulus(thetas) -> int:
     return int(np.argmax(np.abs(thetas)))
 
 
+def _smallest_modulus(thetas) -> int:
+    return int(np.argmin(np.abs(thetas)))
+
+
 def _gram(metric: gr.FourierOperator):
     """Gram apply of the metric h (G v, v) + mu^2 on stacked (v, mu), G = metric."""
     M, h = metric.grid.M, metric.grid.h
@@ -313,34 +317,35 @@ def _gram(metric: gr.FourierOperator):
 def bordered_sigma_min(pt: ExtendedPoint, V, f) -> float:
     """Smallest singular value of the block second derivative T at pt.
 
-    T is symmetric in the preconditioned metric h(Gv, v) + mu^2 with
-    G = -Lap + V positive definite (glue checks that; this does not);
-    1/sigma_min estimates the inverse norm in the contraction bound.
-    Lanczos on T^{-1} in that metric, with full reorthogonalization,
-    so a cluster of small singular values (n nearly decoupled bumps) is
-    resolved.  Each step applies T^{-1} as one strong-form bordered solve:
-    T (v, mu) = y is reduced to it by applying G to the field part of y.
-    Stops when the Ritz value theta of largest modulus has Ritz residual at
-    most _LANCZOS_RTOL |theta| and returns 1/|theta|; _LANCZOS_STEPS caps
-    the steps, from a fixed random start vector.
-
-    The inner solves stop at backward error 1e-11, one MINRES round each,
-    not at roundoff: a backward error delta of each apply of T^{-1} moves
-    its extreme eigenvalue by about delta cond(T) relative, far below the
-    Ritz target _LANCZOS_RTOL.
+    With J the strong-form bordered Jacobian (md.linearized_operator) and
+    B = diag(h G, 1) the Gram matrix of the metric h (G v, v) + mu^2,
+    G = -Lap + V positive definite (glue checks that; this does not),
+    T = B^{-1} h J is self-adjoint in that metric, so sigma_min is its
+    eigenvalue of least modulus; 1/sigma_min estimates the inverse norm in
+    the contraction bound.  Lanczos on T itself in the metric (Parlett, The
+    Symmetric Eigenvalue Problem, 1998, ch. 13), with full
+    reorthogonalization, so a cluster of small singular values (n nearly
+    decoupled bumps) is resolved.  A step is one apply of J and one solve
+    with G: T q = (G^{-1} [Jq]_v, h [Jq]_mu), whose Gram image is h J q.
+    Returns |theta| once the Ritz value theta of least modulus has Ritz
+    residual at most _LANCZOS_RTOL |theta|, from a fixed random start;
+    LinearSolverError when _SIGMA_STEPS steps do not reach it.
     """
     grid = pt.u.grid
     M, h = grid.M, grid.h
     jacobian = md.linearized_operator(pt.u, pt.lam, V, f, bordered=True)
-    gram = _gram(gr.FourierOperator(grid, gr.potential_samples(V, grid)))
+    metric = gr.FourierOperator(grid, gr.potential_samples(V, grid))
+
+    def apply(q):
+        y = jacobian.apply(q)
+        return np.append(metric.solve(y[:M]), h * y[M]), h * y
+
     rng = np.random.default_rng(0)
     start = np.append(rng.standard_normal(M), rng.standard_normal())
     start /= _h_norm(Field(grid, start[:M]), start[M], V)
-    thetas, _, top = gr.lanczos(
-        lambda q, gq: _solve_bordered(jacobian, gq / h, rtol=1e-11), gram, start,
-        _LANCZOS_STEPS, _largest_modulus, _LANCZOS_RTOL,
-    )
-    return float(1.0 / abs(thetas[top]))
+    theta = gr.ritz_value(apply, _gram(metric), start, _SIGMA_STEPS, _smallest_modulus,
+                          _LANCZOS_RTOL)
+    return abs(theta)
 
 
 @dataclass(frozen=True)
@@ -371,11 +376,13 @@ def _difference_operator_norm(pt0: ExtendedPoint, pt1: ExtendedPoint, metric, f,
     """|| d(grad G)(pt1) - d(grad G)(pt0) || in the metric of bordered_sigma_min.
 
     metric is G = -Lap + V as a FourierOperator.  The difference is linear:
-    D (v, mu) = (-S[(f'(u1) - f'(u0) + lambda1 - lambda0) v + mu (u1 - u0)],
-    -(u1 - u0, v)_2) with S = G^{-1}, self-adjoint in the metric, so its norm
-    is its eigenvalue of largest modulus.  Lanczos in the metric, one CG
-    solve with G per step, stopped at Ritz residual _LANCZOS_RTOL relative or
-    after _LANCZOS_STEPS steps; seed sets the start vector.
+    D (v, mu) = (-S y, -(u1 - u0, v)_2), y = (f'(u1) - f'(u0) + lambda1 -
+    lambda0) v + mu (u1 - u0), with S = G^{-1}, self-adjoint in the metric,
+    so its norm is its eigenvalue of largest modulus.  Lanczos in the
+    metric, one solve with G per step (the Gram image of D (v, mu) is
+    (-h y, -(u1 - u0, v)_2)), stopped at Ritz residual _LANCZOS_RTOL
+    relative; LinearSolverError when _LANCZOS_STEPS steps do not reach it.
+    seed sets the start vector.
     """
     grid = pt0.u.grid
     M, h = grid.M, grid.h
@@ -383,18 +390,19 @@ def _difference_operator_norm(pt0: ExtendedPoint, pt1: ExtendedPoint, metric, f,
     weight = f.fprime(pt1.u.values) - f.fprime(pt0.u.values) + (pt1.lam - pt0.lam)
     gram = _gram(metric)
 
-    def apply(q, gq):
-        field = -metric.cg(weight * q[:M] + q[M] * du)
-        return np.append(field, -h * np.dot(du, q[:M]))
+    def apply(q):
+        y = weight * q[:M] + q[M] * du
+        mu = -h * np.dot(du, q[:M])
+        return np.append(-metric.solve(y), mu), np.append(-h * y, mu)
 
     rng = np.random.default_rng(seed)
     start = np.append(rng.standard_normal(M), rng.standard_normal())
     start /= np.sqrt(np.dot(gram(start), start))
-    thetas, _, top = gr.lanczos(apply, gram, start, _LANCZOS_STEPS, _largest_modulus, _LANCZOS_RTOL)
-    return float(abs(thetas[top]))
+    return abs(gr.ritz_value(apply, gram, start, _LANCZOS_STEPS, _largest_modulus, _LANCZOS_RTOL))
 
 
 _LANCZOS_STEPS, _LANCZOS_RTOL = 50, 1e-6  # Lanczos of the diagnostics: step cap, Ritz residual
+_SIGMA_STEPS = 120  # step cap of bordered_sigma_min, which took up to 54 at n = 6
 _SHADOWING_SAMPLES = 5  # random points of the delta-ball the Lipschitz bound is sampled at
 
 

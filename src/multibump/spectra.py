@@ -511,12 +511,13 @@ class _Pencil:
             y, x = y - c * g, x - c * e
         return y, x
 
-    def inverse_step(self, q: np.ndarray, _gq) -> np.ndarray:
-        """K^{-1} q; records z = L1t^{-1} q, whose combinations are the x."""
+    def inverse_step(self, q: np.ndarray) -> tuple:
+        """K^{-1} q (and no Gram image, for lanczos); records z = L1t^{-1} q,
+        whose combinations are the x."""
         z = _tangent_solve(self._L1b, q)
         y, z = self.deflate(self.l2_inverse(z), z)
         self.images.append(z)
-        return y
+        return y, None
 
     def start(self, rng) -> np.ndarray:
         """A seeded start, unit in the metric, off the kernel."""
@@ -599,7 +600,7 @@ def instability_eigenvalue(phi: ConstrainedCriticalPoint, V, f) -> InstabilityRe
             return len(thetas) - 1
         return m - 1 if len(thetas) >= m and thetas[m - 1] < 0.0 else None
 
-    thetas, vecs, k = gr.lanczos(
+    thetas, vecs, k, _ = gr.lanczos(
         pencil.inverse_step, L2.apply, pencil.start(np.random.default_rng(0)),
         _LANCZOS_STEPS, select, _LANCZOS_RTOL,
     )

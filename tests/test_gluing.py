@@ -13,6 +13,7 @@ from multibump.errors import (
     CriticalExponentError,
     DegenerateSuperpositionError,
     GluingFailedError,
+    LinearSolverError,
     PreconditionError,
 )
 from multibump.gluing import (
@@ -364,47 +365,66 @@ def ubar768(vcos, f4):
     return ground_state(GridSpec(24, 768), 4.5, vcos, f4, center=0.5)
 
 
+def _dense_sigma_min(u, lam, V, f, zero_f):
+    """min |eigenvalue| of the pencil (h J, B): J the strong-form bordered
+    Jacobian, B = diag(h (-Lap + V), 1) the metric."""
+    import scipy.linalg
+
+    J = _dense_bordered_jacobian(u, lam, V, f)
+    B = _dense_metric(u.grid, V, zero_f)
+    return np.min(np.abs(scipy.linalg.eigh(u.grid.h * J, B, eigvals_only=True)))
+
+
 class TestBorderedSigmaMin:
-    @pytest.mark.parametrize("offsets", [(-4, 4), (-8, 0, 8), (-15, -5, 5, 15)])
+    @pytest.mark.parametrize("offsets", [(-4, 4), (-8, 0, 8), (-15, -5, 5, 15), (-9, -2, 6)])
     def test_matches_dense_pencil(self, ubar768, vcos, f4, zero_f, offsets):
-        # T is the pencil (h J, B): J the strong-form bordered Jacobian,
-        # B = diag(h (-Lap + V), 1) the metric; sigma_min = min |eigenvalue|
-        import scipy.linalg
-
-        from multibump.spectra import linearized_matrix
-
+        # T is the pencil (h J, B); sigma_min = min |eigenvalue|.  The last
+        # configuration is an asymmetric 3-bump
         u = superpose(ubar768.u, BumpConfig(len(offsets), offsets))
-        lam, h, M = ubar768.lam, u.grid.h, u.grid.M
-        J = np.zeros((M + 1, M + 1))
-        J[:M, :M] = linearized_matrix(u, lam, vcos, f4)
-        J[:M, M] = J[M, :M] = -u.values
-        B = np.zeros((M + 1, M + 1))
-        B[:M, :M] = h * linearized_matrix(u, 0.0, vcos, zero_f)
-        B[M, M] = 1.0
-        dense = np.min(np.abs(scipy.linalg.eigh(h * J, B, eigvals_only=True)))
-        sigma = bordered_sigma_min(ExtendedPoint(u, lam), vcos, f4)
-        assert sigma == pytest.approx(dense, rel=1e-6)
+        sigma = bordered_sigma_min(ExtendedPoint(u, ubar768.lam), vcos, f4)
+        assert sigma == pytest.approx(_dense_sigma_min(u, ubar768.lam, vcos, f4, zero_f),
+                                      rel=1e-6)
+
+    def test_matches_dense_pencil_at_p8(self, vcos, f8, zero_f):
+        # the p = 8 pair: the single bump is a saddle, m = 1
+        ubar = ground_state(GridSpec(24, 768), 2.0, vcos, f8, center=0.5)
+        u = superpose(ubar.u, BumpConfig(2, (-4, 4)))
+        sigma = bordered_sigma_min(ExtendedPoint(u, ubar.lam), vcos, f8)
+        assert sigma == pytest.approx(_dense_sigma_min(u, ubar.lam, vcos, f8, zero_f), rel=1e-6)
 
     @pytest.mark.parametrize("d", [10, 14])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_inexact_inner_solves_keep_sigma(self, ubar768, vcos, f4, zero_f,
                                              monkeypatch, n, d):
-        # the same Lanczos run with each T^{-1} applied by a dense LU solve of
-        # the bordered Jacobian, at roundoff, is the reference
+        # the same Lanczos run with each metric solve G^{-1} done by a dense
+        # LU solve of G = -Lap + V, at roundoff, is the reference
         import scipy.linalg
 
-        from multibump import gluing
         from multibump.cli import _symmetric_offsets
 
         u = superpose(ubar768.u, BumpConfig(n, _symmetric_offsets(n, d)))
         pt = ExtendedPoint(u, ubar768.lam)
         sigma = bordered_sigma_min(pt, vcos, f4)
-        dense = _dense_bordered_jacobian(u, ubar768.lam, vcos, f4)
-        lu = scipy.linalg.lu_factor(dense)
-        monkeypatch.setattr(gluing, "_solve_bordered",
-                            lambda op, rhs, **kwargs: scipy.linalg.lu_solve(lu, rhs))
+        M = u.grid.M
+        lu = scipy.linalg.lu_factor(_dense_metric(u.grid, vcos, zero_f)[:M, :M] / u.grid.h)
+        solves = []
+
+        def dense_solve(self, rhs):
+            solves.append(1)
+            return scipy.linalg.lu_solve(lu, rhs)
+
+        monkeypatch.setattr(FourierOperator, "solve", dense_solve)
         reference = bordered_sigma_min(pt, vcos, f4)
+        assert len(solves) > 10  # one per Lanczos step
         assert sigma == pytest.approx(reference, rel=1e-8)
+
+    def test_refuses_an_unconverged_run(self, ubar768, vcos, f4, monkeypatch):
+        # three steps do not resolve the least |eigenvalue|: the residual
+        # reached is named, not a Ritz value returned
+        monkeypatch.setattr(gluing, "_SIGMA_STEPS", 3)
+        pt = ExtendedPoint(superpose(ubar768.u, BumpConfig(2, (-4, 4))), ubar768.lam)
+        with pytest.raises(LinearSolverError, match="Ritz residual .* in 3 steps"):
+            bordered_sigma_min(pt, vcos, f4)
 
 
 class TestShadowingCertificate:
@@ -469,3 +489,16 @@ class TestShadowingCertificate:
         for i, (pt1, dense) in enumerate(zip(samples, norms)):
             value = _difference_operator_norm(pt0, pt1, metric, f4, seed=2 + i)
             assert value == pytest.approx(dense, rel=1e-6)
+
+    def test_lipschitz_norm_refuses_an_unconverged_run(self, ubar768, vcos, f4, monkeypatch):
+        from multibump.gluing import _difference_operator_norm
+        from multibump.grid import potential_samples
+
+        monkeypatch.setattr(gluing, "_LANCZOS_STEPS", 3)
+        grid = ubar768.u.grid
+        pt0 = ExtendedPoint(superpose(ubar768.u, BumpConfig(2, (-4, 4))), ubar768.lam)
+        bump = np.exp(-(grid.x - 1.0) ** 2)
+        pt1 = ExtendedPoint(pt0.u + 0.01 * Field(grid, bump), pt0.lam + 0.01)
+        metric = FourierOperator(grid, potential_samples(vcos, grid))
+        with pytest.raises(LinearSolverError, match="Ritz residual .* in 3 steps"):
+            _difference_operator_norm(pt0, pt1, metric, f4, seed=2)

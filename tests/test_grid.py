@@ -551,7 +551,9 @@ class TestSpectrumBottomHelper:
         oracle = scipy_eigsh(LinearOperator((grid.M, grid.M), matvec=op.cg, dtype=float),
                              k=1, which="LA", tol=1e-12, v0=v0, return_eigenvectors=False)[0]
         assert ours == pytest.approx(oracle, rel=1e-12, abs=0)
-        assert operator_bottom_eigenvalue(samples, grid) == shift + 1.0 / ours
+        # the bottom itself comes from the Bloch fibres for the periodic kinds
+        assert operator_bottom_eigenvalue(samples, grid) == pytest.approx(shift + 1.0 / oracle,
+                                                                          rel=1e-12, abs=0)
         dense = np.linalg.eigvalsh(_dense_neg_laplacian(grid) + np.diag(samples))[0]
         assert shift + 1.0 / ours == pytest.approx(dense, rel=1e-10)
 
@@ -564,9 +566,98 @@ class TestSpectrumBottomHelper:
             gr.eigsh(op.cg, v0, 1e-12)
 
 
+def _periodic_weight(rng, M, P, margin=0.5):
+    """Random samples repeating every P of M points, with min >= margin."""
+    values = rng.uniform(-1.0, 1.0, P)
+    return np.tile(values - values.min() + margin + rng.uniform(0.0, 2.0), M // P)
+
+
+class TestBlochSolve:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=hst.integers(0, 10_000), P=hst.sampled_from([1, 8, 16, 32]),
+           grid=hst.sampled_from([GridSpec(4, 64), GridSpec(8, 128)]))
+    def test_matches_dense(self, seed, P, grid):
+        # random tabulated periods with a shift that keeps -Lap + V >= 1/2: the
+        # solve and the bottom against np.linalg.solve and eigvalsh, on grids
+        # coarse enough (|A| < 700) that the dense oracle holds 1e-12 too
+        from multibump import grid as gr
+
+        rng = np.random.default_rng(seed)
+        weight = _periodic_weight(rng, grid.M, P)
+        op = FourierOperator(grid, weight)
+        assert op._fibres.period == P
+        dense = _dense_neg_laplacian(grid) + np.diag(weight)
+        rhs = rng.standard_normal(grid.M)
+        exact = np.linalg.solve(dense, rhs)
+        assert_allclose(op.solve(rhs), exact, rtol=0, atol=1e-12 * np.max(np.abs(exact)))
+        bottom = gr.operator_bottom_eigenvalue(weight, grid)
+        assert bottom == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-12, abs=0)
+
+    def test_period_detection(self):
+        from multibump import grid as gr
+        from multibump.semiclassical import scaled_potential
+
+        def period(V, grid):
+            fibres = gr._bloch_fibres(grid, gr.potential_samples(V, grid).tobytes())
+            return None if fibres is None else fibres.period
+
+        big, semi = GridSpec(48, 3072), GridSpec(20, 1280)
+        assert period(Potential.const(0.7), big) == 1
+        assert period(Potential.cosine(0.5), big) == 32
+        assert period(scaled_potential(Potential.cosine(0.5), 0.05), semi) is None  # P = 640
+        assert period(np.random.default_rng(0).uniform(1.0, 2.0, big.M), big) is None
+
+    def test_bottom_needs_no_eigsh_on_the_fibres(self, monkeypatch):
+        from multibump import grid as gr
+
+        monkeypatch.setattr(gr, "eigsh", None)
+        grid = GridSpec(4, 256)
+        weight = _periodic_weight(np.random.default_rng(1), grid.M, 16)
+        assert gr._bottom_eigenvalue.__wrapped__(grid, weight.tobytes()) == pytest.approx(
+            np.linalg.eigvalsh(_dense_neg_laplacian(grid) + np.diag(weight))[0], rel=1e-12)
+
+    def test_refuses_an_indefinite_operator(self):
+        grid = GridSpec(4, 256)
+        weight = _periodic_weight(np.random.default_rng(2), grid.M, 32) - 3.0
+        with pytest.raises(LinearSolverError, match="not positive definite"):
+            FourierOperator(grid, weight).solve(np.ones(grid.M))
+
+    @pytest.mark.parametrize("error, refused", [(1e-9, False), (0.5, True)])
+    def test_refines_once_then_refuses_a_missed_residual(self, monkeypatch, error, refused):
+        # each fibre solve is off by error relative: one refinement step
+        # squares 1e-9 into the target; 0.5 still misses it and is named
+        from multibump import grid as gr
+
+        calls = []
+
+        def inexact(self, rhs, _original=gr._BlochFibres.solve):
+            calls.append(1)
+            return (1.0 + error) * _original(self, rhs)
+
+        monkeypatch.setattr(gr._BlochFibres, "solve", inexact)
+        grid = GridSpec(4, 256)
+        op = FourierOperator(grid, _periodic_weight(np.random.default_rng(3), grid.M, 16))
+        rhs = np.random.default_rng(4).standard_normal(grid.M)
+        if refused:
+            with pytest.raises(LinearSolverError, match="true residual .* after a refinement step"):
+                op.solve(rhs)
+        else:
+            z = op.solve(rhs)
+            assert np.max(np.abs(rhs - op.apply(z))) < 1e-13 * np.max(np.abs(rhs))
+        assert len(calls) == 2
+
+    def test_resolvent_of_a_constant_is_the_symbol(self, grid24, monkeypatch):
+        # P = 1: the solve is the Fourier symbol, with no CG iteration
+        monkeypatch.setattr(FourierOperator, "cg", None)
+        kap = np.pi / grid24.L
+        z = resolvent_solve(Field.from_function(grid24, lambda x: (2.0 + kap**2) * np.cos(kap * x)),
+                            Potential.const(2.0))
+        assert np.max(np.abs(z.values - np.cos(kap * grid24.x))) < 1e-13
+
+
 def test_small_dense_solves_run_on_one_blas_thread(monkeypatch):
-    # the eigh and qr calls of lanczos and lobpcg are pinned to one thread,
-    # and the caller's count is restored
+    # the eigh and qr calls of lanczos, lobpcg and the Bloch fibre build are
+    # pinned to one thread, and the caller's count is restored
     from multibump import grid as gr
 
     get_threads, set_threads = gr._blas_thread_control()
@@ -585,10 +676,14 @@ def test_small_dense_solves_run_on_one_blas_thread(monkeypatch):
                           np.random.default_rng(0).standard_normal((200, 3)), 1e-10, 100,
                           precond=lambda R: R, stop=lambda block: False)
         top = gr.eigsh(lambda x: x / diagonal, np.ones(200), 1e-12)
+        grid = GridSpec(4, 256)
+        fibres = gr._bloch_fibres.__wrapped__(
+            grid, _periodic_weight(np.random.default_rng(1), grid.M, 32).tobytes())
         assert get_threads() == 2
     finally:
         set_threads(before)
     assert threads and set(threads) == {1}
+    assert len(threads) > fibres.inverse.shape[0]  # every fibre's eigh is among them
     assert_allclose(block.values, [1.0, 2.0, 3.0], rtol=1e-12)
     assert top == pytest.approx(1.0, rel=1e-12)
 

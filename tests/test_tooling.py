@@ -148,14 +148,15 @@ def test_eigensolvers_are_called_only_where_they_belong():
     # call because spectra imports grid as gr.  The one dense eigensolve is the
     # spectrum table's, np.linalg.eigvalsh on its parity blocks or on the
     # full matrix in spectra.dense_spectrum.  The small ones are grid's: the
-    # tridiagonal of lanczos and the two Rayleigh-Ritz solves of lobpcg, each
-    # np.linalg.eigh, which the tracer's dense metrics and the
-    # eigensolve_sizes spy observe too.  One LOBPCG driver,
-    # spectra._lowest_ritz, holds the one lobpcg call site
+    # tridiagonal of lanczos, the two Rayleigh-Ritz solves of lobpcg and the
+    # Bloch fibres of a periodic weight (_bloch_fibres), each np.linalg.eigh,
+    # which the tracer's dense metrics and the eigensolve_sizes spy observe
+    # too.  One LOBPCG wrapper, spectra._lowest_ritz, holds the one lobpcg
+    # call site
     assert _call_sites("eigsh") == [("grid", "Name")]
     assert _call_sites("lobpcg") == [("spectra", "Attribute")]
     assert _call_sites("eigvalsh") == [("spectra", "Attribute")] * 2
-    assert _call_sites("eigh") == [("grid", "Attribute")] * 3
+    assert _call_sites("eigh") == [("grid", "Attribute")] * 4
 
 
 def test_spectrum_bottom_is_asked_only_where_a_potential_enters():
