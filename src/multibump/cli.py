@@ -82,17 +82,19 @@ _TABLE = {
     "nonlinearity": {"p": (_number, 4.0)},
     "mass": (_positive, 1.0),
     "bumps": {"n": (_at_least(1), 2), "offsets": (_list_of(_number), None),
-              "separations": (_list_of(_whole), [8, 12, 16]),
+              "separations": (_rule("a non-empty list of distinct whole numbers >= 1",
+                                    lambda v: _list_of(_whole)(v) and min(v) >= 1
+                                    and len(set(v)) == len(v)), [8, 12, 16]),
               "n_list": (_list_of(_at_least(1)), None)},
     # the solver tolerances are constants of gluing, stationary and grid
     "solver": {"center": (_number, 0.0)},
-    "dynamics": {"dt": (_number, 1e-3), "t_end": (_number, 10.0),
+    "dynamics": {"dt": (_number, 1e-3), "t_end": (_positive, 10.0),
                  "perturbation_amplitude": (_number, 0.0),
                  # by default "none" at zero amplitude, else "eigenvector" (cmd_evolve)
                  "perturbation_kind": (_one_of("none", "eigenvector", "random"), None),
                  "seed": (_at_least(0), 0), "record_stride": (_at_least(1), 20),
                  "snapshot_stride": (_at_least(0), 0)},
-    "semiclassical": {"eps_list": (_list_of(_number), [0.2, 0.1, 0.05]), "m_V": (_integer, 0)},
+    "semiclassical": {"eps_list": (_list_of(_positive), [0.2, 0.1, 0.05]), "m_V": (_integer, 0)},
     "output": (_nonempty_string, "out"),
 }
 
@@ -144,6 +146,10 @@ class RunConfig:
                 "translations are exact grid shifts"
             )
         self.potential = _built("potential", self._potential)
+        amp = self.get("dynamics", "perturbation_amplitude")
+        if self.get("dynamics", "perturbation_kind") == "none" and amp != 0:
+            raise ConfigError(f"dynamics.perturbation_kind 'none' does not read "
+                              f"dynamics.perturbation_amplitude, got {amp!r}")
         self.nonlinearity = _built("nonlinearity",
                                    lambda: md.Nonlinearity(self.get("nonlinearity", "p")))
         # superpose admits distinct integer offsets |a| < L - 1 only: 2L - 3 of them

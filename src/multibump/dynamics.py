@@ -143,12 +143,14 @@ def propagate(psi0: ComplexField, V, f, dt: float, t_end: float,
     reference, when given as a standing wave phi, adds an orbit-distance trace.
     A record is taken every record_stride >= 1 steps and a snapshot every
     snapshot_stride steps (none when 0), both also at the last step.
-    t_end must be a whole number of steps (to 1e-9 relative).  Raises
-    IntegratorFaultError if at a record the field is not finite or the
-    relative particle-number drift exceeds _MASS_DRIFT_TOL.
+    t_end must be positive and a whole number of steps (to 1e-9 relative).
+    Raises IntegratorFaultError if at a record the field is not finite or
+    the relative particle-number drift exceeds _MASS_DRIFT_TOL.
     """
     if dt <= 0 or dt > _DT_CAP:
         raise PreconditionError(f"time step must lie in (0, {_DT_CAP}], got {dt}")
+    if not t_end > 0:
+        raise PreconditionError(f"t_end must be positive, got {t_end}")
     if record_stride < 1 or snapshot_stride < 0:
         raise PreconditionError(
             f"record stride must be at least 1 and snapshot stride at least 0, "

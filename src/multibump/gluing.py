@@ -334,7 +334,7 @@ def bordered_sigma_min(pt: ExtendedPoint, V, f) -> float:
     grid = pt.u.grid
     M, h = grid.M, grid.h
     jacobian = md.linearized_operator(pt.u, pt.lam, V, f, bordered=True)
-    metric = gr.FourierOperator(grid, gr.potential_samples(V, grid))
+    metric = gr.potential_operator(V, grid)
 
     def apply(q):
         y = jacobian.apply(q)
@@ -421,7 +421,7 @@ def shadowing_certificate(pt0: ExtendedPoint, alpha: float, V, f, delta: float,
     h_norm = extended_gradient_norm(pt0, alpha, V, f)
     sigma = bordered_sigma_min(pt0, V, f)
     inverse_norm = 1.0 / sigma
-    metric = gr.FourierOperator(grid, gr.potential_samples(V, grid))
+    metric = gr.potential_operator(V, grid)
     rng = np.random.default_rng(1)
     lipschitz = 0.0
     for i in range(_SHADOWING_SAMPLES):

@@ -43,6 +43,7 @@ __all__ = [
     "ritz_value",
     "RitzBlock",
     "lobpcg",
+    "potential_operator",
     "resolvent_solve",
     "operator_bottom_eigenvalue",
     "potential_samples",
@@ -148,10 +149,11 @@ def _check_same_grid(u: Field, v: Field) -> None:
 
 
 def potential_samples(V, grid: GridSpec) -> np.ndarray:
-    """Sample a potential on the grid.
+    """Sample a potential on the grid, as a fresh array.
 
     Accepts an object with a ``sample(grid)`` method (a model.Potential) or
-    an array of M samples.
+    an array of M samples: the operators that add a multiplier or f'(u) to
+    V take either.  -Lap + V itself takes a Potential (potential_operator).
     """
     vals = np.asarray(V.sample(grid) if hasattr(V, "sample") else V, dtype=float)
     if vals.shape != (grid.M,):
@@ -201,14 +203,15 @@ def inner_l2(u: Field, v: Field) -> float:
 
 
 def inner_h1v(u: Field, v: Field, V) -> float:
-    """Form pairing integral(u' v' + V u v), evaluated as (-Lap u + V u, v)_2.
+    """Form pairing integral(u' v' + V u v), evaluated as (-Lap u + V u, v)_2
+    with the -Lap + V of the potential V (potential_operator).
 
     An inner product only when the discrete -Lap + V is positive definite,
     which is not checked here: the callers that bring a potential in
     (model.positive_gauge, gluing.glue) establish it.
     """
     _check_same_grid(u, v)
-    lhs = FourierOperator(u.grid, potential_samples(V, u.grid)).apply(u.values)
+    lhs = potential_operator(V, u.grid).apply(u.values)
     return float(u.grid.h * np.dot(lhs, v.values))
 
 
@@ -249,6 +252,8 @@ class FourierOperator:
     and the split forms (see SplitOperator) its Krylov solves run on: CG and
     MINRES with the Fourier preconditioner (-Lap + c)^{-1} are plain CG and
     MINRES on S A S with S = (-Lap + c)^{-1/2}.  Each solve fixes its own c.
+    An unbordered operator keeps its Bloch fibres and its bottom once they
+    are computed, so the weight must not change after construction.
     """
 
     def __init__(self, grid: GridSpec, weight: np.ndarray | float,
@@ -298,7 +303,22 @@ class FourierOperator:
     @cached_property
     def _fibres(self) -> _BlochFibres | None:
         weight = np.broadcast_to(np.asarray(self.weight, dtype=float), (self.grid.M,))
-        return _bloch_fibres(self.grid, weight.tobytes())
+        return _bloch_fibres(self.grid, weight)
+
+    @cached_property
+    def bottom(self) -> float:
+        """Smallest eigenvalue of the unbordered operator: the lowest of its
+        Bloch fibres when the weight has a short period, else the largest
+        eigenvalue of the inverse of the operator shifted to min weight - 1,
+        by Lanczos (eigsh) with the inverse applied by cg."""
+        fibres = self._fibres
+        if fibres is not None:
+            return fibres.bottom
+        safe_shift = float(np.min(self.weight)) - 1.0
+        shifted = FourierOperator(self.grid, self.weight - safe_shift)
+        rng = np.random.default_rng(0)
+        v0 = np.ones(self.grid.M) + 1e-3 * rng.standard_normal(self.grid.M)
+        return safe_shift + 1.0 / eigsh(shifted.cg, v0, 1e-12)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(-Lap + diag(weight))^{-1} rhs for an unbordered, positive definite
@@ -388,10 +408,7 @@ class SplitOperator:
     the operator owns, so an apply allocates only the array it returns,
     which is fresh on every call (MINRES keeps its last two products).  A
     system A x = r becomes S A S y = S r (forward) with x = S y (back).
-    shape, dtype and matvec make it a linear operator to scipy's solvers.
     """
-
-    dtype = np.dtype(float)
 
     def __init__(self, op: FourierOperator, c: float):
         M, k2 = op.grid.M, op._k2
@@ -434,9 +451,6 @@ class SplitOperator:
             result[:n] -= np.multiply(border, x[n], out=coeffs.view(float))
             result[n] = -np.dot(border, x[:n])
         return result
-
-    def matvec(self, x):
-        return self.apply(np.ravel(x))
 
 
 def minres(A, b: np.ndarray, *, rtol: float = 1e-5, maxiter: int | None = None,
@@ -778,17 +792,17 @@ class _BlochFibres:
         return np.fft.irfft(full.ravel()[: M // 2 + 1], n=M)
 
 
-@lru_cache(maxsize=4)  # each entry holds up to 8 M _BLOCH_MAX_PERIOD bytes
-def _bloch_fibres(grid: GridSpec, samples: bytes) -> _BlochFibres | None:
-    """The fibres of -Lap + diag(w) for the samples w, or None when w has a
+def _bloch_fibres(grid: GridSpec, w: np.ndarray) -> _BlochFibres | None:
+    """The fibres of -Lap + diag(w) for the M samples w, or None when w has a
     period above _BLOCH_MAX_PERIOD points.  K is the gcd of M and the indices
     of the modes of w above roundoff (P = 1 for a constant, P = M for samples
     without a shorter period).  The fibres are solved one at a time with
     np.linalg.eigh of their real embedding [[Re A, -Im A], [Im A, Re A]], on
     one BLAS thread: the complex routine raised glue_bigbox's peak memory by
     about 0.7 MB more, and a stacked solve would hold every fibre's
-    temporaries at once.  For P = 1 they are the Fourier symbol itself."""
-    w, M = np.frombuffer(samples), grid.M
+    temporaries at once.  For P = 1 they are the Fourier symbol itself.
+    Built once per operator, by FourierOperator._fibres."""
+    M = grid.M
     modes = np.fft.fft(w) / M
     above = np.flatnonzero(np.abs(modes[: M // 2 + 1]) > _PERIOD_TOL * np.max(np.abs(w)))
     K = math.gcd(M, *above.tolist())
@@ -820,43 +834,40 @@ def _bloch_fibres(grid: GridSpec, samples: bytes) -> _BlochFibres | None:
     return _BlochFibres(P, bottom, inverse if bottom > 0.0 else None)
 
 
-# -- resolvent of -Lap + V ----------------------------------------------------
+# -- -Lap + V for a potential V ------------------------------------------------
+
+@lru_cache(maxsize=4)  # each operator keeps its fibres: up to 8 M _BLOCH_MAX_PERIOD bytes
+def potential_operator(V, grid: GridSpec) -> FourierOperator:
+    """-Lap + V on the grid for a model.Potential V, built once per (V, grid)
+    for the most recently used ones: every consumer of the operator (the
+    H^1_V pairing, the resolvent, the spectrum bottom, the gluing metric)
+    shares it, with its Bloch fibres and its bottom once computed.  Its
+    weight is read-only.  Equal potentials (by value) share one operator.
+    """
+    weight = potential_samples(V, grid)
+    weight.setflags(write=False)
+    return FourierOperator(grid, weight)
+
 
 def operator_bottom_eigenvalue(V, grid: GridSpec) -> float:
-    """Smallest eigenvalue of the discrete periodic -Lap + V.
-
-    The lowest eigenvalue of the Bloch fibres when V has a short period
-    (_bloch_fibres); else Lanczos on the inverse operator (the inverse is
-    applied by conjugate gradients with a safe shift below min V).  Cached
-    per (grid, potential samples) for the most recently used potentials.
+    """Smallest eigenvalue of the discrete periodic -Lap + V, for a
+    model.Potential V: FourierOperator.bottom of potential_operator(V, grid),
+    so computed once per cached operator.
     """
-    return _bottom_eigenvalue(grid, potential_samples(V, grid).tobytes())
-
-
-@lru_cache(maxsize=16)  # each ground state and each glue asks again for its (grid, V)
-def _bottom_eigenvalue(grid: GridSpec, samples: bytes) -> float:
-    fibres = _bloch_fibres(grid, samples)
-    if fibres is not None:
-        return fibres.bottom
-    vs = np.frombuffer(samples)
-    safe_shift = float(vs.min()) - 1.0
-    shifted = FourierOperator(grid, vs - safe_shift)
-    rng = np.random.default_rng(0)
-    v0 = np.ones(grid.M) + 1e-3 * rng.standard_normal(grid.M)
-    return safe_shift + 1.0 / eigsh(shifted.cg, v0, 1e-12)
+    return potential_operator(V, grid).bottom
 
 
 def resolvent_solve(g: Field, V) -> Field:
-    """Solve (-Lap + V) z = g, to sup-norm residual _CG_TOL |g| (or the
-    roundoff floor): FourierOperator.solve, exact on the Bloch fibres of a
-    V with a short period, else CG.
+    """Solve (-Lap + V) z = g for a model.Potential V, to sup-norm residual
+    _CG_TOL |g| (or the roundoff floor): FourierOperator.solve of
+    potential_operator(V, g.grid), exact on the Bloch fibres of a V with a
+    short period, else CG.
 
     -Lap + V must be positive definite; that is checked where the potential
     enters (model.positive_gauge, gluing.glue), not here.  The solve raises
     LinearSolverError when it finds it is not.
     """
-    vs = potential_samples(V, g.grid)
-    return Field(g.grid, FourierOperator(g.grid, vs).solve(g.values))
+    return Field(g.grid, potential_operator(V, g.grid).solve(g.values))
 
 
 # -- serialization -----------------------------------------------------------

@@ -144,7 +144,7 @@ def _rescaled_solve_counted(grid: GridSpec, eps: float, V: Potential, p: float,
     _check_normalization(V)
     f = Nonlinearity(p)
     Veps = scaled_potential(V, eps)
-    base = gr.FourierOperator(grid, gr.potential_samples(Veps, grid))
+    base = gr.potential_operator(Veps, grid)
     guess = u_init.values if u_init is not None else st.limit_profile(grid, p, 1.0).values
     u_vals, iters, _ = gl.damped_newton(
         guess,
@@ -173,8 +173,10 @@ def rescaled_solve(grid: GridSpec, eps: float, V: Potential, p: float,
 
 
 def continue_family(grid: GridSpec, eps_list, V: Potential, p: float) -> EpsilonFamily:
-    """Solve the family along descending eps, each member seeding the next."""
+    """Solve the family along positive, descending eps, each member seeding the next."""
     eps_arr = [float(e) for e in eps_list]
+    if not all(e > 0.0 for e in eps_arr):
+        raise PreconditionError(f"eps values must be positive, got {eps_arr}")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise PreconditionError(f"eps values must be strictly descending, got {eps_arr}")
     family = EpsilonFamily(V=V, p=p)

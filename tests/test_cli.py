@@ -665,6 +665,7 @@ EXIT_CODES = {
 
 
 _RANDOM = {"perturbation_amplitude": 1e-5, "perturbation_kind": "random"}
+_NORMALIZED = {"kind": "cosine", "amplitude": -0.3, "shift": 0.3}  # V(0) = 1, semiclassical's
 # (command, configuration patch, the key its refusal names); solver.flow_step,
 # flow_tol and newton_tol are no longer keys, and are refused as unknown ones
 _MALFORMED = [
@@ -706,6 +707,16 @@ _MALFORMED = [
     ("glue", {"grid": {"L": 4, "M": 256}, "bumps": {"n": 9, "separations": [1]}}, "bumps.n"),
     ("sweep", {"grid": {"L": 4, "M": 256}, "bumps": {"n_list": [2, 9], "separations": [1]}},
      "bumps.n_list"),
+    # each of these ran (exit 0): zero steps, an amplitude the kind does not
+    # read, a negative or zero mass marked ok or flagged, d = 12 glued twice
+    ("evolve", {"dynamics": {"t_end": -0.5}}, "dynamics.t_end"),
+    ("evolve", {"dynamics": {"perturbation_kind": "none", "perturbation_amplitude": 0.1}},
+     "dynamics.perturbation_amplitude"),
+    ("semiclassical", {"potential": _NORMALIZED, "semiclassical": {"eps_list": [0.2, 0.1, -0.05]}},
+     "semiclassical.eps_list"),
+    ("semiclassical", {"potential": _NORMALIZED, "semiclassical": {"eps_list": [0.2, 0.1, 0.0]}},
+     "semiclassical.eps_list"),
+    ("glue", {"mass": 9.0, "bumps": {"n": 2, "separations": [12, -12]}}, "bumps.separations"),
 ]
 
 

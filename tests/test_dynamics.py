@@ -238,6 +238,12 @@ class TestPropagate:
         traj = propagate(ComplexField.from_real(point.u), V1, f, dt=0.002, t_end=0.01)
         assert traj.times[-1] == pytest.approx(0.01, rel=1e-12)
 
+    @pytest.mark.parametrize("t_end", [0.0, -0.5])
+    def test_rejects_nonpositive_end_time(self, t_end, vcos, f4):
+        # a run to t_end <= 0 took zero steps and returned the start alone
+        with pytest.raises(PreconditionError, match="t_end must be positive"):
+            propagate(_wave_packet(GridSpec(8, 256)), vcos, f4, dt=1e-3, t_end=t_end)
+
 
 class TestOrbitDistance:
     def test_pure_phase_is_zero(self, standing):

@@ -427,6 +427,47 @@ class TestBorderedSigmaMin:
             bordered_sigma_min(pt, vcos, f4)
 
 
+def test_one_operator_per_potential_and_grid(ubar768, f4, monkeypatch):
+    # the resolvent, the H1_V pairing, the spectrum bottom and the gluing
+    # metric share one -Lap + V, built once with one fibre build; a second
+    # potential equal by value reaches the same operator
+    from multibump import grid as gr
+    from multibump.semiclassical import scaled_potential
+
+    weights, fibre_builds = [], []
+
+    def counted_init(self, grid, weight, border=None, _original=FourierOperator.__init__):
+        if border is None:
+            weights.append(weight)
+        _original(self, grid, weight, border)
+
+    def counted_fibres(grid, weight, _original=gr._bloch_fibres):
+        fibre_builds.append(weight)
+        return _original(grid, weight)
+
+    monkeypatch.setattr(FourierOperator, "__init__", counted_init)
+    monkeypatch.setattr(gr, "_bloch_fibres", counted_fibres)
+    gr.potential_operator.cache_clear()
+    V, u, grid = Potential.cosine(0.5), ubar768.u, ubar768.u.grid
+
+    def builds(potential):
+        return sum(np.array_equal(w, potential.sample(grid)) for w in weights)
+
+    for _ in range(2):
+        gr.resolvent_solve(u, V)
+        inner_h1v(u, u, V)
+        operator_bottom_eigenvalue(V, grid)
+        bordered_sigma_min(ExtendedPoint(superpose(u, BumpConfig(2, (-4, 4))), ubar768.lam),
+                           V, f4)
+    assert builds(V) == 1 and len(fibre_builds) == 1
+    first, second = scaled_potential(V, 0.5), scaled_potential(V, 0.5)
+    assert first is not second
+    gr.resolvent_solve(u, first)
+    operator_bottom_eigenvalue(second, grid)
+    assert gr.potential_operator(first, grid) is gr.potential_operator(second, grid)
+    assert builds(first) == 1 and len(fibre_builds) == 2
+
+
 class TestShadowingCertificate:
     def test_exact_point_satisfies_residual_condition(self, ubar, vcos, f4):
         report = shadowing_certificate(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.sparse.linalg import aslinearoperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 from scipy.sparse.linalg import minres as scipy_minres
 
 from multibump.errors import (
@@ -409,11 +409,14 @@ def _symmetric_dense(rng, eigenvalues):
 
 
 def _minres_pair(A, b, **kwargs):
-    """(x, info, iterations) of scipy's minres and of grid.minres."""
+    """(x, info, iterations) of scipy's minres and of grid.minres; scipy
+    sees a SplitOperator through a LinearOperator of its apply."""
     out = []
     for solve in (scipy_minres, minres):
         iters = [0]
-        x, info = solve(A, b, callback=lambda xk: iters.__setitem__(0, iters[0] + 1),
+        operand = (LinearOperator(A.shape, matvec=A.apply, dtype=float)
+                   if solve is scipy_minres and isinstance(A, SplitOperator) else A)
+        x, info = solve(operand, b, callback=lambda xk: iters.__setitem__(0, iters[0] + 1),
                         **kwargs)
         out.append((x, info, iters[0]))
     return out
@@ -510,14 +513,16 @@ class TestSpectrumBottomHelper:
         assert 0.5 < bottom < 1.5
 
     def test_cache_is_bounded(self):
+        # the operators of the most recent potentials are kept, the bottom
+        # of each computed once; an operator built afresh gives the same
         from multibump import grid as gr
 
         grid = GridSpec(2, 64)
-        base = 1.0 + 0.3 * np.cos(np.pi * grid.x)
-        bottoms = [operator_bottom_eigenvalue(base + 0.1 * i, grid) for i in range(20)]
-        info = gr._bottom_eigenvalue.cache_info()
+        base = Potential.cosine(0.3)
+        bottoms = [operator_bottom_eigenvalue(base.shifted(0.1 * i), grid) for i in range(20)]
+        info = gr.potential_operator.cache_info()
         assert info.currsize == info.maxsize < 20
-        uncached = gr._bottom_eigenvalue.__wrapped__(grid, base.tobytes())
+        uncached = FourierOperator(grid, base.sample(grid)).bottom
         assert operator_bottom_eigenvalue(base, grid) == uncached == bottoms[0]
         assert_allclose(np.diff(bottoms), 0.1, rtol=1e-9)
 
@@ -552,8 +557,8 @@ class TestSpectrumBottomHelper:
                              k=1, which="LA", tol=1e-12, v0=v0, return_eigenvectors=False)[0]
         assert ours == pytest.approx(oracle, rel=1e-12, abs=0)
         # the bottom itself comes from the Bloch fibres for the periodic kinds
-        assert operator_bottom_eigenvalue(samples, grid) == pytest.approx(shift + 1.0 / oracle,
-                                                                          rel=1e-12, abs=0)
+        assert FourierOperator(grid, samples).bottom == pytest.approx(shift + 1.0 / oracle,
+                                                                      rel=1e-12, abs=0)
         dense = np.linalg.eigvalsh(_dense_neg_laplacian(grid) + np.diag(samples))[0]
         assert shift + 1.0 / ours == pytest.approx(dense, rel=1e-10)
 
@@ -580,8 +585,6 @@ class TestBlochSolve:
         # random tabulated periods with a shift that keeps -Lap + V >= 1/2: the
         # solve and the bottom against np.linalg.solve and eigvalsh, on grids
         # coarse enough (|A| < 700) that the dense oracle holds 1e-12 too
-        from multibump import grid as gr
-
         rng = np.random.default_rng(seed)
         weight = _periodic_weight(rng, grid.M, P)
         op = FourierOperator(grid, weight)
@@ -590,15 +593,14 @@ class TestBlochSolve:
         rhs = rng.standard_normal(grid.M)
         exact = np.linalg.solve(dense, rhs)
         assert_allclose(op.solve(rhs), exact, rtol=0, atol=1e-12 * np.max(np.abs(exact)))
-        bottom = gr.operator_bottom_eigenvalue(weight, grid)
-        assert bottom == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-12, abs=0)
+        assert op.bottom == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-12, abs=0)
 
     def test_period_detection(self):
         from multibump import grid as gr
         from multibump.semiclassical import scaled_potential
 
         def period(V, grid):
-            fibres = gr._bloch_fibres(grid, gr.potential_samples(V, grid).tobytes())
+            fibres = FourierOperator(grid, gr.potential_samples(V, grid))._fibres
             return None if fibres is None else fibres.period
 
         big, semi = GridSpec(48, 3072), GridSpec(20, 1280)
@@ -613,7 +615,7 @@ class TestBlochSolve:
         monkeypatch.setattr(gr, "eigsh", None)
         grid = GridSpec(4, 256)
         weight = _periodic_weight(np.random.default_rng(1), grid.M, 16)
-        assert gr._bottom_eigenvalue.__wrapped__(grid, weight.tobytes()) == pytest.approx(
+        assert FourierOperator(grid, weight).bottom == pytest.approx(
             np.linalg.eigvalsh(_dense_neg_laplacian(grid) + np.diag(weight))[0], rel=1e-12)
 
     def test_refuses_an_indefinite_operator(self):
@@ -677,8 +679,7 @@ def test_small_dense_solves_run_on_one_blas_thread(monkeypatch):
                           precond=lambda R: R, stop=lambda block: False)
         top = gr.eigsh(lambda x: x / diagonal, np.ones(200), 1e-12)
         grid = GridSpec(4, 256)
-        fibres = gr._bloch_fibres.__wrapped__(
-            grid, _periodic_weight(np.random.default_rng(1), grid.M, 32).tobytes())
+        fibres = gr._bloch_fibres(grid, _periodic_weight(np.random.default_rng(1), grid.M, 32))
         assert get_threads() == 2
     finally:
         set_threads(before)

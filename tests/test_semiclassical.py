@@ -64,6 +64,13 @@ class TestContinueFamily:
         with pytest.raises(PreconditionError):
             continue_family(grid_semi, [0.1, 0.2], vmin_well, 4.0)
 
+    @pytest.mark.parametrize("eps_list", [[0.2, 0.1, -0.05], [0.2, 0.0]])
+    def test_rejects_nonpositive_eps(self, grid_semi, vmin_well, eps_list):
+        # eps < 0 solved V(-|eps| x) and reported a negative unrescaled mass;
+        # eps = 0 reported mass 0
+        with pytest.raises(PreconditionError, match="must be positive"):
+            continue_family(grid_semi, eps_list, vmin_well, 4.0)
+
 
 class TestCriterionValue:
     @pytest.mark.parametrize("p", [4.0, 5.5, 6.5, 8.0])
